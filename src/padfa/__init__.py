@@ -34,19 +34,17 @@ from .gadgets import (
     binarize_with_selfloop,
     build_complete_gadget,
     build_saturation_gadget,
+    build_sc_gadget,
     build_sync_gadget,
     has_common_word,
     strongly_connect_gadget,
 )
 from .graphs import (
-    ComponentGraph,
     PairAutomaton,
-    PairNode,
     coreachable_to,
     is_strongly_connected,
     pair_automaton,
     reachable_from,
-    scc,
     trim,
 )
 from .rank import (
@@ -57,10 +55,7 @@ from .rank import (
     rank_word_length_bound,
 )
 from .saturate import (
-    SaturationConfig,
-    advance,
     find_saturating_min_rank_word,
-    initial_config,
     is_saturated_by,
 )
 
@@ -69,21 +64,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Acceptor",
     "BudgetExceededError",
-    "ComponentGraph",
     "DEFAULT_BUDGET",
     "GadgetLayout",
     "IntersectionInstance",
     "MethodDisagreement",
     "PairAutomaton",
-    "PairNode",
     "PartialDfa",
     "RankResult",
-    "SaturationConfig",
     "SearchBudget",
     "StateSet",
     "SubsetAutomaton",
     "Word",
-    "advance",
     "binarize",
     "binarize_with_selfloop",
     "brute_language",
@@ -91,13 +82,13 @@ __all__ = [
     "brute_saturating_word",
     "build_complete_gadget",
     "build_saturation_gadget",
+    "build_sc_gadget",
     "build_sync_gadget",
     "coreachable_to",
     "determinize_reversal",
     "exact_rank",
     "find_saturating_min_rank_word",
     "has_common_word",
-    "initial_config",
     "is_birecurrent",
     "is_birecurrent_characterization",
     "is_birecurrent_direct",
@@ -109,7 +100,6 @@ __all__ = [
     "pair_automaton",
     "rank_word_length_bound",
     "reachable_from",
-    "scc",
     "strongly_connect_gadget",
     "trim",
 ]

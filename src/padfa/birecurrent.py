@@ -29,6 +29,7 @@ from .core import (
     PartialDfa,
     SearchBudget,
     StateSet,
+    union_image,
 )
 from .graphs import is_strongly_connected, trim
 from .saturate import find_saturating_min_rank_word
@@ -124,15 +125,19 @@ class SubsetAutomaton:
         )
 
 
-def determinize_reversal(acceptor: Acceptor) -> SubsetAutomaton:
+def determinize_reversal(
+    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+) -> SubsetAutomaton:
     """Subset construction on the reversed transition relation.
 
     Starts from the accepting set and expands only reachable nonempty
-    subsets.  An empty accepting set yields the empty subset automaton.
+    subsets, spending one unit of ``budget`` per new subset.  An empty
+    accepting set yields the empty subset automaton.
     """
     dfa = acceptor.dfa
     if acceptor.is_empty or not acceptor.accepting:
         return SubsetAutomaton(dfa.alphabet, (), (), None, ())
+    budget = SearchBudget.ensure(budget)
 
     preimage = [
         [0] * dfa.state_count for _ in range(dfa.letter_count)
@@ -143,6 +148,7 @@ def determinize_reversal(acceptor: Acceptor) -> SubsetAutomaton:
                 preimage[letter][target] |= 1 << source
 
     start = acceptor.accepting.mask
+    budget.spend()
     index = {start: 0}
     order = [start]
     rows: list[list[Optional[int]]] = []
@@ -150,17 +156,13 @@ def determinize_reversal(acceptor: Acceptor) -> SubsetAutomaton:
     while queue:
         mask = queue.popleft()
         row: list[Optional[int]] = []
-        for letter in range(dfa.letter_count):
-            new = 0
-            bits = mask
-            while bits:
-                low = bits & -bits
-                new |= preimage[letter][low.bit_length() - 1]
-                bits ^= low
+        for table in preimage:
+            new = union_image(table, mask)
             if new == 0:
                 row.append(None)
                 continue
             if new not in index:
+                budget.spend()
                 index[new] = len(order)
                 order.append(new)
                 queue.append(new)
@@ -176,15 +178,18 @@ def determinize_reversal(acceptor: Acceptor) -> SubsetAutomaton:
     )
 
 
-def is_birecurrent_direct(acceptor: Acceptor) -> bool:
+def is_birecurrent_direct(
+    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+) -> bool:
     """Minimize, then require the automaton and the determinization of its
-    reversal to both be strongly connected."""
+    reversal to both be strongly connected.  Only the subset construction
+    spends ``budget``."""
     minimal = minimize(acceptor)
     if minimal.is_empty:
         return False
     if not is_strongly_connected(minimal.dfa):
         return False
-    reversed_subsets = determinize_reversal(minimal)
+    reversed_subsets = determinize_reversal(minimal, budget)
     if reversed_subsets.is_empty:
         return False
     return is_strongly_connected(reversed_subsets.as_dfa())
@@ -209,11 +214,12 @@ def is_birecurrent(
 ) -> bool:
     """Run both deciders and return the shared verdict.
 
-    A disagreement means a bug in one of them and raises
-    :class:`MethodDisagreement` rather than guessing.
+    Both draw on one shared ``budget``.  A disagreement means a bug in one
+    of them and raises :class:`MethodDisagreement` rather than guessing.
     """
-    direct = is_birecurrent_direct(acceptor)
-    characterized = is_birecurrent_characterization(acceptor, budget)
+    shared = SearchBudget.ensure(budget)
+    direct = is_birecurrent_direct(acceptor, shared)
+    characterized = is_birecurrent_characterization(acceptor, shared)
     if direct != characterized:
         raise MethodDisagreement(
             f"direct={direct} but characterization={characterized}"

@@ -4,7 +4,9 @@ Exit codes follow one contract everywhere: 0 for yes/ok, 1 for a negative
 verdict (not synchronizing, no saturating word, not birecurrent, no common
 word), 2 for errors of any kind (parse failures, violated preconditions,
 exhausted search budgets).  ``--json`` switches every command to a single
-machine-readable object on stdout with the same verdicts.
+machine-readable object on stdout with the same verdicts; an error then is
+the object ``{"command", "error", "message"}``, where ``error`` names the
+exception class.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .gadgets import (
     binarize_with_selfloop,
     build_complete_gadget,
     build_saturation_gadget,
+    build_sc_gadget,
     build_sync_gadget,
     has_common_word,
-    strongly_connect_gadget,
 )
 from .graphs import is_strongly_connected
 from .rank import exact_rank, is_synchronizing, min_rank_word_sc
@@ -163,7 +165,7 @@ def cmd_saturate(args) -> int:
 def cmd_birecurrent(args) -> int:
     acceptor = _load_automaton(args.file).require_acceptor()
     if args.method == "direct":
-        verdict = is_birecurrent_direct(acceptor)
+        verdict = is_birecurrent_direct(acceptor, args.budget)
     elif args.method == "char":
         verdict = is_birecurrent_characterization(acceptor, args.budget)
     else:
@@ -203,19 +205,7 @@ def cmd_reduce(args) -> int:
     elif args.kind == "saturation":
         gadget, layout = build_saturation_gadget(instance)
     elif args.kind == "sc":
-        base, base_layout = build_saturation_gadget(instance)
-        gadget, sc_layout = strongly_connect_gadget(
-            base, base_layout.special_states["accept_sink"]
-        )
-        layout = GadgetLayout(
-            state_map=dict(base_layout.state_map),
-            special_states={
-                **base_layout.special_states,
-                **sc_layout.special_states,
-            },
-            letter_map={**base_layout.letter_map, **sc_layout.letter_map},
-            meta={**base_layout.meta, **sc_layout.meta},
-        )
+        gadget, layout = build_sc_gadget(instance)
     else:
         gadget, layout, distinguished = build_complete_gadget(instance)
         extra = {"target_set": sorted(distinguished)}
@@ -390,6 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, exc: Exception, label: str) -> int:
+    """Report ``exc`` as a JSON error object on stdout under ``--json``, else
+    as ``label: message`` on stderr; either way the exit code is 2."""
+    if args.json:
+        payload = {
+            "command": args.command,
+            "error": type(exc).__name__,
+            "message": str(exc),
+        }
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(f"{label}: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -401,15 +406,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ParseError, ValueError, OSError, BudgetExceededError) as exc:
+        return _fail(args, exc, "error")
     except MethodDisagreement as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, "internal error")
 
 
 if __name__ == "__main__":

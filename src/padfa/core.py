@@ -6,14 +6,22 @@ Undefined stays a distinguished table value throughout: it is never patched
 over with a sink state, and the image of a state set under a word simply
 drops the states whose path hits an undefined entry.
 
+The searches of the package share two primitives defined here: the image
+of a state set under a per-letter table of masks (``union_image``) and
+breadth-first search with a parent map (``breadth_first`` and ``word_to``).
+The oracles the tests check them against (``bruteforce`` and
+``gadgets.has_common_word``) deliberately keep their own code.
+
 All values here are immutable after construction and safe to share between
 concurrent readers.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -52,6 +60,80 @@ class SearchBudget:
         if isinstance(value, SearchBudget):
             return value
         return cls(value)
+
+
+def members(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def union_image(table: Sequence[int], mask: int) -> int:
+    """OR of ``table[i]`` over the set bits ``i`` of ``mask``.
+
+    With ``table = dfa.letter_images[a]`` this is the image of the state set
+    ``mask`` under letter ``a``; with per-letter preimage masks it is the
+    preimage instead.
+    """
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= table[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
+# parents[node] is (parent, letter), or None for the start node.
+Parents = dict[int, Optional[tuple[int, int]]]
+
+
+def breadth_first(
+    start: int,
+    letter_count: int,
+    step: Callable[[int, int], Optional[int]],
+    goal: Callable[[int], bool],
+    budget: SearchBudget,
+) -> tuple[Optional[int], Parents]:
+    """Breadth-first search from ``start`` over int-encoded nodes.
+
+    ``step(node, letter)`` gives the successor, or ``None`` to prune it.
+    Letters are expanded in declaration order, so ``word_to`` of any visited
+    node is its length-then-lexicographically first word.  Every newly seen
+    node, the start included, spends one unit of ``budget`` and is then
+    tested against ``goal``.  Returns the first node meeting the goal (or
+    ``None`` when the reachable nodes are exhausted) and the parent map,
+    whose keys are the visited nodes in discovery order.
+    """
+    budget.spend()
+    parents: Parents = {start: None}
+    if goal(start):
+        return start, parents
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for letter in range(letter_count):
+            new = step(node, letter)
+            if new is None or new in parents:
+                continue
+            budget.spend()
+            parents[new] = (node, letter)
+            if goal(new):
+                return new, parents
+            queue.append(new)
+    return None, parents
+
+
+def word_to(parents: Parents, node: int) -> Word:
+    """The word labelling the search-tree path from the start to ``node``."""
+    letters: list[int] = []
+    link = parents[node]
+    while link is not None:
+        node, letter = link
+        letters.append(letter)
+        link = parents[node]
+    return tuple(reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -117,11 +199,7 @@ class StateSet:
         return 0 <= state < self.universe and self.mask >> state & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return members(self.mask)
 
     def __repr__(self) -> str:
         return f"StateSet({self.universe}, {{{', '.join(map(str, self))}}})"
@@ -231,15 +309,23 @@ class PartialDfa:
         return mask
 
     def step_mask(self, mask: int, letter: int) -> int:
-        column = [row[letter] for row in self.transitions]
-        new = 0
-        while mask:
-            low = mask & -mask
-            target = column[low.bit_length() - 1]
-            if target is not None:
-                new |= 1 << target
-            mask ^= low
-        return new
+        return union_image(self.letter_images[letter], mask)
+
+    @cached_property
+    def letter_images(self) -> tuple[tuple[int, ...], ...]:
+        """``letter_images[a][s]`` is ``1 << delta(s, a)``, or 0 where undefined."""
+        return tuple(
+            tuple(0 if row[a] is None else 1 << row[a] for row in self.transitions)
+            for a in range(len(self.alphabet))
+        )
+
+    @cached_property
+    def letter_domains(self) -> tuple[int, ...]:
+        """``letter_domains[a]`` is the mask of states on which ``a`` is defined."""
+        return tuple(
+            sum(1 << s for s, image in enumerate(images) if image)
+            for images in self.letter_images
+        )
 
     def image(self, states: StateSet, word: Word) -> StateSet:
         """The set ``{delta(s, word) : s in states, delta(s, word) defined}``."""

@@ -9,6 +9,7 @@ oracle against which the four gadget constructions are verified:
 * ``build_saturation_gadget``  -- common word exists  <=>  whole state set
                                   saturated by a minimum-rank word
 * ``strongly_connect_gadget``  -- same verdict, strongly connected gadget
+  (``build_sc_gadget`` composes it with the saturation gadget)
 * ``binarize`` / ``binarize_with_selfloop`` -- same verdict, binary alphabet
 * ``build_complete_gadget``    -- same verdict, complete strongly connected
                                   gadget and a distinguished target set
@@ -20,7 +21,7 @@ state numbering depend only on the instance.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from .core import (
@@ -58,7 +59,7 @@ class IntersectionInstance:
         return self.machines[0].dfa.alphabet
 
 
-@dataclass
+@dataclass(frozen=True)
 class GadgetLayout:
     """Bookkeeping for a constructed gadget.
 
@@ -305,6 +306,24 @@ def strongly_connect_gadget(
     )
 
 
+def build_sc_gadget(
+    instance: IntersectionInstance,
+) -> tuple[PartialDfa, GadgetLayout]:
+    """The saturation gadget made strongly connected by jump letters from
+    its accept sink; same verdict.  The layout merges both constructions'."""
+    base, base_layout = build_saturation_gadget(instance)
+    gadget, sc_layout = strongly_connect_gadget(
+        base, base_layout.special_states["accept_sink"]
+    )
+    layout = GadgetLayout(
+        state_map=dict(base_layout.state_map),
+        special_states={**base_layout.special_states, **sc_layout.special_states},
+        letter_map={**base_layout.letter_map, **sc_layout.letter_map},
+        meta={**base_layout.meta, **sc_layout.meta},
+    )
+    return gadget, layout
+
+
 def binarize(dfa: PartialDfa, last_letter: str) -> tuple[PartialDfa, GadgetLayout]:
     """Encode an arbitrary alphabet into {0, 1}.
 
@@ -354,8 +373,7 @@ def binarize_with_selfloop(dfa: PartialDfa) -> tuple[PartialDfa, GadgetLayout]:
     )
     extended = PartialDfa(dfa.state_count, dfa.alphabet + (stay,), rows)
     binary, layout = binarize(extended, stay)
-    layout.meta["selfloop_letter"] = stay
-    return binary, layout
+    return binary, replace(layout, meta={**layout.meta, "selfloop_letter": stay})
 
 
 def build_complete_gadget(
@@ -416,7 +434,11 @@ def build_complete_gadget(
             if target is None:
                 # Only the check letter is partial in the base gadget; the
                 # trap pair completes it.
-                assert a == check_col
+                if a != check_col:
+                    raise RuntimeError(
+                        f"saturation gadget letter {a} is partial but is not "
+                        "the check letter"
+                    )
                 rows[state][a] = trap
                 rows[twin(state)][a] = trap_twin
             else:
@@ -438,7 +460,8 @@ def build_complete_gadget(
         rows[trap_twin][col] = target
 
     gadget = PartialDfa(total, alphabet, tuple(tuple(row) for row in rows))
-    assert gadget.is_complete()
+    if not gadget.is_complete():
+        raise RuntimeError("complete gadget has an undefined transition")
 
     twin_of = {state: twin(state) for state in range(na)}
     twin_of[trap] = trap_twin

@@ -1,9 +1,8 @@
 """Graph utilities over the transition structure of a partial DFA.
 
-Covers reachability, strongly connected components with their condensation,
-trimming of acceptors, and the pair automaton (the restriction of the power
-automaton to subsets of size at most two) that drives the polynomial
-minimum-rank search.
+Covers reachability, strong connectivity, trimming of acceptors, and the
+pair automaton (the restriction of the power automaton to subsets of size
+at most two) that drives the polynomial minimum-rank search.
 """
 
 from __future__ import annotations
@@ -65,87 +64,6 @@ def is_strongly_connected(dfa: PartialDfa) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ComponentGraph:
-    """SCC decomposition plus the condensation DAG.
-
-    Components are listed in a topological order of the condensation
-    (sources first) and identified by their index in ``components``.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def sources(self) -> tuple[int, ...]:
-        """Component indices with no incoming condensation edge."""
-        has_in = {dst for _, dst in self.edges}
-        return tuple(i for i in range(len(self.components)) if i not in has_in)
-
-
-def scc(dfa: PartialDfa) -> ComponentGraph:
-    """Strongly connected components of the transition graph (iterative Tarjan)."""
-    n = dfa.state_count
-    adjacency = [sorted(s) for s in _successors(dfa)]
-    index: list[Optional[int]] = [None] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    raw_components: list[list[int]] = []
-
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(child_pos, len(adjacency[node])):
-                nxt = adjacency[node][pos]
-                if index[nxt] is None:
-                    work.append((node, pos + 1))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                raw_components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    # Tarjan emits components in reverse topological order.
-    ordered = list(reversed(raw_components))
-    component_of = [0] * n
-    for i, component in enumerate(ordered):
-        for member in component:
-            component_of[member] = i
-    edges = set()
-    for state, row in enumerate(dfa.transitions):
-        for target in row:
-            if target is not None and component_of[state] != component_of[target]:
-                edges.add((component_of[state], component_of[target]))
-    return ComponentGraph(
-        tuple(tuple(c) for c in ordered), tuple(component_of), frozenset(edges)
-    )
-
-
 def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
     """Restrict to states both reachable from the initial state and
     co-reachable to an accepting state.
@@ -178,17 +96,6 @@ def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
 
 
 @dataclass(frozen=True)
-class PairNode:
-    """Node of the pair automaton: a 2-set of states, a singleton, or dead."""
-
-    states: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return ("dead", "singleton", "pair")[len(self.states)]
-
-
-@dataclass(frozen=True)
 class PairAutomaton:
     """Power automaton restricted to subsets of size at most two.
 
@@ -200,7 +107,6 @@ class PairAutomaton:
     """
 
     state_count: int
-    nodes: tuple[PairNode, ...]
     step: tuple[tuple[int, ...], ...]
 
     DEAD = 0
@@ -223,11 +129,11 @@ class PairAutomaton:
         Backward breadth-first search from the singleton nodes; singletons
         themselves are at distance 0, the dead node is unreachable.
         """
-        preds: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
+        preds: list[list[tuple[int, int]]] = [[] for _ in self.step]
         for node, row in enumerate(self.step):
             for letter, target in enumerate(row):
                 preds[target].append((node, letter))
-        dist: list[Optional[int]] = [None] * len(self.nodes)
+        dist: list[Optional[int]] = [None] * len(self.step)
         queue: deque[int] = deque()
         for state in range(self.state_count):
             idx = self.singleton_index(state)
@@ -245,7 +151,7 @@ class PairAutomaton:
         """Distances plus, per node, the smallest letter moving one step
         closer to a singleton."""
         dist = self.distances_to_singleton()
-        policy: list[Optional[int]] = [None] * len(self.nodes)
+        policy: list[Optional[int]] = [None] * len(self.step)
         for node, row in enumerate(self.step):
             d = dist[node]
             if d is None or d == 0:
@@ -260,12 +166,8 @@ class PairAutomaton:
 def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     """Build the size-at-most-two power automaton of ``dfa``."""
     n = dfa.state_count
-    nodes: list[PairNode] = [PairNode(())]
-    nodes.extend(PairNode((s,)) for s in range(n))
     pair_list = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    nodes.extend(PairNode(pq) for pq in pair_list)
-
-    auto = PairAutomaton(n, tuple(nodes), ())
+    auto = PairAutomaton(n, ())
     letters = range(dfa.letter_count)
     rows: list[tuple[int, ...]] = [tuple(PairAutomaton.DEAD for _ in letters)]
     for s in range(n):
@@ -292,4 +194,4 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
             else:
                 row.append(auto.pair_index(tp, tq))
         rows.append(tuple(row))
-    return PairAutomaton(n, tuple(nodes), tuple(rows))
+    return PairAutomaton(n, tuple(rows))

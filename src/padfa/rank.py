@@ -14,10 +14,18 @@ order or hash seeds, only on the automaton and the declared letter order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import DEFAULT_BUDGET, PartialDfa, SearchBudget, Word
+from .core import (
+    DEFAULT_BUDGET,
+    PartialDfa,
+    SearchBudget,
+    Word,
+    breadth_first,
+    members,
+    union_image,
+    word_to,
+)
 from .graphs import is_strongly_connected, pair_automaton
 
 
@@ -33,59 +41,27 @@ class RankResult:
         return len(self.witness)
 
 
-def _reconstruct(
-    parents: dict[int, tuple[int, int]], start: int, mask: int
-) -> Word:
-    letters: list[int] = []
-    while mask != start:
-        mask, letter = parents[mask]
-        letters.append(letter)
-    return tuple(reversed(letters))
-
-
 def _exact_rank(dfa: PartialDfa, budget: SearchBudget) -> RankResult:
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
-    n = dfa.state_count
-    full = (1 << n) - 1
-    columns = [
-        [row[a] for row in dfa.transitions] for a in range(dfa.letter_count)
-    ]
+    images = dfa.letter_images
 
-    parents: dict[int, tuple[int, int]] = {}
-    visited = {full}
-    budget.spend()
-    best_mask = full
-    best_size = n
-    if best_size == 1:
-        return RankResult(1, ())
-    queue = deque([full])
-    while queue:
-        mask = queue.popleft()
-        for letter, column in enumerate(columns):
-            new = 0
-            bits = mask
-            while bits:
-                low = bits & -bits
-                target = column[low.bit_length() - 1]
-                if target is not None:
-                    new |= 1 << target
-                bits ^= low
-            # Rank counts nonzero image sizes only; the empty set is also
-            # absorbing, so there is nothing to explore beyond it.
-            if new == 0 or new in visited:
-                continue
-            visited.add(new)
-            budget.spend()
-            parents[new] = (mask, letter)
-            size = new.bit_count()
-            if size < best_size:
-                best_size = size
-                best_mask = new
-                if size == 1:
-                    return RankResult(1, _reconstruct(parents, full, new))
-            queue.append(new)
-    return RankResult(best_size, _reconstruct(parents, full, best_mask))
+    def step(mask: int, letter: int) -> int | None:
+        # Rank counts nonzero image sizes only; the empty set is also
+        # absorbing, so there is nothing to explore beyond it.
+        return union_image(images[letter], mask) or None
+
+    found, parents = breadth_first(
+        (1 << dfa.state_count) - 1,
+        dfa.letter_count,
+        step,
+        lambda mask: mask.bit_count() == 1,
+        budget,
+    )
+    # Without a singleton, the first minimum in discovery order is the first
+    # minimum-rank subset in length-then-lexicographic order of its word.
+    best = found if found is not None else min(parents, key=int.bit_count)
+    return RankResult(best.bit_count(), word_to(parents, best))
 
 
 def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> RankResult:
@@ -131,14 +107,9 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     witness: list[int] = []
     while True:
         best: tuple[int, int, int] | None = None
-        bits = mask
-        members = []
-        while bits:
-            low = bits & -bits
-            members.append(low.bit_length() - 1)
-            bits ^= low
-        for i, p in enumerate(members):
-            for q in members[i + 1 :]:
+        survivors = list(members(mask))
+        for i, p in enumerate(survivors):
+            for q in survivors[i + 1 :]:
                 d = dist[pairs.pair_index(p, q)]
                 if d is not None and (best is None or (d, p, q) < best):
                     best = (d, p, q)
@@ -149,7 +120,11 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
         segment: list[int] = []
         while dist[node] != 0:
             letter = policy[node]
-            assert letter is not None
+            if letter is None:
+                raise RuntimeError(
+                    f"pair node {node} is {dist[node]} letters from a singleton "
+                    "but has no merging letter"
+                )
             segment.append(letter)
             node = pairs.step[node][letter]
         # Applying the merging word to all of S only shrinks it further; the

@@ -3,15 +3,14 @@
 A set S is saturated by a word w when every state of S has a defined image
 under w and no state outside S is mapped into the image of S.  The searched
 question is whether S is saturated by some word whose rank equals the rank
-of the automaton; the search state is just the pair of images
-(inside, outside) plus an absorbing "alive" flag, since saturation and the
-rank of a word depend on nothing else.
+of the automaton; the search node is just the pair of images
+(inside, outside), packed into one int as ``inside | outside << n``, since
+saturation and the rank of a word depend on nothing else.  A node whose
+inside image lost a member is dead and never expanded: no extension of its
+word can saturate S.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_BUDGET,
@@ -19,44 +18,11 @@ from .core import (
     SearchBudget,
     StateSet,
     Word,
+    breadth_first,
+    union_image,
+    word_to,
 )
 from .rank import _exact_rank
-
-
-@dataclass(frozen=True)
-class SaturationConfig:
-    """Search node: images of S and of its complement, plus liveness.
-
-    ``alive`` flips to False as soon as any surviving member of the inside
-    image hits an undefined transition, and never recovers.
-    """
-
-    inside: StateSet
-    outside: StateSet
-    alive: bool = True
-
-
-def initial_config(dfa: PartialDfa, states: StateSet) -> SaturationConfig:
-    if states.universe != dfa.state_count:
-        raise ValueError("state set universe does not match automaton")
-    return SaturationConfig(states, states.complement(), True)
-
-
-def advance(dfa: PartialDfa, config: SaturationConfig, letter: int) -> SaturationConfig:
-    """Apply one letter to a saturation config."""
-    if not 0 <= letter < dfa.letter_count:
-        raise ValueError(f"letter index {letter} out of range")
-    alive = config.alive
-    if alive:
-        for state in config.inside:
-            if dfa.transitions[state][letter] is None:
-                alive = False
-                break
-    return SaturationConfig(
-        dfa.image(config.inside, (letter,)),
-        dfa.image(config.outside, (letter,)),
-        alive,
-    )
 
 
 def is_saturated_by(dfa: PartialDfa, states: StateSet, word: Word) -> bool:
@@ -92,64 +58,29 @@ def find_saturating_min_rank_word(
     shared = SearchBudget.ensure(budget)
     target_rank = _exact_rank(dfa, shared).rank
 
-    columns = [
-        [row[a] for row in dfa.transitions] for a in range(dfa.letter_count)
-    ]
-    full = (1 << dfa.state_count) - 1
-    start = (states.mask, full & ~states.mask)
+    n = dfa.state_count
+    full = (1 << n) - 1
+    images = dfa.letter_images
+    domains = dfa.letter_domains
 
-    def accepts(inside: int, outside: int) -> bool:
+    def step(config: int, letter: int) -> int | None:
+        inside = config & full
+        if inside & ~domains[letter]:
+            return None
+        table = images[letter]
+        return union_image(table, inside) | union_image(table, config >> n) << n
+
+    def accepts(config: int) -> bool:
+        inside, outside = config & full, config >> n
         return inside & outside == 0 and (inside | outside).bit_count() == target_rank
 
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    visited = {start}
-    shared.spend()
-    found: tuple[int, int] | None = start if accepts(*start) else None
-    queue = deque([start])
-    while found is None and queue:
-        config = queue.popleft()
-        inside, outside = config
-        for letter, column in enumerate(columns):
-            new_inside = 0
-            dead = False
-            bits = inside
-            while bits:
-                low = bits & -bits
-                target = column[low.bit_length() - 1]
-                if target is None:
-                    dead = True
-                    break
-                new_inside |= 1 << target
-                bits ^= low
-            if dead:
-                continue
-            new_outside = 0
-            bits = outside
-            while bits:
-                low = bits & -bits
-                target = column[low.bit_length() - 1]
-                if target is not None:
-                    new_outside |= 1 << target
-                bits ^= low
-            new = (new_inside, new_outside)
-            if new in visited:
-                continue
-            visited.add(new)
-            shared.spend()
-            parents[new] = (config, letter)
-            if accepts(*new):
-                found = new
-                break
-            queue.append(new)
-
+    start = states.mask | (full & ~states.mask) << n
+    found, parents = breadth_first(start, dfa.letter_count, step, accepts, shared)
     if found is None:
         return None
-    letters: list[int] = []
-    node = found
-    while node != start:
-        node, letter = parents[node]
-        letters.append(letter)
-    word = tuple(reversed(letters))
-    assert is_saturated_by(dfa, states, word)
-    assert dfa.rank_of_word(StateSet.full(dfa.state_count), word) == target_rank
+    word = word_to(parents, found)
+    if not is_saturated_by(dfa, states, word):
+        raise RuntimeError(f"search returned {word}, which does not saturate the set")
+    if dfa.rank_of_word(StateSet.full(n), word) != target_rank:
+        raise RuntimeError(f"search returned {word}, which is not of rank {target_rank}")
     return word

@@ -30,23 +30,28 @@ def p2() -> PartialDfa:
     return PartialDfa.from_map(2, ["a"], {(0, "a"): 1, (1, "a"): 0})
 
 
+def cerny(n: int) -> PartialDfa:
+    """Černý automaton C_n: letter a cycles the states, letter b moves 0 to 1
+    and fixes the rest.  Rank 1; the shortest rank-1 word has length
+    (n-1)^2."""
+    rows = tuple(((s + 1) % n, 1 if s == 0 else s) for s in range(n))
+    return PartialDfa(n, ("a", "b"), rows)
+
+
 def c4() -> PartialDfa:
-    """The classic 4-state example whose shortest rank-1 word has length 9:
-    letter a cycles the states, letter b moves 0 to 1 and fixes the rest."""
-    return PartialDfa.from_map(
-        4,
-        ["a", "b"],
-        {
-            (0, "a"): 1,
-            (1, "a"): 2,
-            (2, "a"): 3,
-            (3, "a"): 0,
-            (0, "b"): 1,
-            (1, "b"): 1,
-            (2, "b"): 2,
-            (3, "b"): 3,
-        },
-    )
+    """The classic 4-state example whose shortest rank-1 word has length 9."""
+    return cerny(4)
+
+
+def reversal_blowup(n: int) -> Acceptor:
+    """R_n over (a, b, c): the language "the n-th letter is a", plus letter c
+    from the accepting state back to 0.  Strongly connected and minimal; the
+    determinized reversal has exactly 2^n subsets."""
+    rows = [(i + 1, i + 1, None) for i in range(n - 1)]
+    rows.append((n, None, None))
+    rows.append((n, n, 0))
+    dfa = PartialDfa(n + 1, ("a", "b", "c"), tuple(rows))
+    return Acceptor(dfa, 0, StateSet.from_iterable(n + 1, [n]))
 
 
 def letters(count: int) -> list[str]:

@@ -19,6 +19,7 @@ from padfa import (
     brute_saturating_word,
     build_complete_gadget,
     build_saturation_gadget,
+    build_sc_gadget,
     build_sync_gadget,
     exact_rank,
     find_saturating_min_rank_word,
@@ -32,7 +33,6 @@ from padfa import (
     minimize,
     pair_automaton,
     rank_word_length_bound,
-    strongly_connect_gadget,
 )
 from padfa.cli import main
 from padfa.formats import parse_automaton, serialize_automaton, serialize_instance
@@ -142,10 +142,7 @@ def test_criterion_5_strongly_connected_and_binary_pipeline():
     ]
     for instance in instances:
         expected = has_common_word(instance) is not None
-        gadget, layout = build_saturation_gadget(instance)
-        connected, _ = strongly_connect_gadget(
-            gadget, layout.special_states["accept_sink"]
-        )
+        connected, layout = build_sc_gadget(instance)
         assert is_strongly_connected(connected)
         sc_found = find_saturating_min_rank_word(
             connected, StateSet.full(connected.state_count)

@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
 from padfa import (
     Acceptor,
+    BudgetExceededError,
     PartialDfa,
+    SearchBudget,
     StateSet,
     brute_language,
     build_saturation_gadget,
@@ -16,6 +20,7 @@ from padfa import (
 
 from support import (
     m2,
+    reversal_blowup,
     p2,
     random_acceptor,
     random_permutation_acceptor,
@@ -92,6 +97,26 @@ class TestDeterminizeReversal:
 
     def test_empty_accepting_set(self):
         assert determinize_reversal(Acceptor(m2(), 0, StateSet(2))).is_empty
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_direct_route_spends_one_unit_per_subset(self, n):
+        budget = SearchBudget(1 << 20)
+        assert is_birecurrent_direct(reversal_blowup(n), budget)
+        assert budget.limit - budget.remaining == 2**n
+
+    def test_budget_stops_the_subset_construction(self):
+        with pytest.raises(BudgetExceededError):
+            determinize_reversal(reversal_blowup(10), budget=100)
+
+    def test_both_deciders_share_one_budget(self):
+        acceptor = reversal_blowup(6)
+        direct, char = SearchBudget(1 << 20), SearchBudget(1 << 20)
+        is_birecurrent_direct(acceptor, direct)
+        is_birecurrent_characterization(acceptor, char)
+        shared = SearchBudget(1 << 20)
+        assert is_birecurrent(acceptor, shared)
+        spent = [b.limit - b.remaining for b in (direct, char, shared)]
+        assert spent[2] == spent[0] + spent[1]
 
 
 class TestBirecurrenceDeciders:

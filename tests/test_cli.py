@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+import padfa.birecurrent
 from padfa.cli import main
 from padfa.formats import parse_automaton, serialize_automaton
 
-from support import c4
+from support import c4, reversal_blowup
 
 M2_ACCEPTOR = """\
 states: 2
@@ -66,6 +67,10 @@ trans: 1 b 1
 """
 
 
+def _serialize_acceptor(acceptor) -> str:
+    return serialize_automaton(acceptor.dfa, acceptor.initial, acceptor.accepting)
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -75,6 +80,7 @@ def files(tmp_path):
         "yes.inst": YES_INSTANCE,
         "no.inst": NO_INSTANCE,
         "c4.aut": serialize_automaton(c4()),
+        "r16.aut": _serialize_acceptor(reversal_blowup(16)),
     }.items():
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
@@ -187,6 +193,14 @@ class TestBirecurrent:
     def test_needs_initial(self, files, capsys):
         assert main(["birecurrent", files["c4.aut"]]) == 2
 
+    @pytest.mark.parametrize("method", ["direct", "both"])
+    def test_budget_holds_on_the_direct_route(self, files, capsys, method):
+        # R_16's reversal has 65,536 subsets; the direct route must stop early.
+        # (The characterization route settles R_16 in under 100 nodes.)
+        argv = ["birecurrent", files["r16.aut"], "--method", method, "--budget", "100"]
+        assert main(argv) == 2
+        assert "budget" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_yes(self, files, capsys):
@@ -288,3 +302,55 @@ def test_json_outputs_are_parseable_everywhere(files, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert isinstance(payload, dict) and "command" in payload
         assert code in (0, 1)
+
+
+class TestJsonErrors:
+    """Under --json every error is one object on stdout, exit code 2."""
+
+    def _error(self, capsys, argv: list[str]) -> dict:
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert set(payload) == {"command", "error", "message"}
+        assert payload["message"]
+        return payload
+
+    def test_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.aut"
+        bad.write_text("states: 1\nalphabet: a\ntrans: 0 a 9\n", encoding="utf-8")
+        payload = self._error(capsys, ["validate", str(bad)])
+        assert payload["command"] == "validate"
+        assert payload["error"] == "ParseError"
+
+    def test_value_error(self, files, capsys):
+        payload = self._error(capsys, ["saturate", files["m2.aut"], "--set", "0,x"])
+        assert payload["command"] == "saturate"
+        assert payload["error"] == "ValueError"
+
+    def test_os_error(self, tmp_path, capsys):
+        payload = self._error(capsys, ["info", str(tmp_path / "nope.aut")])
+        assert payload["command"] == "info"
+        assert payload["error"] == "FileNotFoundError"
+
+    def test_budget_exceeded(self, files, capsys):
+        payload = self._error(capsys, ["rank", files["c4.aut"], "--budget", "2"])
+        assert payload["command"] == "rank"
+        assert payload["error"] == "BudgetExceededError"
+
+    def test_method_disagreement(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(padfa.birecurrent, "is_birecurrent_direct", lambda *a: False)
+        payload = self._error(capsys, ["birecurrent", files["p2.aut"]])
+        assert payload["command"] == "birecurrent"
+        assert payload["error"] == "MethodDisagreement"
+
+    def test_plain_output_unchanged(self, files, capsys, monkeypatch):
+        assert main(["rank", files["c4.aut"], "--budget", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search budget of 2 visited nodes exhausted\n"
+        monkeypatch.setattr(padfa.birecurrent, "is_birecurrent_direct", lambda *a: False)
+        assert main(["birecurrent", files["p2.aut"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: direct=False but characterization=True\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -12,6 +13,7 @@ from padfa import (
     binarize_with_selfloop,
     build_complete_gadget,
     build_saturation_gadget,
+    build_sc_gadget,
     build_sync_gadget,
     exact_rank,
     find_saturating_min_rank_word,
@@ -225,6 +227,18 @@ class TestStronglyConnectGadget:
         with pytest.raises(ValueError):
             strongly_connect_gadget(m2(), 0)  # state 1 never reaches 0
 
+    def test_sc_gadget_merges_both_layouts(self):
+        instance = random_saturation_instance(random.Random(511))
+        base, base_layout = build_saturation_gadget(instance)
+        sink = base_layout.special_states["accept_sink"]
+        jumped, jump_layout = strongly_connect_gadget(base, sink)
+        gadget, layout = build_sc_gadget(instance)
+        assert gadget == jumped
+        assert layout.state_map == base_layout.state_map
+        assert layout.special_states == {"accept_sink": sink, "hub": sink}
+        assert layout.letter_map == {**base_layout.letter_map, **jump_layout.letter_map}
+        assert layout.meta == {**base_layout.meta, "targets": jump_layout.meta["targets"]}
+
     def test_saturation_gadget_becomes_strongly_connected(self):
         rng = random.Random(505)
         for _ in range(20):
@@ -297,6 +311,11 @@ class TestBinarize:
         binary, layout = binarize_with_selfloop(m2())
         assert binary.state_count == 4  # 2 states x (1 letter + the self-loop)
         assert layout.meta["selfloop_letter"] == "stay"
+
+    def test_layouts_are_frozen(self):
+        _, layout = binarize_with_selfloop(m2())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.meta = {}
 
     def test_selfloop_variant_preserves_synchronization(self):
         rng = random.Random(509)

@@ -6,9 +6,10 @@ from padfa import (
     Acceptor,
     PartialDfa,
     StateSet,
+    coreachable_to,
     is_strongly_connected,
     pair_automaton,
-    scc,
+    reachable_from,
     trim,
 )
 
@@ -46,35 +47,34 @@ def _brute_all_pairs_reachable(dfa: PartialDfa) -> bool:
     return True
 
 
+def _component(dfa: PartialDfa, state: int) -> set[int]:
+    """The strongly connected component of ``state``, from the closures."""
+    return reachable_from(dfa, [state]) & coreachable_to(dfa, [state])
+
+
 class TestScc:
     def test_m2_two_components(self):
-        result = scc(m2())
-        assert result.components == ((0,), (1,))
-        assert result.edges == frozenset({(0, 1)})
-        assert result.sources() == (0,)
+        dfa = m2()
+        assert _component(dfa, 0) == {0}
+        assert _component(dfa, 1) == {1}
+        assert reachable_from(dfa, [0]) == {0, 1}
+        assert reachable_from(dfa, [1]) == {1}
 
     def test_p2_single_component(self):
-        result = scc(p2())
-        assert result.components == ((0, 1),)
-        assert result.edges == frozenset()
+        assert _component(p2(), 0) == {0, 1}
 
     def test_c4_single_component_vs_brute(self):
         dfa = c4()
         assert _brute_all_pairs_reachable(dfa)
-        assert len(scc(dfa).components) == 1
+        assert is_strongly_connected(dfa)
+        assert _component(dfa, 0) == set(range(4))
 
     def test_matches_is_strongly_connected(self):
         rng = random.Random(101)
         for _ in range(60):
             dfa = random_partial_dfa(rng, rng.randint(1, 6), rng.randint(1, 3), rng.uniform(0.3, 1.0))
-            assert (len(scc(dfa).components) == 1) == is_strongly_connected(dfa)
-
-    def test_condensation_is_topologically_ordered(self):
-        rng = random.Random(102)
-        for _ in range(40):
-            dfa = random_partial_dfa(rng, rng.randint(1, 6), 2, 0.7)
-            result = scc(dfa)
-            assert all(src < dst for src, dst in result.edges)
+            assert is_strongly_connected(dfa) == _brute_all_pairs_reachable(dfa)
+            assert is_strongly_connected(dfa) == (len(_component(dfa, 0)) == dfa.state_count)
 
 
 class TestTrim:
@@ -132,10 +132,15 @@ class TestPairAutomaton:
             assert pa.step[pa.DEAD][letter] == pa.DEAD
 
     def test_node_kinds(self):
-        pa = pair_automaton(p2())
-        assert pa.nodes[pa.DEAD].kind == "dead"
-        assert pa.nodes[pa.singleton_index(0)].kind == "singleton"
-        assert pa.nodes[pa.pair_index(0, 1)].kind == "pair"
+        # Dead node first, then the singletons 1..n, then the pairs in
+        # (p, q) order.
+        n = 4
+        pa = pair_automaton(c4())
+        assert pa.DEAD == 0
+        assert [pa.singleton_index(s) for s in range(n)] == list(range(1, n + 1))
+        pairs = [pa.pair_index(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert pairs == list(range(n + 1, len(pa.step)))
+        assert len(pa.step) == 1 + n + n * (n - 1) // 2
 
 
 def d2_like() -> PartialDfa:
@@ -193,10 +198,10 @@ def test_merge_policy_walks_to_a_singleton():
         dfa = random_partial_dfa(rng, rng.randint(2, 6), rng.randint(1, 3), 0.8)
         pa = pair_automaton(dfa)
         dist, policy = pa.merge_policy()
-        for node in range(len(pa.nodes)):
+        for node in range(len(pa.step)):
             if dist[node] in (None, 0):
                 continue
             walk = node
             for _ in range(dist[node]):
                 walk = pa.step[walk][policy[walk]]
-            assert pa.nodes[walk].kind == "singleton"
+            assert 1 <= walk <= dfa.state_count  # a singleton

@@ -5,6 +5,7 @@ import pytest
 from padfa import (
     BudgetExceededError,
     PartialDfa,
+    SearchBudget,
     StateSet,
     exact_rank,
     is_synchronizing,
@@ -13,7 +14,7 @@ from padfa import (
     rank_word_length_bound,
 )
 
-from support import c4, m2, p2, random_sc_dfa
+from support import c4, cerny, m2, p2, random_sc_dfa
 
 
 class TestExactRank:
@@ -47,6 +48,17 @@ class TestExactRank:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceededError):
             exact_rank(c4(), budget=2)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cerny_visits_and_witness_length(self, n):
+        # Every subset but n - 1 of the singletons is reached before the
+        # first singleton ends the search; the shortest reset word of C_n
+        # has length (n-1)^2.
+        budget = SearchBudget(1 << 20)
+        result = exact_rank(cerny(n), budget)
+        assert budget.limit - budget.remaining == 2**n - n
+        assert result.rank == 1
+        assert result.word_length == (n - 1) ** 2
 
 
 class TestIsSynchronizing:
@@ -99,7 +111,7 @@ class TestMinRankWordSc:
             finite = [d for d in dist if d is not None]
             # Every merging segment comes from a shortest path in the pair
             # automaton, so no segment exceeds the node count.
-            assert all(d <= len(pa.nodes) for d in finite)
+            assert all(d <= len(pa.step) for d in finite)
 
 
 def _enumerate_shortest_rank(dfa: PartialDfa, max_len: int) -> tuple[int, int]:

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
+import padfa.saturate
 from padfa import (
     PartialDfa,
     StateSet,
-    advance,
     brute_saturating_word,
     exact_rank,
     find_saturating_min_rank_word,
-    initial_config,
     is_saturated_by,
 )
 
@@ -103,7 +102,7 @@ def test_search_matches_brute_enumeration_on_small_automata():
 
 def test_dead_config_is_absorbing():
     # Once a member of the inside image hits an undefined transition, no
-    # extension is ever saturating.
+    # extension is ever saturating, so the search never returns such a word.
     rng = random.Random(303)
     checked = 0
     while checked < 40:
@@ -114,17 +113,14 @@ def test_dead_config_is_absorbing():
         if not states or all(dfa.run(s, killer) is not None for s in states):
             continue
         checked += 1
-        config = initial_config(dfa, states)
-        for letter in killer:
-            config = advance(dfa, config, letter)
-        assert not config.alive
+        assert not is_saturated_by(dfa, states, killer)
         for _ in range(10):
             extension = random_word(rng, 2, 4)
             assert not is_saturated_by(dfa, states, killer + extension)
-            followup = config
-            for letter in extension:
-                followup = advance(dfa, followup, letter)
-            assert not followup.alive
+        word = find_saturating_min_rank_word(dfa, states)
+        if word is not None:
+            assert all(dfa.run(s, word) is not None for s in states)
+            assert word[: len(killer)] != killer
 
 
 def test_whole_set_case_ignores_outside_condition():
@@ -137,5 +133,16 @@ def test_whole_set_case_ignores_outside_condition():
     )
     word = find_saturating_min_rank_word(dfa, StateSet.full(3))
     assert word == (0,)
-    config = initial_config(dfa, StateSet.full(3))
-    assert not config.outside
+    rng = random.Random(304)
+    for _ in range(20):
+        word = random_word(rng, 2, 5)
+        defined = all(dfa.run(s, word) is not None for s in range(3))
+        assert is_saturated_by(dfa, StateSet.full(3), word) == defined
+
+
+def test_failed_postcondition_raises_even_without_asserts(monkeypatch):
+    # The result is re-checked by explicit code, not by ``assert``, so the
+    # check survives ``python -O``.
+    monkeypatch.setattr(padfa.saturate, "is_saturated_by", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        find_saturating_min_rank_word(p2(), StateSet.from_iterable(2, [0]))
