@@ -6,7 +6,8 @@ word), 2 for errors of any kind (parse failures, violated preconditions,
 exhausted search budgets).  ``--json`` switches every command to a single
 machine-readable object on stdout with the same verdicts; an error then is
 the object ``{"command", "error", "message"}``, where ``error`` names the
-exception class.
+exception class (``ArgumentError`` for a usage error, whose ``command`` is
+``null`` when no command was recognized).
 """
 
 from __future__ import annotations
@@ -271,6 +272,20 @@ def cmd_dot(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command-line usage error, raised by the parser instead of printing
+    and exiting so that ``main`` can report it in the requested format."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -284,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"subset-search budget in visited configurations (default {DEFAULT_BUDGET})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padfa",
         description="Analyze partial deterministic finite automata: rank, "
         "synchronization, saturation, birecurrence, and intersection gadgets.",
@@ -365,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_binarize)
 
-    p = sub.add_parser("oracle", parents=[common], help="reference analyses")
+    # The options belong to the leaf only: declared on both, the leaf's
+    # defaults would overwrite any given before ``common-word``.
+    p = sub.add_parser("oracle", help="reference analyses")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     q = oracle_sub.add_parser(
         "common-word", parents=[common], help="shortest word accepted by all machines"
@@ -397,12 +414,26 @@ def _fail(args, exc: Exception, label: str) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The subcommand is recorded here before its own arguments are parsed,
+    # so a usage error can still name it.
+    parsed = argparse.Namespace(command=None)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, parsed)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
+        # -h/--help
+        return 0 if exc.code in (0, None) else 2
+    except _UsageError as exc:
+        if "--json" in argv:
+            payload = {
+                "command": parsed.command,
+                "error": "ArgumentError",
+                "message": str(exc),
+            }
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
         return args.handler(args)

@@ -303,12 +303,13 @@ class PartialDfa:
     def image_mask(self, mask: int, word: Word) -> int:
         """Image of a bitmask of states under a word (undefined images drop)."""
         for letter in word:
-            if not 0 <= letter < len(self.alphabet):
-                raise ValueError(f"letter index {letter} out of range")
             mask = self.step_mask(mask, letter)
         return mask
 
     def step_mask(self, mask: int, letter: int) -> int:
+        """Image of a bitmask of states under one letter."""
+        if not 0 <= letter < len(self.alphabet):
+            raise ValueError(f"letter index {letter} out of range")
         return union_image(self.letter_images[letter], mask)
 
     @cached_property

@@ -32,7 +32,7 @@ from .core import (
     StateSet,
     Word,
 )
-from .graphs import _closure, _successors, coreachable_to, reachable_from
+from .graphs import coreachable_to, reachable_from
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,37 @@ def _universal_machine(alphabet: tuple[str, ...]) -> Acceptor:
     return Acceptor(PartialDfa(1, alphabet, (row,)), 0, StateSet.full(1))
 
 
+def _machine_stack(
+    machines: tuple[Acceptor, ...], alphabet: tuple[str, ...]
+) -> tuple[list[list[Optional[int]]], list[bool], GadgetLayout]:
+    """Lay ``machines`` side by side, each row extended by a reset column
+    sending the machine to its initial state.
+
+    Returns the rows, whether each row's state is accepting, and the layout
+    shared by the sync and saturation gadgets: the state map and the fresh
+    reset and check letters, in that column order after ``alphabet``.  The
+    caller appends the check column and any sinks.
+    """
+    taken = set(alphabet)
+    reset = _fresh_name("reset", taken)
+    check = _fresh_name("check", taken)
+    rows: list[list[Optional[int]]] = []
+    accepting: list[bool] = []
+    state_map: dict[tuple[int, int], int] = {}
+    for i, machine in enumerate(machines):
+        offset = len(rows)
+        for state, row in enumerate(machine.dfa.transitions):
+            state_map[(i, state)] = offset + state
+            rows.append([offset + t for t in row] + [offset + machine.initial])
+            accepting.append(state in machine.accepting)
+    layout = GadgetLayout(
+        state_map=state_map,
+        letter_map={reset: len(alphabet), check: len(alphabet) + 1},
+        meta={"reset_letter": reset, "check_letter": check},
+    )
+    return rows, accepting, layout
+
+
 def build_sync_gadget(
     instance: IntersectionInstance,
 ) -> tuple[PartialDfa, GadgetLayout]:
@@ -153,48 +184,21 @@ def build_sync_gadget(
     is undefined there.
     """
     machines = instance.machines + (_universal_machine(instance.alphabet),)
-    offsets = []
-    total = 0
-    for machine in machines:
-        offsets.append(total)
-        total += machine.dfa.state_count
-    accept_sink = total
-    reject_sink = total + 1
-
-    taken = set(instance.alphabet)
-    reset = _fresh_name("reset", taken)
-    check = _fresh_name("check", taken)
-    alphabet = instance.alphabet + (reset, check)
-    base_count = len(instance.alphabet)
-
-    rows: list[tuple[Optional[int], ...]] = []
-    for i, machine in enumerate(machines):
-        for state in range(machine.dfa.state_count):
-            row: list[Optional[int]] = [
-                offsets[i] + machine.dfa.transitions[state][a]
-                for a in range(base_count)
-            ]
-            row.append(offsets[i] + machine.initial)
-            row.append(accept_sink if state in machine.accepting else reject_sink)
-            rows.append(tuple(row))
+    rows, accepting, layout = _machine_stack(machines, instance.alphabet)
+    accept_sink = len(rows)
+    reject_sink = accept_sink + 1
+    for row, accepted in zip(rows, accepting):
+        row.append(accept_sink if accepted else reject_sink)
     for sink in (accept_sink, reject_sink):
-        rows.append(tuple([sink] * (base_count + 1) + [None]))
+        rows.append([sink] * (len(instance.alphabet) + 1) + [None])
 
-    layout = GadgetLayout(
-        state_map={
-            (i, state): offsets[i] + state
-            for i, machine in enumerate(machines)
-            for state in range(machine.dfa.state_count)
-        },
+    layout = replace(
+        layout,
         special_states={"accept_sink": accept_sink, "reject_sink": reject_sink},
-        letter_map={reset: base_count, check: base_count + 1},
-        meta={
-            "reset_letter": reset,
-            "check_letter": check,
-            "universal_machine_index": len(instance.machines),
-        },
+        meta={**layout.meta, "universal_machine_index": len(instance.machines)},
     )
-    return PartialDfa(total + 2, alphabet, tuple(rows)), layout
+    alphabet = instance.alphabet + tuple(layout.letter_map)
+    return PartialDfa(len(rows), alphabet, tuple(map(tuple, rows))), layout
 
 
 def build_saturation_gadget(
@@ -217,43 +221,15 @@ def build_saturation_gadget(
                 f"machine {i} has no accepting state reachable from its initial state"
             )
 
-    machines = instance.machines
-    offsets = []
-    total = 0
-    for machine in machines:
-        offsets.append(total)
-        total += machine.dfa.state_count
-    sink = total
+    rows, accepting, layout = _machine_stack(instance.machines, instance.alphabet)
+    sink = len(rows)
+    for row, accepted in zip(rows, accepting):
+        row.append(sink if accepted else None)
+    rows.append([sink] * (len(instance.alphabet) + 2))
 
-    taken = set(instance.alphabet)
-    reset = _fresh_name("reset", taken)
-    check = _fresh_name("check", taken)
-    alphabet = instance.alphabet + (reset, check)
-    base_count = len(instance.alphabet)
-
-    rows: list[tuple[Optional[int], ...]] = []
-    for i, machine in enumerate(machines):
-        for state in range(machine.dfa.state_count):
-            row: list[Optional[int]] = [
-                offsets[i] + machine.dfa.transitions[state][a]
-                for a in range(base_count)
-            ]
-            row.append(offsets[i] + machine.initial)
-            row.append(sink if state in machine.accepting else None)
-            rows.append(tuple(row))
-    rows.append(tuple([sink] * (base_count + 2)))
-
-    layout = GadgetLayout(
-        state_map={
-            (i, state): offsets[i] + state
-            for i, machine in enumerate(machines)
-            for state in range(machine.dfa.state_count)
-        },
-        special_states={"accept_sink": sink},
-        letter_map={reset: base_count, check: base_count + 1},
-        meta={"reset_letter": reset, "check_letter": check},
-    )
-    return PartialDfa(total + 1, alphabet, tuple(rows)), layout
+    layout = replace(layout, special_states={"accept_sink": sink})
+    alphabet = instance.alphabet + tuple(layout.letter_map)
+    return PartialDfa(len(rows), alphabet, tuple(map(tuple, rows))), layout
 
 
 def _greedy_hub_targets(dfa: PartialDfa, hub: int) -> list[int]:
@@ -264,13 +240,12 @@ def _greedy_hub_targets(dfa: PartialDfa, hub: int) -> list[int]:
         raise ValueError(f"hub state {hub} out of range")
     if len(coreachable_to(dfa, [hub])) != dfa.state_count:
         raise ValueError("every state must reach the hub")
-    successors = _successors(dfa)
-    reach = _closure(successors, [hub])
+    reach = reachable_from(dfa, [hub])
     targets = []
     while len(reach) < dfa.state_count:
         target = min(s for s in range(dfa.state_count) if s not in reach)
         targets.append(target)
-        reach |= _closure(successors, [target])
+        reach |= reachable_from(dfa, [target])
     return targets
 
 
@@ -404,8 +379,6 @@ def build_complete_gadget(
             raise ValueError(
                 f"machine {i}: some state cannot reach an accepting state"
             )
-        if not any(state in machine.accepting for state in reachable):
-            raise ValueError(f"machine {i}: accepts no word")
         if all(state in machine.accepting for state in reachable):
             raise ValueError(f"machine {i}: accepts every word")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .core import Acceptor, PartialDfa, StateSet
@@ -95,6 +96,24 @@ def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
     return Acceptor(trimmed, old_to_new[acceptor.initial], accepting), old_to_new
 
 
+def _image_node(n: int, p: Optional[int], q: Optional[int]) -> int:
+    """Pair-automaton node of the image set {p, q} of an ``n``-state
+    automaton, undefined (``None``) members dropped: dead, a singleton, or a
+    pair."""
+    if p is None:
+        p = q
+    elif q is None:
+        q = p
+    if p is None:
+        return PairAutomaton.DEAD
+    if p == q:
+        return 1 + p
+    if p > q:
+        p, q = q, p
+    # Pairs are laid out after the singletons, ordered by (p, q).
+    return 1 + n + p * (2 * n - p - 1) // 2 + (q - p - 1)
+
+
 @dataclass(frozen=True)
 class PairAutomaton:
     """Power automaton restricted to subsets of size at most two.
@@ -117,23 +136,28 @@ class PairAutomaton:
     def pair_index(self, p: int, q: int) -> int:
         if p == q:
             raise ValueError("a pair needs two distinct states")
-        p, q = min(p, q), max(p, q)
-        n = self.state_count
-        # Pairs are laid out after the singletons, ordered by (p, q).
-        offset = p * (2 * n - p - 1) // 2 + (q - p - 1)
-        return 1 + n + offset
+        return _image_node(self.state_count, p, q)
 
-    def distances_to_singleton(self) -> list[Optional[int]]:
-        """Shortest word length from each node to any singleton (None if none).
+    def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
+        """Shortest word length from each node to any singleton (None if
+        none) and, per node, the smallest letter moving one step closer.
 
-        Backward breadth-first search from the singleton nodes; singletons
-        themselves are at distance 0, the dead node is unreachable.
+        Backward breadth-first search from the singletons, which are at
+        distance 0; the dead node is unreachable.  Every edge into level d
+        is seen before any node of level d + 1 is expanded, so a node's
+        policy is the smallest letter over all its edges into the level
+        below it.
         """
-        preds: list[list[tuple[int, int]]] = [[] for _ in self.step]
+        letter_count = len(self.step[0])
+        # preds[target] holds node * letter_count + letter per edge node ->
+        # target: an int takes less than half the memory of a tuple.
+        preds: list[list[int]] = [[] for _ in self.step]
         for node, row in enumerate(self.step):
+            base = node * letter_count
             for letter, target in enumerate(row):
-                preds[target].append((node, letter))
+                preds[target].append(base + letter)
         dist: list[Optional[int]] = [None] * len(self.step)
+        policy: list[Optional[int]] = [None] * len(self.step)
         queue: deque[int] = deque()
         for state in range(self.state_count):
             idx = self.singleton_index(state)
@@ -141,57 +165,29 @@ class PairAutomaton:
             queue.append(idx)
         while queue:
             node = queue.popleft()
-            for pred, _ in preds[node]:
-                if dist[pred] is None and pred != self.DEAD:
-                    dist[pred] = dist[node] + 1
+            closer = dist[node] + 1
+            for edge in preds[node]:
+                pred, letter = divmod(edge, letter_count)
+                if pred == self.DEAD:
+                    continue
+                if dist[pred] is None:
+                    dist[pred] = closer
+                    policy[pred] = letter
                     queue.append(pred)
-        return dist
-
-    def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
-        """Distances plus, per node, the smallest letter moving one step
-        closer to a singleton."""
-        dist = self.distances_to_singleton()
-        policy: list[Optional[int]] = [None] * len(self.step)
-        for node, row in enumerate(self.step):
-            d = dist[node]
-            if d is None or d == 0:
-                continue
-            for letter, target in enumerate(row):
-                if dist[target] is not None and dist[target] == d - 1:
-                    policy[node] = letter
-                    break
+                elif dist[pred] == closer and letter < policy[pred]:
+                    policy[pred] = letter
         return dist, policy
 
 
 def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     """Build the size-at-most-two power automaton of ``dfa``."""
     n = dfa.state_count
-    pair_list = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    auto = PairAutomaton(n, ())
-    letters = range(dfa.letter_count)
-    rows: list[tuple[int, ...]] = [tuple(PairAutomaton.DEAD for _ in letters)]
-    for s in range(n):
-        row = []
-        for a in letters:
-            target = dfa.transitions[s][a]
-            row.append(
-                PairAutomaton.DEAD if target is None else auto.singleton_index(target)
-            )
-        rows.append(tuple(row))
-    for p, q in pair_list:
-        row = []
-        for a in letters:
-            tp = dfa.transitions[p][a]
-            tq = dfa.transitions[q][a]
-            if tp is None and tq is None:
-                row.append(PairAutomaton.DEAD)
-            elif tp is None:
-                row.append(auto.singleton_index(tq))
-            elif tq is None:
-                row.append(auto.singleton_index(tp))
-            elif tp == tq:
-                row.append(auto.singleton_index(tp))
-            else:
-                row.append(auto.pair_index(tp, tq))
-        rows.append(tuple(row))
+    table = dfa.transitions
+    # A singleton {s} has the row of the pair {s, s}.
+    sources = chain(((s, s) for s in range(n)), combinations(range(n), 2))
+    rows = [(PairAutomaton.DEAD,) * dfa.letter_count]
+    rows.extend(
+        tuple(_image_node(n, tp, tq) for tp, tq in zip(table[p], table[q]))
+        for p, q in sources
+    )
     return PairAutomaton(n, tuple(rows))

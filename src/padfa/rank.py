@@ -41,7 +41,13 @@ class RankResult:
         return len(self.witness)
 
 
-def _exact_rank(dfa: PartialDfa, budget: SearchBudget) -> RankResult:
+def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> RankResult:
+    """Exact rank of the automaton and a shortest word attaining it.
+
+    Breadth-first over reachable subsets, expanding letters in declaration
+    order, so the witness is the length-then-lexicographically first word
+    reaching a minimum-size image.  The empty word already attains rank n.
+    """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
     images = dfa.letter_images
@@ -56,7 +62,7 @@ def _exact_rank(dfa: PartialDfa, budget: SearchBudget) -> RankResult:
         dfa.letter_count,
         step,
         lambda mask: mask.bit_count() == 1,
-        budget,
+        SearchBudget.ensure(budget),
     )
     # Without a singleton, the first minimum in discovery order is the first
     # minimum-rank subset in length-then-lexicographic order of its word.
@@ -64,21 +70,11 @@ def _exact_rank(dfa: PartialDfa, budget: SearchBudget) -> RankResult:
     return RankResult(best.bit_count(), word_to(parents, best))
 
 
-def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> RankResult:
-    """Exact rank of the automaton and a shortest word attaining it.
-
-    Breadth-first over reachable subsets, expanding letters in declaration
-    order, so the witness is the length-then-lexicographically first word
-    reaching a minimum-size image.  The empty word already attains rank n.
-    """
-    return _exact_rank(dfa, SearchBudget.ensure(budget))
-
-
 def is_synchronizing(
     dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET
 ) -> tuple[bool, Word | None]:
     """Whether some word has rank 1; returns the witness when one exists."""
-    result = _exact_rank(dfa, SearchBudget.ensure(budget))
+    result = exact_rank(dfa, budget)
     if result.rank == 1:
         return True, result.witness
     return False, None

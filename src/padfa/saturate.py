@@ -22,7 +22,7 @@ from .core import (
     union_image,
     word_to,
 )
-from .rank import _exact_rank
+from .rank import exact_rank
 
 
 def is_saturated_by(dfa: PartialDfa, states: StateSet, word: Word) -> bool:
@@ -56,7 +56,7 @@ def find_saturating_min_rank_word(
     if dfa.state_count == 0:
         raise ValueError("saturation search is undefined for the empty automaton")
     shared = SearchBudget.ensure(budget)
-    target_rank = _exact_rank(dfa, shared).rank
+    target_rank = exact_rank(dfa, shared).rank
 
     n = dfa.state_count
     full = (1 << n) - 1

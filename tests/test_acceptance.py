@@ -176,7 +176,7 @@ def test_criterion_6_complete_gadget():
         assert is_strongly_connected(gadget)
         assert exact_rank(gadget).rank == 2
         pairs = pair_automaton(gadget)
-        dist = pairs.distances_to_singleton()
+        dist = pairs.merge_policy()[0]
         for state, twin in layout.meta["twin_of"].items():
             assert dist[pairs.pair_index(state, twin)] is None
         found = find_saturating_min_rank_word(gadget, distinguished)

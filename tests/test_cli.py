@@ -211,6 +211,21 @@ class TestOracle:
         assert main(["oracle", "common-word", files["no.inst"]]) == 1
         assert "none" in capsys.readouterr().out
 
+    def test_options_before_common_word_are_usage_errors(self, files, capsys):
+        # They used to be parsed and then overwritten by the leaf's defaults.
+        assert main(["oracle", "--budget", "1", "common-word", files["yes.inst"]]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert main(["oracle", "common-word", files["yes.inst"], "--budget", "1"]) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_json_before_common_word_is_a_json_usage_error(self, files, capsys):
+        assert main(["oracle", "--json", "common-word", files["yes.inst"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["command"] == "oracle"
+        assert payload["error"] == "ArgumentError"
+
 
 class TestReduceAndReanalyze:
     @pytest.mark.parametrize("kind", ["sync", "saturation", "sc", "complete"])
@@ -284,6 +299,12 @@ class TestDotCommand:
 
 def test_usage_error_exits_two(capsys):
     assert main(["rank"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: padfa rank [-h] [--json]")
+    assert captured.err.endswith(
+        "padfa rank: error: the following arguments are required: file\n"
+    )
     assert main(["no-such-command"]) == 2
 
 
@@ -343,6 +364,17 @@ class TestJsonErrors:
         payload = self._error(capsys, ["birecurrent", files["p2.aut"]])
         assert payload["command"] == "birecurrent"
         assert payload["error"] == "MethodDisagreement"
+
+    def test_usage_error(self, capsys):
+        payload = self._error(capsys, ["rank"])
+        assert payload["command"] == "rank"
+        assert payload["error"] == "ArgumentError"
+        assert "required: file" in payload["message"]
+
+    def test_usage_error_without_a_command(self, capsys):
+        payload = self._error(capsys, [])
+        assert payload["command"] is None
+        assert payload["error"] == "ArgumentError"
 
     def test_plain_output_unchanged(self, files, capsys, monkeypatch):
         assert main(["rank", files["c4.aut"], "--budget", "2"]) == 2

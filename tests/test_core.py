@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padfa
 from padfa import PartialDfa, StateSet
 
 from support import d2, letters, m2, p2
@@ -66,6 +70,12 @@ class TestImage:
     def test_undefined_drops_state(self):
         dfa = d2()
         assert dfa.image(StateSet.from_iterable(2, [1]), (0,)) == StateSet(2)
+
+    def test_step_mask_rejects_out_of_range_letter(self):
+        dfa = m2()
+        for letter in (-1, dfa.letter_count):
+            with pytest.raises(ValueError):
+                dfa.step_mask(0b11, letter)
 
 
 class TestRankOfWord:
@@ -161,3 +171,11 @@ def test_permutation_letters_preserve_full_rank(dfa, raw_word):
         return
     word = tuple(a % dfa.letter_count for a in raw_word)
     assert dfa.rank_of_word(StateSet.full(dfa.state_count), word) == dfa.state_count
+
+
+def test_no_assert_statements_in_the_package():
+    # ``python -O`` strips asserts, so no check may live only in one.
+    for source in sorted(Path(padfa.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{source.name} has assert statements at lines {lines}"

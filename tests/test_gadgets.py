@@ -353,7 +353,7 @@ class TestCompleteGadget:
     def test_twin_pairs_never_merge(self):
         gadget, layout, _ = build_complete_gadget(yes_instance())
         pa = pair_automaton(gadget)
-        dist = pa.distances_to_singleton()
+        dist = pa.merge_policy()[0]
         for state, twin in layout.meta["twin_of"].items():
             assert dist[pa.pair_index(state, twin)] is None
 

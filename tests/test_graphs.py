@@ -124,7 +124,7 @@ class TestPairAutomaton:
         pa = pair_automaton(p2())
         node = pa.pair_index(0, 1)
         assert pa.step[node][0] == node
-        assert pa.distances_to_singleton()[node] is None
+        assert pa.merge_policy()[0][node] is None
 
     def test_dead_is_absorbing(self):
         pa = pair_automaton(d2_like())
@@ -186,7 +186,7 @@ def test_singleton_reachability_matches_brute_enumeration():
         max_len = n * (n - 1) // 2 + n
         expected = _brute_pair_merge_lengths(dfa, max_len)
         pa = pair_automaton(dfa)
-        dist = pa.distances_to_singleton()
+        dist = pa.merge_policy()[0]
         for p in range(n):
             for q in range(p + 1, n):
                 assert dist[pa.pair_index(p, q)] == expected.get((p, q))
@@ -201,6 +201,12 @@ def test_merge_policy_walks_to_a_singleton():
         for node in range(len(pa.step)):
             if dist[node] in (None, 0):
                 continue
+            # The policy is the smallest letter one step closer.
+            closer = [
+                a for a, target in enumerate(pa.step[node])
+                if dist[target] == dist[node] - 1
+            ]
+            assert policy[node] == closer[0]
             walk = node
             for _ in range(dist[node]):
                 walk = pa.step[walk][policy[walk]]
