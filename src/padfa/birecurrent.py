@@ -54,41 +54,33 @@ def minimize(acceptor: Acceptor) -> Acceptor:
     n = dfa.state_count
 
     block_of = [1 if s in trimmed.accepting else 0 for s in range(n)]
+    count = len(set(block_of))
     while True:
-        signatures: dict[tuple, list[int]] = {}
+        blocks: dict[tuple, list[int]] = {}
         for s in range(n):
             sig = (block_of[s],) + tuple(
                 None if t is None else block_of[t] for t in dfa.transitions[s]
             )
-            signatures.setdefault(sig, []).append(s)
-        if len(signatures) == len(set(block_of)):
-            break
-        for i, members in enumerate(sorted(signatures.values())):
+            blocks.setdefault(sig, []).append(s)
+        # Insertion order is the order of first members, so every round
+        # numbers its blocks by first occurrence and the result is
+        # deterministic.
+        for i, members in enumerate(blocks.values()):
             for s in members:
                 block_of[s] = i
+        if len(blocks) == count:
+            break
+        count = len(blocks)
 
-    # Number blocks by first occurrence so the result is deterministic.
-    renumber = {b: i for i, b in enumerate(dict.fromkeys(block_of))}
-    representative = {}
-    for s in range(n):
-        representative.setdefault(renumber[block_of[s]], s)
-    m = len(renumber)
-    rows = []
-    for i in range(m):
-        rep = representative[i]
-        rows.append(
-            tuple(
-                None if t is None else renumber[block_of[t]]
-                for t in dfa.transitions[rep]
-            )
-        )
+    rows = tuple(
+        tuple(None if t is None else block_of[t] for t in dfa.transitions[members[0]])
+        for members in blocks.values()
+    )
     accepting = StateSet.from_iterable(
-        m, {renumber[block_of[s]] for s in trimmed.accepting}
+        count, {block_of[s] for s in trimmed.accepting}
     )
     return Acceptor(
-        PartialDfa(m, dfa.alphabet, tuple(rows)),
-        renumber[block_of[trimmed.initial]],
-        accepting,
+        PartialDfa(count, dfa.alphabet, rows), block_of[trimmed.initial], accepting
     )
 
 
@@ -189,10 +181,9 @@ def is_birecurrent_direct(
         return False
     if not is_strongly_connected(minimal.dfa):
         return False
-    reversed_subsets = determinize_reversal(minimal, budget)
-    if reversed_subsets.is_empty:
-        return False
-    return is_strongly_connected(reversed_subsets.as_dfa())
+    # A nonempty minimal acceptor is trim, so its accepting set is nonempty
+    # and the reversal is never empty.
+    return is_strongly_connected(determinize_reversal(minimal, budget).as_dfa())
 
 
 def is_birecurrent_characterization(

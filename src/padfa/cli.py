@@ -267,8 +267,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    loaded = _load_automaton(args.file)
-    sys.stdout.write(to_dot(loaded))
+    text = to_dot(_load_automaton(args.file))
+    _emit(args, [text.rstrip("\n")], {"command": "dot", "dot": text})
     return 0
 
 

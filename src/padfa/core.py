@@ -260,10 +260,6 @@ class PartialDfa:
         return cls(state_count, letters, tuple(tuple(row) for row in rows))
 
     @property
-    def n(self) -> int:
-        return self.state_count
-
-    @property
     def letter_count(self) -> int:
         return len(self.alphabet)
 

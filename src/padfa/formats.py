@@ -161,11 +161,20 @@ def parse_automaton(text: str) -> LoadedAutomaton:
     return _build_automaton(_content_lines(text))
 
 
+def _check_letter_names(alphabet: tuple[str, ...]) -> None:
+    """The file format separates letter names by whitespace, so a name
+    containing any would not parse back."""
+    for name in alphabet:
+        if any(char.isspace() for char in name):
+            raise ValueError(f"letter name {name!r} contains whitespace")
+
+
 def serialize_automaton(
     dfa: PartialDfa,
     initial: Optional[int] = None,
     accepting: Optional[StateSet] = None,
 ) -> str:
+    _check_letter_names(dfa.alphabet)
     lines = [f"states: {dfa.state_count}"]
     lines.append(("alphabet: " + " ".join(dfa.alphabet)).rstrip())
     if initial is not None:
@@ -223,6 +232,7 @@ def parse_instance(text: str) -> IntersectionInstance:
 
 
 def serialize_instance(instance: IntersectionInstance) -> str:
+    _check_letter_names(instance.alphabet)
     chunks = [("alphabet: " + " ".join(instance.alphabet)).rstrip()]
     for machine in instance.machines:
         chunks.append("machine:")

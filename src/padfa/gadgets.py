@@ -12,7 +12,8 @@ oracle against which the four gadget constructions are verified:
   (``build_sc_gadget`` composes it with the saturation gadget)
 * ``binarize`` / ``binarize_with_selfloop`` -- same verdict, binary alphabet
 * ``build_complete_gadget``    -- same verdict, complete strongly connected
-                                  gadget and a distinguished target set
+                                  gadget (two mirrored sc gadgets) and a
+                                  distinguished target set
 
 Every construction is deterministic: fresh letter names, target choices and
 state numbering depend only on the instance.
@@ -357,13 +358,17 @@ def build_complete_gadget(
     """Complete, strongly connected rank-2 automaton whose distinguished set
     is saturated by a rank-2 word iff the instance has a common word.
 
-    Built over two mirrored copies of the saturation gadget plus a trap pair:
-    the check letter now sends non-accepting states to the trap (its twin on
-    the mirrored copy), traps absorb the base letters, and jump letters both
-    connect the two copies and make everything strongly connected.  Every
-    letter commutes with the twin pairing, so no state can ever merge with
-    its twin and the rank is exactly 2.  The distinguished set is the whole
-    unbarred copy plus the mirrored trap.
+    Built from ``build_sc_gadget`` as two mirrored copies plus a trap pair,
+    completed by one rule: the check letter sends non-accepting states to
+    the trap (its twin on the mirrored copy), traps absorb the base letters,
+    and jump ``j`` sends every state but the hub to the twin of its target
+    on the other copy.  So the jump letters, named and chosen by the sc
+    gadget, both connect the two copies and make everything strongly
+    connected.  Every letter commutes with the twin pairing, so no state can
+    ever merge with its twin and the rank is exactly 2.  The layout is the
+    sc gadget's, with the accept sink, the traps and their twins as special
+    states and ``twin_of`` added to ``meta``.  The distinguished set is the
+    whole unbarred copy plus the mirrored trap.
 
     Assumes, per machine: all states reachable from the initial state, an
     accepting state reachable from every state, at least one word accepted,
@@ -382,81 +387,46 @@ def build_complete_gadget(
         if all(state in machine.accepting for state in reachable):
             raise ValueError(f"machine {i}: accepts every word")
 
-    base, base_layout = build_saturation_gadget(instance)
-    hub = base_layout.special_states["accept_sink"]
-    targets = _greedy_hub_targets(base, hub)
-
-    na = base.state_count
+    sc, sc_layout = build_sc_gadget(instance)
+    hub = sc_layout.special_states["hub"]
+    targets = sc_layout.meta["targets"]
+    na = sc.state_count
     trap = 2 * na
     trap_twin = 2 * na + 1
-    total = 2 * na + 2
+    base_cols = sc.letter_count - len(targets)
 
-    def twin(state: int) -> int:
-        return state + na
+    twin = [*range(na, 2 * na), *range(na), trap_twin, trap]
 
-    taken = set(base.alphabet)
-    jump_names = [_fresh_name(f"jump{i + 1}", taken) for i in range(len(targets))]
-    alphabet = base.alphabet + tuple(jump_names)
-    check_col = base_layout.letter_map[base_layout.meta["check_letter"]]
-    base_cols = base.letter_count
+    # Copy 0 is the sc gadget plus the trap.  The trap loops on the base
+    # letters; on jump j it goes, like every non-hub state of copy 0, to the
+    # twin of target j.  The check letter's undefined entries go to the trap.
+    # Copy 1 is the mirror image, so every letter commutes with ``twin``.
+    trap_row = [trap] * base_cols + [twin[target] for target in targets]
+    fill = [None] * base_cols + trap_row[base_cols:]
+    fill[sc_layout.letter_map[sc_layout.meta["check_letter"]]] = trap
+    copy0 = [
+        [fill[a] if t is None else t for a, t in enumerate(row)]
+        for row in sc.transitions
+    ]
 
-    rows: list[list[Optional[int]]] = [[None] * len(alphabet) for _ in range(total)]
-    for state in range(na):
-        for a in range(base_cols):
-            target = base.transitions[state][a]
-            if target is None:
-                # Only the check letter is partial in the base gadget; the
-                # trap pair completes it.
-                if a != check_col:
-                    raise RuntimeError(
-                        f"saturation gadget letter {a} is partial but is not "
-                        "the check letter"
-                    )
-                rows[state][a] = trap
-                rows[twin(state)][a] = trap_twin
-            else:
-                rows[state][a] = target
-                rows[twin(state)][a] = twin(target)
-    for a in range(base_cols):
-        rows[trap][a] = trap
-        rows[trap_twin][a] = trap_twin
-    for j, target in enumerate(targets):
-        col = base_cols + j
-        for state in range(na):
-            if state == hub:
-                rows[state][col] = target
-                rows[twin(state)][col] = twin(target)
-            else:
-                rows[state][col] = twin(target)
-                rows[twin(state)][col] = target
-        rows[trap][col] = twin(target)
-        rows[trap_twin][col] = target
+    def mirrored(row: list[Optional[int]]) -> list[Optional[int]]:
+        return [None if t is None else twin[t] for t in row]
 
-    gadget = PartialDfa(total, alphabet, tuple(tuple(row) for row in rows))
+    rows = copy0 + [mirrored(row) for row in copy0] + [trap_row, mirrored(trap_row)]
+    gadget = PartialDfa(len(rows), sc.alphabet, tuple(map(tuple, rows)))
     if not gadget.is_complete():
         raise RuntimeError("complete gadget has an undefined transition")
 
-    twin_of = {state: twin(state) for state in range(na)}
-    twin_of[trap] = trap_twin
-    layout = GadgetLayout(
-        state_map=dict(base_layout.state_map),
+    twin_of = {state: twin[state] for state in (*range(na), trap)}
+    layout = replace(
+        sc_layout,
         special_states={
             "accept_sink": hub,
-            "accept_sink_twin": twin(hub),
+            "accept_sink_twin": twin[hub],
             "trap": trap,
             "trap_twin": trap_twin,
         },
-        letter_map={
-            **base_layout.letter_map,
-            **{name: base_cols + i for i, name in enumerate(jump_names)},
-        },
-        meta={
-            **base_layout.meta,
-            "targets": list(targets),
-            "twin_of": twin_of,
-        },
+        meta={**sc_layout.meta, "twin_of": twin_of},
     )
-    distinguished = StateSet.from_iterable(
-        total, list(range(na)) + [trap_twin]
-    )
+    distinguished = StateSet.from_iterable(len(rows), [*range(na), trap_twin])
     return gadget, layout, distinguished

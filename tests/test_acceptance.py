@@ -173,6 +173,18 @@ def test_criterion_6_complete_gadget():
         expected = has_common_word(instance) is not None
         gadget, layout, distinguished = build_complete_gadget(instance)
         assert gadget.is_complete()
+        # Copy 0 extends the sc gadget, and every letter commutes with the
+        # twin pairing.
+        sc, _ = build_sc_gadget(instance)
+        assert gadget.alphabet == sc.alphabet
+        for state, row in enumerate(sc.transitions):
+            for target, completed in zip(row, gadget.transitions[state]):
+                assert target is None or completed == target
+        twin = dict(layout.meta["twin_of"])
+        twin.update({b: a for a, b in layout.meta["twin_of"].items()})
+        assert sorted(twin) == list(range(gadget.state_count))
+        for state, row in enumerate(gadget.transitions):
+            assert gadget.transitions[twin[state]] == tuple(twin[t] for t in row)
         assert is_strongly_connected(gadget)
         assert exact_rank(gadget).rank == 2
         pairs = pair_automaton(gadget)

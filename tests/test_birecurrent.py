@@ -50,6 +50,25 @@ class TestMinimize:
         minimal = minimize(acc)
         assert minimal.dfa.state_count == 2
         assert brute_language(minimal, 6) == brute_language(acc, 6)
+        assert minimal == Acceptor(
+            PartialDfa(2, ("a", "b"), ((1, 1), (1, None))),
+            0,
+            StateSet.from_iterable(2, [1]),
+        )
+        # With state 0 accepting, the first round is already stable and its
+        # blocks must still be numbered by first occurrence.
+        flipped = PartialDfa.from_map(
+            3,
+            ["a", "b"],
+            {(0, "a"): 1, (0, "b"): 2, (1, "a"): 0, (2, "a"): 0},
+        )
+        assert minimize(Acceptor(flipped, 0, StateSet.from_iterable(3, [0]))) == (
+            Acceptor(
+                PartialDfa(2, ("a", "b"), ((1, 1), (0, None))),
+                0,
+                StateSet.from_iterable(2, [0]),
+            )
+        )
 
     def test_empty_accepting_set_gives_empty_acceptor(self):
         assert minimize(Acceptor(m2(), 0, StateSet(2))).is_empty
@@ -63,10 +82,17 @@ class TestMinimize:
 
     def test_minimize_is_idempotent(self):
         rng = random.Random(402)
-        for _ in range(40):
-            acc = random_acceptor(rng, max_states=6)
+        acceptors = [random_acceptor(rng, max_states=6) for _ in range(40)]
+        acceptors += [random_permutation_acceptor(rng) for _ in range(20)]
+        for acc in acceptors:
             once = minimize(acc)
             assert minimize(once) == once
+            if once.is_empty:
+                continue
+            # Brzozowski: the determinized reversal of an accessible DFA is
+            # minimal, and minimize numbers its states in the same order.
+            reversal = determinize_reversal(once).as_acceptor()
+            assert minimize(reversal) == reversal
 
 
 class TestDeterminizeReversal:

@@ -295,6 +295,8 @@ class TestDotCommand:
         out = capsys.readouterr().out
         assert out.startswith("digraph")
         assert "doublecircle" in out
+        assert main(["dot", files["m2.aut"], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"command": "dot", "dot": out}
 
 
 def test_usage_error_exits_two(capsys):
@@ -317,6 +319,7 @@ def test_json_outputs_are_parseable_everywhere(files, capsys):
         ["saturate", files["p2.aut"], "--set", "0"],
         ["birecurrent", files["p2.aut"]],
         ["oracle", "common-word", files["yes.inst"]],
+        ["dot", files["m2.aut"]],
     ]
     for command in commands:
         code = main(command + ["--json"])

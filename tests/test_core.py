@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import padfa
 from padfa import PartialDfa, StateSet
+from padfa.formats import ParseError, parse_automaton, parse_instance
 
 from support import d2, letters, m2, p2
 
@@ -179,3 +180,50 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{source.name} has assert statements at lines {lines}"
+
+
+def test_no_private_names_imported_across_modules():
+    # An underscore name is private to its module; share it by making it
+    # public instead.
+    for source in sorted(Path(padfa.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        private = [
+            (node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "padfa")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == [], f"{source.name} imports private names {private}"
+
+
+_FILE_KEYS = ["states", "alphabet", "initial", "accepting", "trans", "machine", "x"]
+_FILE_TOKENS = ["0", "1", "2", "-1", "1.5", "a", "b", "c", "#", ":", ""]
+
+
+@st.composite
+def file_texts(draw):
+    """Arbitrary text, or lines built from the file format's keys and small
+    tokens so that the parser gets past its first checks."""
+    lines = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_FILE_KEYS),
+                st.lists(st.sampled_from(_FILE_TOKENS), max_size=4),
+            ),
+            max_size=8,
+        )
+    )
+    structured = "\n".join(f"{key}: {' '.join(tokens)}" for key, tokens in lines)
+    return draw(st.one_of(st.text(), st.just(structured)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(file_texts())
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_automaton, parse_instance):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padfa import Acceptor, StateSet
+from padfa import Acceptor, IntersectionInstance, PartialDfa, StateSet
 from padfa.formats import (
     ParseError,
     parse_automaton,
@@ -108,6 +108,17 @@ class TestRoundTrip:
     def test_acceptor_serializer(self):
         acc = Acceptor(m2(), 0, StateSet.from_iterable(2, [1]))
         assert parse_automaton(serialize_acceptor(acc)).require_acceptor() == acc
+
+    @pytest.mark.parametrize("name", ["a b", "a\nb", "a\tb", "\u2028"])
+    def test_letter_names_with_whitespace_are_not_written(self, name):
+        # The file format separates names by whitespace, so such a file
+        # would not parse back.
+        dfa = PartialDfa(1, (name,), ((0,),))
+        with pytest.raises(ValueError, match="whitespace"):
+            serialize_automaton(dfa)
+        instance = IntersectionInstance((Acceptor(dfa, 0, StateSet(1)),))
+        with pytest.raises(ValueError, match="whitespace"):
+            serialize_instance(instance)
 
 
 class TestParseInstance:
