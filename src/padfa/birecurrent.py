@@ -29,7 +29,8 @@ from .core import (
     PartialDfa,
     SearchBudget,
     StateSet,
-    union_image,
+    byte_image,
+    byte_tables,
 )
 from .graphs import is_strongly_connected, trim
 from .saturate import find_saturating_min_rank_word
@@ -138,6 +139,7 @@ def determinize_reversal(
         for letter, target in enumerate(row):
             if target is not None:
                 preimage[letter][target] |= 1 << source
+    tables = [byte_tables(table) for table in preimage]
 
     start = acceptor.accepting.mask
     budget.spend()
@@ -148,8 +150,8 @@ def determinize_reversal(
     while queue:
         mask = queue.popleft()
         row: list[Optional[int]] = []
-        for table in preimage:
-            new = union_image(table, mask)
+        for chunks in tables:
+            new = byte_image(chunks, mask)
             if new == 0:
                 row.append(None)
                 continue

@@ -12,6 +12,16 @@ breadth-first search with a parent map (``breadth_first`` and ``word_to``).
 The oracles the tests check them against (``bruteforce`` and
 ``gadgets.has_common_word``) deliberately keep their own code.
 
+The exponential searches (``rank.exact_rank``, the saturation search and
+``birecurrent.determinize_reversal``) take tens of thousands of images per
+call, so each compiles its tables once with ``byte_tables`` and reads the
+state set a byte at a time with ``byte_image``: one lookup per 8 states
+instead of one per member.  The compiled form lives only as long as its
+search and is not cached on the automaton, which would keep 256 entries
+per 8 states and letter alive for every automaton a caller holds.  One-off
+images (``step_mask``, ``image_mask``) use ``union_image``, since compiling
+a table costs more than it saves there.
+
 All values here are immutable after construction and safe to share between
 concurrent readers.
 """
@@ -82,6 +92,36 @@ def union_image(table: Sequence[int], mask: int) -> int:
         low = mask & -mask
         image |= table[low.bit_length() - 1]
         mask ^= low
+    return image
+
+
+def byte_tables(table: Sequence[int]) -> tuple[list[int], ...]:
+    """Compile ``table`` for :func:`byte_image`.
+
+    ``chunks[c][b]`` is the OR of ``table[8c + i]`` over the set bits ``i``
+    of ``b``.  Each run of 8 states is built by doubling, so the last run,
+    when shorter, has ``2 ** len(run)`` entries.  A zero image (an undefined
+    transition) only repeats the entries so far, which a list copy does
+    faster than the OR loop.
+    """
+    chunks = []
+    for start in range(0, len(table), 8):
+        chunk = [0]
+        for image in table[start : start + 8]:
+            chunk += [x | image for x in chunk] if image else chunk
+        chunks.append(chunk)
+    return tuple(chunks)
+
+
+def byte_image(chunks: Sequence[Sequence[int]], mask: int) -> int:
+    """``union_image(table, mask)`` with ``chunks = byte_tables(table)``,
+    reading ``mask`` a byte at a time."""
+    image = 0
+    for chunk in chunks:
+        image |= chunk[mask & 255]
+        mask >>= 8
+        if not mask:
+            break
     return image
 
 
@@ -245,19 +285,30 @@ class PartialDfa:
         alphabet: Iterable[str],
         delta: Mapping[tuple[int, str], int],
     ) -> "PartialDfa":
-        """Build from a ``{(state, letter_name): target}`` mapping."""
+        """Build from a ``{(state, letter_name): target}`` mapping.
+
+        Only states that appear in ``delta`` get a row of their own; every
+        other state shares one all-undefined row, so a large declared state
+        count with few transitions stays small.
+        """
         letters = tuple(alphabet)
         index = {name: i for i, name in enumerate(letters)}
-        rows: list[list[Optional[int]]] = [
-            [None] * len(letters) for _ in range(state_count)
-        ]
+        rows: dict[int, list[Optional[int]]] = {}
         for (state, name), target in delta.items():
             if not 0 <= state < state_count:
                 raise ValueError(f"state {state} out of range")
             if name not in index:
                 raise ValueError(f"unknown letter {name!r}")
-            rows[state][index[name]] = target
-        return cls(state_count, letters, tuple(tuple(row) for row in rows))
+            rows.setdefault(state, [None] * len(letters))[index[name]] = target
+        undefined = (None,) * len(letters)
+        return cls(
+            state_count,
+            letters,
+            tuple(
+                tuple(rows[state]) if state in rows else undefined
+                for state in range(state_count)
+            ),
+        )
 
     @property
     def letter_count(self) -> int:

@@ -22,8 +22,9 @@ from .core import (
     SearchBudget,
     Word,
     breadth_first,
+    byte_image,
+    byte_tables,
     members,
-    union_image,
     word_to,
 )
 from .graphs import is_strongly_connected, pair_automaton
@@ -50,12 +51,12 @@ def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> 
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
-    images = dfa.letter_images
+    tables = [byte_tables(images) for images in dfa.letter_images]
 
     def step(mask: int, letter: int) -> int | None:
         # Rank counts nonzero image sizes only; the empty set is also
         # absorbing, so there is nothing to explore beyond it.
-        return union_image(images[letter], mask) or None
+        return byte_image(tables[letter], mask) or None
 
     found, parents = breadth_first(
         (1 << dfa.state_count) - 1,

@@ -19,7 +19,8 @@ from .core import (
     StateSet,
     Word,
     breadth_first,
-    union_image,
+    byte_image,
+    byte_tables,
     word_to,
 )
 from .rank import exact_rank
@@ -60,15 +61,15 @@ def find_saturating_min_rank_word(
 
     n = dfa.state_count
     full = (1 << n) - 1
-    images = dfa.letter_images
+    tables = [byte_tables(images) for images in dfa.letter_images]
     domains = dfa.letter_domains
 
     def step(config: int, letter: int) -> int | None:
         inside = config & full
         if inside & ~domains[letter]:
             return None
-        table = images[letter]
-        return union_image(table, inside) | union_image(table, config >> n) << n
+        chunks = tables[letter]
+        return byte_image(chunks, inside) | byte_image(chunks, config >> n) << n
 
     def accepts(config: int) -> bool:
         inside, outside = config & full, config >> n

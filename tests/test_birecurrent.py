@@ -124,7 +124,8 @@ class TestDeterminizeReversal:
     def test_empty_accepting_set(self):
         assert determinize_reversal(Acceptor(m2(), 0, StateSet(2))).is_empty
 
-    @pytest.mark.parametrize("n", [3, 6, 9])
+    # R_7 and R_15 have exactly 8 and 16 states: one and two full bytes.
+    @pytest.mark.parametrize("n", [3, 6, 7, 9, 15])
     def test_direct_route_spends_one_unit_per_subset(self, n):
         budget = SearchBudget(1 << 20)
         assert is_birecurrent_direct(reversal_blowup(n), budget)

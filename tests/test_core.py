@@ -1,4 +1,5 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -6,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padfa
-from padfa import PartialDfa, StateSet
+from padfa import Acceptor, PartialDfa, StateSet
+from padfa.birecurrent import determinize_reversal
+from padfa.core import byte_image, byte_tables, union_image
 from padfa.formats import ParseError, parse_automaton, parse_instance
+from padfa.rank import exact_rank
+from padfa.saturate import find_saturating_min_rank_word
 
-from support import d2, letters, m2, p2
+from support import cerny, d2, letters, m2, p2
 
 
 @st.composite
@@ -172,6 +177,33 @@ def test_permutation_letters_preserve_full_rank(dfa, raw_word):
         return
     word = tuple(a % dfa.letter_count for a in raw_word)
     assert dfa.rank_of_word(StateSet.full(dfa.state_count), word) == dfa.state_count
+
+
+@st.composite
+def tables_and_masks(draw):
+    """A per-state mask table of 0..40 entries (across the 8/16/24/32
+    boundaries, with a short last run) and a mask over its states."""
+    size = draw(st.integers(0, 40))
+    table = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
+    return table, draw(st.integers(0, (1 << size) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_masks())
+def test_byte_image_equals_union_image(data):
+    table, mask = data
+    assert byte_image(byte_tables(table), mask) == union_image(table, mask)
+
+
+def test_searches_cache_nothing_on_the_automaton():
+    # The compiled byte tables belong to one search; cached on the automaton
+    # they would stay alive as long as the automaton does.
+    dfa = cerny(12)
+    exact_rank(dfa)
+    find_saturating_min_rank_word(dfa, StateSet.full(12))
+    determinize_reversal(Acceptor(dfa, 0, StateSet.from_iterable(12, [0])))
+    cached = set(vars(dfa)) - {field.name for field in fields(PartialDfa)}
+    assert cached <= {"letter_images", "letter_domains"}
 
 
 def test_no_assert_statements_in_the_package():

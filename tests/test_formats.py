@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestParseAutomaton:
     def test_non_integer_index_rejected(self):
         with pytest.raises(ParseError):
             parse_automaton("states: x\nalphabet: a\n")
+
+
+    def test_declared_states_without_transitions_stay_small(self):
+        # States with no transition share one all-undefined row.
+        tracemalloc.start()
+        try:
+            loaded = parse_automaton("states: 100000\nalphabet: a\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.dfa.state_count == 100000
+        assert loaded.dfa.transitions[99999] == (None,)
+        assert peak < 4 * 2**20
 
 
 class TestRoundTrip:

@@ -49,7 +49,7 @@ class TestExactRank:
         with pytest.raises(BudgetExceededError):
             exact_rank(c4(), budget=2)
 
-    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("n", [*range(3, 11), 16])
     def test_cerny_visits_and_witness_length(self, n):
         # Every subset but n - 1 of the singletons is reached before the
         # first singleton ends the search; the shortest reset word of C_n
