@@ -2,12 +2,23 @@
 
 A language is birecurrent when its minimal partial DFA and the minimal
 partial DFA of its reversal are both strongly connected.  Two independent
-deciders are provided and cross-checked:
+deciders are provided and cross-checked (Dolce, Perrin, Reutenauer and
+Rindone, "Birecurrent sets", IJAC 2017):
 
 * the direct route minimizes the acceptor and tests strong connectivity of
-  it and of the determinization of its reversal;
+  it and of the determinization of its reversal.  The reversal is tested
+  on its row table alone: the subset construction only builds subsets
+  reachable from its start (the accepting set), so it is strongly
+  connected exactly when every subset reaches the start again, which one
+  backward pass over the rows decides;
 * the characterization route minimizes, then asks whether the accepting set
   is saturated by a word of minimum rank.
+
+``is_birecurrent`` minimizes once and hands the minimal acceptor to both
+deciders, which share nothing past that first step; each public decider
+called on its own minimizes for itself.  An acceptor read from a file has
+at most ``formats.MAX_STATES`` states: a file declaring more is rejected
+before either decider runs.
 
 For the empty language both return False by convention (the minimal
 automaton is empty, so "strongly connected" has no meaningful reading).
@@ -19,7 +30,6 @@ strongly connected.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,20 +128,22 @@ class SubsetAutomaton:
         )
 
 
-def determinize_reversal(
-    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
-) -> SubsetAutomaton:
-    """Subset construction on the reversed transition relation.
+def _reversal_rows(
+    acceptor: Acceptor, budget: int | SearchBudget
+) -> tuple[list[int], list[Optional[int]]]:
+    """The subset loop of :func:`determinize_reversal`.
 
-    Starts from the accepting set and expands only reachable nonempty
-    subsets, spending one unit of ``budget`` per new subset.  An empty
-    accepting set yields the empty subset automaton.
+    Returns the reachable nonempty subsets as masks in discovery order, the
+    accepting set first, and their rows of node indices laid end to end:
+    entry ``node * letter_count + letter`` is the index of the subset's
+    preimage under ``letter``, or ``None`` where it is empty.  The table
+    is one flat list so that the loop keeps no container per subset, which
+    would set off garbage collections in proportion to the subset count.
+    Spends one unit of ``budget`` per subset.  The accepting set must be
+    nonempty.
     """
-    dfa = acceptor.dfa
-    if acceptor.is_empty or not acceptor.accepting:
-        return SubsetAutomaton(dfa.alphabet, (), (), None, ())
     budget = SearchBudget.ensure(budget)
-
+    dfa = acceptor.dfa
     preimage = [
         [0] * dfa.state_count for _ in range(dfa.letter_count)
     ]  # [letter][target] -> mask of sources
@@ -145,55 +157,89 @@ def determinize_reversal(
     budget.spend()
     index = {start: 0}
     order = [start]
-    rows: list[list[Optional[int]]] = []
-    queue = deque([start])
-    while queue:
-        mask = queue.popleft()
-        row: list[Optional[int]] = []
+    rows: list[Optional[int]] = []
+    for mask in order:  # order doubles as the queue: it only grows at the end
         for chunks in tables:
             new = byte_image(chunks, mask)
-            if new == 0:
-                row.append(None)
+            if not new:
+                rows.append(None)
                 continue
-            if new not in index:
+            node = index.get(new)
+            if node is None:
                 budget.spend()
-                index[new] = len(order)
+                node = index[new] = len(order)
                 order.append(new)
-                queue.append(new)
-            row.append(index[new])
-        rows.append(row)
+            rows.append(node)
+    return order, rows
 
+
+def determinize_reversal(
+    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+) -> SubsetAutomaton:
+    """Subset construction on the reversed transition relation.
+
+    Starts from the accepting set and expands only reachable nonempty
+    subsets, spending one unit of ``budget`` per new subset.  An empty
+    accepting set yields the empty subset automaton.
+    """
+    dfa = acceptor.dfa
+    if acceptor.is_empty or not acceptor.accepting:
+        return SubsetAutomaton(dfa.alphabet, (), (), None, ())
+    order, rows = _reversal_rows(acceptor, budget)
+    k = dfa.letter_count
     nodes = tuple(StateSet(dfa.state_count, mask) for mask in order)
     accepting_nodes = tuple(
         i for i, mask in enumerate(order) if mask >> acceptor.initial & 1
     )
-    return SubsetAutomaton(
-        dfa.alphabet, nodes, tuple(tuple(row) for row in rows), 0, accepting_nodes
-    )
+    transitions = tuple(tuple(rows[i * k : i * k + k]) for i in range(len(order)))
+    return SubsetAutomaton(dfa.alphabet, nodes, transitions, 0, accepting_nodes)
 
 
-def is_birecurrent_direct(
-    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+def _reversal_is_strongly_connected(
+    acceptor: Acceptor, budget: int | SearchBudget
 ) -> bool:
-    """Minimize, then require the automaton and the determinization of its
-    reversal to both be strongly connected.  Only the subset construction
-    spends ``budget``."""
-    minimal = minimize(acceptor)
+    """Whether ``determinize_reversal(acceptor)`` is strongly connected,
+    decided on its row table: every subset is reachable from the start, so
+    it is enough that the start is reachable from every subset.  The
+    accepting set must be nonempty."""
+    order, rows = _reversal_rows(acceptor, budget)
+    k = acceptor.dfa.letter_count
+    # Predecessor lists threaded through two flat int lists: the entries of
+    # ``rows`` that point at node t are head[t], then link[head[t]], and so
+    # on until -1; entry p belongs to node p // k.
+    head = [-1] * len(order)
+    link = [-1] * len(rows)
+    for entry, target in enumerate(rows):
+        if target is not None:
+            link[entry] = head[target]
+            head[target] = entry
+    seen = bytearray(len(order))
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        entry = head[stack.pop()]
+        while entry >= 0:
+            node = entry // k
+            if not seen[node]:
+                seen[node] = 1
+                stack.append(node)
+            entry = link[entry]
+    return all(seen)
+
+
+def _direct_verdict(minimal: Acceptor, budget: int | SearchBudget) -> bool:
+    """The direct decider on an already minimal acceptor."""
     if minimal.is_empty:
         return False
     if not is_strongly_connected(minimal.dfa):
         return False
     # A nonempty minimal acceptor is trim, so its accepting set is nonempty
     # and the reversal is never empty.
-    return is_strongly_connected(determinize_reversal(minimal, budget).as_dfa())
+    return _reversal_is_strongly_connected(minimal, budget)
 
 
-def is_birecurrent_characterization(
-    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
-) -> bool:
-    """Minimize, then require the accepting set to be saturated by a word of
-    minimum rank (and the automaton to be strongly connected)."""
-    minimal = minimize(acceptor)
+def _characterization_verdict(minimal: Acceptor, budget: int | SearchBudget) -> bool:
+    """The characterization decider on an already minimal acceptor."""
     if minimal.is_empty:
         return False
     if not is_strongly_connected(minimal.dfa):
@@ -202,17 +248,35 @@ def is_birecurrent_characterization(
     return word is not None
 
 
+def is_birecurrent_direct(
+    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+) -> bool:
+    """Minimize, then require the automaton and the determinization of its
+    reversal to both be strongly connected.  Only the subset construction
+    spends ``budget``."""
+    return _direct_verdict(minimize(acceptor), budget)
+
+
+def is_birecurrent_characterization(
+    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+) -> bool:
+    """Minimize, then require the accepting set to be saturated by a word of
+    minimum rank (and the automaton to be strongly connected)."""
+    return _characterization_verdict(minimize(acceptor), budget)
+
+
 def is_birecurrent(
     acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
 ) -> bool:
-    """Run both deciders and return the shared verdict.
+    """Minimize once, run both deciders and return the shared verdict.
 
     Both draw on one shared ``budget``.  A disagreement means a bug in one
     of them and raises :class:`MethodDisagreement` rather than guessing.
     """
     shared = SearchBudget.ensure(budget)
-    direct = is_birecurrent_direct(acceptor, shared)
-    characterized = is_birecurrent_characterization(acceptor, shared)
+    minimal = minimize(acceptor)
+    direct = _direct_verdict(minimal, shared)
+    characterized = _characterization_verdict(minimal, shared)
     if direct != characterized:
         raise MethodDisagreement(
             f"direct={direct} but characterization={characterized}"

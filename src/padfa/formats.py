@@ -16,7 +16,8 @@ States are referenced by index; letters by name.  ``initial`` and
 DFA).  Instance files start with one shared ``alphabet:`` line followed by
 one ``machine:`` block per acceptor using the same keys.  Serialization is
 canonical (sorted transition lines), so parse -> serialize -> parse is the
-identity on semantic content.
+identity on semantic content.  A file may declare at most ``MAX_STATES``
+states (2**20); a larger ``states:`` count is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ def _parse_int(token: str, number: int, what: str) -> int:
 
 _AUTOMATON_KEYS = {"states", "alphabet", "initial", "accepting", "trans"}
 
+# The largest ``states:`` count a file may declare.  The declared count is
+# read before any transition, and the automaton keeps one row per state, so
+# without a cap a 28-byte file could ask for tens of millions of rows.  The
+# exponential searches are meant for a few dozen states; 2**20 leaves room
+# for any polynomial use.
+MAX_STATES = 1 << 20
+
 
 def _build_automaton(
     lines: list[tuple[int, str, str]], alphabet: Optional[tuple[str, ...]] = None
@@ -95,6 +103,11 @@ def _build_automaton(
             state_count = _parse_int(rest, number, "state count")
             if state_count < 0:
                 raise ParseError(f"line {number}: state count must be >= 0")
+            if state_count > MAX_STATES:
+                raise ParseError(
+                    f"line {number}: state count {state_count} exceeds the "
+                    f"limit of {MAX_STATES}"
+                )
         elif key == "alphabet":
             names = tuple(rest.split())
             if alphabet is not None:

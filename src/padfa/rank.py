@@ -15,6 +15,7 @@ order or hash seeds, only on the automaton and the declared letter order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -49,9 +50,21 @@ def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> 
     order, so the witness is the length-then-lexicographically first word
     reaching a minimum-size image.  The empty word already attains rank n.
     """
-    if dfa.state_count == 0:
-        raise ValueError("rank is undefined for the empty automaton")
     tables = [byte_tables(images) for images in dfa.letter_images]
+    return exact_rank_on_tables(tables, dfa.state_count, budget)
+
+
+def exact_rank_on_tables(
+    tables: Sequence[Sequence[Sequence[int]]],
+    state_count: int,
+    budget: int | SearchBudget,
+) -> RankResult:
+    """:func:`exact_rank` of an automaton with ``state_count`` states whose
+    ``letter_images`` the caller has already compiled into ``tables`` (one
+    ``byte_tables`` result per letter), so a search that needs the same
+    tables compiles them once."""
+    if state_count == 0:
+        raise ValueError("rank is undefined for the empty automaton")
 
     def step(mask: int, letter: int) -> int | None:
         # Rank counts nonzero image sizes only; the empty set is also
@@ -59,8 +72,8 @@ def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> 
         return byte_image(tables[letter], mask) or None
 
     found, parents = breadth_first(
-        (1 << dfa.state_count) - 1,
-        dfa.letter_count,
+        (1 << state_count) - 1,
+        len(tables),
         step,
         lambda mask: mask.bit_count() == 1,
         SearchBudget.ensure(budget),

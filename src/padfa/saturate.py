@@ -23,7 +23,7 @@ from .core import (
     byte_tables,
     word_to,
 )
-from .rank import exact_rank
+from .rank import exact_rank_on_tables
 
 
 def is_saturated_by(dfa: PartialDfa, states: StateSet, word: Word) -> bool:
@@ -50,18 +50,19 @@ def find_saturating_min_rank_word(
     space from (S, Q \\ S): a config accepts when it is alive, its two
     images are disjoint, and their union has exactly r states.  Configs
     whose inside image lost a member are dead and pruned.  The rank
-    computation and the config search draw on one shared budget.
+    computation and the config search draw on one shared budget and read
+    one compiled copy of the letter tables.
     """
     if states.universe != dfa.state_count:
         raise ValueError("state set universe does not match automaton")
     if dfa.state_count == 0:
         raise ValueError("saturation search is undefined for the empty automaton")
     shared = SearchBudget.ensure(budget)
-    target_rank = exact_rank(dfa, shared).rank
-
     n = dfa.state_count
-    full = (1 << n) - 1
     tables = [byte_tables(images) for images in dfa.letter_images]
+    target_rank = exact_rank_on_tables(tables, n, shared).rank
+
+    full = (1 << n) - 1
     domains = dfa.letter_domains
 
     def step(config: int, letter: int) -> int | None:

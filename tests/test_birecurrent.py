@@ -2,6 +2,10 @@ import random
 
 import pytest
 
+import padfa.birecurrent
+import padfa.core
+import padfa.rank
+import padfa.saturate
 from padfa import (
     Acceptor,
     BudgetExceededError,
@@ -188,6 +192,75 @@ class TestBirecurrenceDeciders:
         acc = Acceptor(gadget, 0, StateSet.full(gadget.state_count))
         assert not is_birecurrent_characterization(acc)
         assert not is_birecurrent(acc)
+
+
+class TestCombinedRoute:
+    def test_is_birecurrent_minimizes_once(self, monkeypatch):
+        calls = []
+
+        def counting(acceptor):
+            calls.append(acceptor)
+            return minimize(acceptor)
+
+        monkeypatch.setattr(padfa.birecurrent, "minimize", counting)
+        rng = random.Random(407)
+        acceptors = [p2_acceptor(), m2_acceptor(), reversal_blowup(5)]
+        acceptors += [random_acceptor(rng, max_states=6) for _ in range(20)]
+        for acc in acceptors:
+            calls.clear()
+            is_birecurrent(acc)
+            assert calls == [acc]
+
+    def test_row_table_check_is_strong_connectivity_of_the_reversal(self):
+        rng = random.Random(408)
+        acceptors = [random_acceptor(rng, max_states=7) for _ in range(240)]
+        acceptors += [random_permutation_acceptor(rng) for _ in range(60)]
+        acceptors += [reversal_blowup(n) for n in range(1, 11)]
+        outcomes = []
+        for acc in acceptors:
+            # The check holds for any acceptor with accepting states, not
+            # only for minimal ones, so both are compared.
+            for candidate in (acc, minimize(acc)):
+                if candidate.is_empty or not candidate.accepting:
+                    continue
+                budget = SearchBudget(1 << 20)
+                fast = padfa.birecurrent._reversal_is_strongly_connected(
+                    candidate, budget
+                )
+                reversal = determinize_reversal(candidate)
+                assert fast == is_strongly_connected(reversal.as_dfa())
+                assert budget.limit - budget.remaining == len(reversal.nodes)
+                outcomes.append(fast)
+        assert len(outcomes) >= 300
+        assert True in outcomes and False in outcomes
+
+    def test_characterization_compiles_each_letter_table_once(self, monkeypatch):
+        calls = []
+        compile_tables = padfa.core.byte_tables
+
+        def counting(table):
+            calls.append(tuple(table))
+            return compile_tables(table)
+
+        users = [
+            module
+            for module in vars(padfa).values()
+            if module is not padfa.core
+            and getattr(module, "byte_tables", None) is compile_tables
+        ]
+        assert padfa.rank in users and padfa.saturate in users
+        for module in users:
+            monkeypatch.setattr(module, "byte_tables", counting)
+        for acc in (p2_acceptor(), reversal_blowup(6)):
+            k = acc.dfa.letter_count
+            calls.clear()
+            assert is_birecurrent_characterization(acc)
+            assert len(calls) == k
+            assert len(set(calls)) == k
+            # The direct route adds one preimage table per letter.
+            calls.clear()
+            assert is_birecurrent(acc)
+            assert len(calls) == 2 * k
 
 
 def test_methods_agree_on_random_acceptors():

@@ -347,6 +347,13 @@ class TestJsonErrors:
         assert payload["command"] == "validate"
         assert payload["error"] == "ParseError"
 
+    def test_declared_state_count_over_the_cap(self, tmp_path, capsys):
+        huge = tmp_path / "huge.aut"
+        huge.write_text("states: 10000000\nalphabet: a\n", encoding="utf-8")
+        payload = self._error(capsys, ["validate", str(huge)])
+        assert payload["error"] == "ParseError"
+        assert main(["validate", str(huge)]) == 2
+
     def test_value_error(self, files, capsys):
         payload = self._error(capsys, ["saturate", files["m2.aut"], "--set", "0,x"])
         assert payload["command"] == "saturate"
@@ -363,7 +370,7 @@ class TestJsonErrors:
         assert payload["error"] == "BudgetExceededError"
 
     def test_method_disagreement(self, files, capsys, monkeypatch):
-        monkeypatch.setattr(padfa.birecurrent, "is_birecurrent_direct", lambda *a: False)
+        monkeypatch.setattr(padfa.birecurrent, "_direct_verdict", lambda *a: False)
         payload = self._error(capsys, ["birecurrent", files["p2.aut"]])
         assert payload["command"] == "birecurrent"
         assert payload["error"] == "MethodDisagreement"
@@ -384,7 +391,7 @@ class TestJsonErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: search budget of 2 visited nodes exhausted\n"
-        monkeypatch.setattr(padfa.birecurrent, "is_birecurrent_direct", lambda *a: False)
+        monkeypatch.setattr(padfa.birecurrent, "_direct_verdict", lambda *a: False)
         assert main(["birecurrent", files["p2.aut"]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import padfa.formats
 from padfa import Acceptor, IntersectionInstance, PartialDfa, StateSet
 from padfa.formats import (
     ParseError,
@@ -83,6 +84,21 @@ class TestParseAutomaton:
         assert loaded.dfa.state_count == 100000
         assert loaded.dfa.transitions[99999] == (None,)
         assert peak < 4 * 2**20
+
+    def test_declared_state_count_is_capped(self):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_automaton("states: 10000000\nalphabet: a\n")
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_instance(
+                "alphabet: a\nmachine:\nstates: 10000000\ninitial: 0\n"
+            )
+
+    def test_state_count_at_the_cap_parses(self, monkeypatch):
+        monkeypatch.setattr(padfa.formats, "MAX_STATES", 5)
+        # Isolated states below the cap still count as states.
+        assert parse_automaton("states: 5\nalphabet: a\n").dfa.state_count == 5
+        with pytest.raises(ParseError):
+            parse_automaton("states: 6\nalphabet: a\n")
 
 
 class TestRoundTrip:
