@@ -42,7 +42,7 @@ from .core import (
     byte_image,
     byte_tables,
 )
-from .graphs import is_strongly_connected, trim
+from .graphs import backward_closure, is_strongly_connected, trim
 from .saturate import find_saturating_min_rank_word
 
 
@@ -203,28 +203,7 @@ def _reversal_is_strongly_connected(
     it is enough that the start is reachable from every subset.  The
     accepting set must be nonempty."""
     order, rows = _reversal_rows(acceptor, budget)
-    k = acceptor.dfa.letter_count
-    # Predecessor lists threaded through two flat int lists: the entries of
-    # ``rows`` that point at node t are head[t], then link[head[t]], and so
-    # on until -1; entry p belongs to node p // k.
-    head = [-1] * len(order)
-    link = [-1] * len(rows)
-    for entry, target in enumerate(rows):
-        if target is not None:
-            link[entry] = head[target]
-            head[target] = entry
-    seen = bytearray(len(order))
-    seen[0] = 1
-    stack = [0]
-    while stack:
-        entry = head[stack.pop()]
-        while entry >= 0:
-            node = entry // k
-            if not seen[node]:
-                seen[node] = 1
-                stack.append(node)
-            entry = link[entry]
-    return all(seen)
+    return all(backward_closure(rows, len(order), acceptor.dfa.letter_count, [0]))
 
 
 def _direct_verdict(minimal: Acceptor, budget: int | SearchBudget) -> bool:

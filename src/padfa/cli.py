@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .birecurrent import (
-    MethodDisagreement,
     is_birecurrent,
     is_birecurrent_characterization,
     is_birecurrent_direct,
@@ -282,6 +281,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # No prefix abbreviations: ``main`` looks for the literal ``--json``.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         raise _UsageError(self, message)
 
@@ -439,7 +442,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ParseError, ValueError, OSError, BudgetExceededError) as exc:
         return _fail(args, exc, "error")
-    except MethodDisagreement as exc:
+    except RuntimeError as exc:
         return _fail(args, exc, "internal error")
 
 

@@ -17,11 +17,12 @@ The exponential searches (``rank.exact_rank``, the saturation search and
 call, so each compiles its tables once with ``byte_tables`` and reads the
 state set a byte at a time with ``byte_image``: one lookup per 8 states
 instead of one per member.  The saturation search hands its tables to the
-rank search it starts with (``rank.exact_rank_on_tables``).  The compiled form lives only as long as its
-search and is not cached on the automaton, which would keep 256 entries
-per 8 states and letter alive for every automaton a caller holds.  One-off
-images (``step_mask``, ``image_mask``) use ``union_image``, since compiling
-a table costs more than it saves there.
+rank search it starts with (``rank.exact_rank_on_tables``).  The compiled
+form lives only as long as its search and is not cached on the automaton,
+which would keep 256 entries per 8 states and letter alive for every
+automaton a caller holds.  One-off images (``step_mask``, ``image_mask``)
+use ``union_image``, since compiling a table costs more than it saves
+there.
 
 All values here are immutable after construction and safe to share between
 concurrent readers.
@@ -85,8 +86,7 @@ def union_image(table: Sequence[int], mask: int) -> int:
     """OR of ``table[i]`` over the set bits ``i`` of ``mask``.
 
     With ``table = dfa.letter_images[a]`` this is the image of the state set
-    ``mask`` under letter ``a``; with per-letter preimage masks it is the
-    preimage instead.
+    ``mask`` under letter ``a``.
     """
     image = 0
     while mask:

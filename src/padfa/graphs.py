@@ -3,56 +3,81 @@
 Covers reachability, strong connectivity, trimming of acceptors, and the
 pair automaton (the restriction of the power automaton to subsets of size
 at most two) that drives the polynomial minimum-rank search.
+
+Every backward walk reads the predecessor table of ``predecessor_links``:
+coreachability (so ``trim`` and strong connectivity), the merge policy of
+the pair automaton, and the direct birecurrence test on the reversal.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterable, Optional
 
 from .core import Acceptor, PartialDfa, StateSet
 
 
-def _successors(dfa: PartialDfa) -> list[set[int]]:
-    out: list[set[int]] = [set() for _ in range(dfa.state_count)]
-    for state, row in enumerate(dfa.transitions):
-        for target in row:
-            if target is not None:
-                out[state].add(target)
-    return out
+def predecessor_links(
+    rows: Iterable[Optional[int]], node_count: int, letter_count: int
+) -> tuple[list[int], list[int]]:
+    """Predecessor lists of a row table as two flat int lists, which set off
+    no garbage collections as a container per node would.
+
+    ``rows`` yields the targets in entry order: entry ``node * letter_count
+    + letter`` is the target of ``node`` under ``letter``, or ``None``.  The
+    entries that point at node t are ``head[t]``, ``link[head[t]]``, and so
+    on until -1.
+    """
+    head = [-1] * node_count
+    link = [-1] * (node_count * letter_count)
+    for entry, target in enumerate(rows):
+        if target is not None:
+            link[entry] = head[target]
+            head[target] = entry
+    return head, link
 
 
-def _predecessors(dfa: PartialDfa) -> list[set[int]]:
-    inn: list[set[int]] = [set() for _ in range(dfa.state_count)]
-    for state, row in enumerate(dfa.transitions):
-        for target in row:
-            if target is not None:
-                inn[target].add(state)
-    return inn
-
-
-def _closure(adjacency: list[set[int]], starts: Iterable[int]) -> set[int]:
-    seen = set(starts)
-    queue = deque(seen)
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+def backward_closure(
+    rows: Iterable[Optional[int]], node_count: int, letter_count: int,
+    targets: Iterable[int],
+) -> bytearray:
+    """A byte per node of ``rows``, laid out as for :func:`predecessor_links`:
+    1 iff the node reaches a node in ``targets``."""
+    head, link = predecessor_links(rows, node_count, letter_count)
+    stack = list(targets)
+    seen = bytearray(node_count)
+    for target in stack:
+        seen[target] = 1
+    while stack:
+        entry = head[stack.pop()]
+        while entry >= 0:
+            node = entry // letter_count
+            if not seen[node]:
+                seen[node] = 1
+                stack.append(node)
+            entry = link[entry]
     return seen
 
 
 def reachable_from(dfa: PartialDfa, starts: Iterable[int]) -> set[int]:
     """States reachable from ``starts`` along defined transitions."""
-    return _closure(_successors(dfa), starts)
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for target in dfa.transitions[stack.pop()]:
+            if target is not None and target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
 
 
 def coreachable_to(dfa: PartialDfa, targets: Iterable[int]) -> set[int]:
     """States from which some state in ``targets`` is reachable."""
-    return _closure(_predecessors(dfa), targets)
+    rows = chain.from_iterable(dfa.transitions)
+    seen = backward_closure(rows, dfa.state_count, dfa.letter_count, targets)
+    return set(compress(range(dfa.state_count), seen))
 
 
 def is_strongly_connected(dfa: PartialDfa) -> bool:
@@ -60,9 +85,7 @@ def is_strongly_connected(dfa: PartialDfa) -> bool:
     if dfa.state_count == 0:
         raise ValueError("strong connectivity is undefined for the empty automaton")
     n = dfa.state_count
-    return (
-        len(reachable_from(dfa, [0])) == n and len(coreachable_to(dfa, [0])) == n
-    )
+    return len(reachable_from(dfa, [0])) == n == len(coreachable_to(dfa, [0]))
 
 
 def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
@@ -149,33 +172,27 @@ class PairAutomaton:
         below it.
         """
         letter_count = len(self.step[0])
-        # preds[target] holds node * letter_count + letter per edge node ->
-        # target: an int takes less than half the memory of a tuple.
-        preds: list[list[int]] = [[] for _ in self.step]
-        for node, row in enumerate(self.step):
-            base = node * letter_count
-            for letter, target in enumerate(row):
-                preds[target].append(base + letter)
+        head, link = predecessor_links(
+            chain.from_iterable(self.step), len(self.step), letter_count
+        )
         dist: list[Optional[int]] = [None] * len(self.step)
         policy: list[Optional[int]] = [None] * len(self.step)
-        queue: deque[int] = deque()
-        for state in range(self.state_count):
-            idx = self.singleton_index(state)
-            dist[idx] = 0
-            queue.append(idx)
+        queue = deque(map(self.singleton_index, range(self.state_count)))
+        for node in queue:
+            dist[node] = 0
         while queue:
             node = queue.popleft()
             closer = dist[node] + 1
-            for edge in preds[node]:
-                pred, letter = divmod(edge, letter_count)
-                if pred == self.DEAD:
-                    continue
+            entry = head[node]
+            while entry >= 0:
+                pred, letter = divmod(entry, letter_count)
                 if dist[pred] is None:
                     dist[pred] = closer
                     policy[pred] = letter
                     queue.append(pred)
                 elif dist[pred] == closer and letter < policy[pred]:
                     policy[pred] = letter
+                entry = link[entry]
         return dist, policy
 
 

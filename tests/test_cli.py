@@ -3,6 +3,7 @@ import json
 import pytest
 
 import padfa.birecurrent
+import padfa.cli
 from padfa.cli import main
 from padfa.formats import parse_automaton, serialize_automaton
 
@@ -374,6 +375,28 @@ class TestJsonErrors:
         payload = self._error(capsys, ["birecurrent", files["p2.aut"]])
         assert payload["command"] == "birecurrent"
         assert payload["error"] == "MethodDisagreement"
+
+    def test_runtime_error_is_internal(self, files, capsys, monkeypatch):
+        # A failed postcondition exits 2, never 1 (a negative verdict).
+        def broken(*args, **kwargs):
+            raise RuntimeError("postcondition failed")
+
+        monkeypatch.setattr(padfa.cli, "find_saturating_min_rank_word", broken)
+        argv = ["saturate", files["m2.aut"], "--set", "all"]
+        payload = self._error(capsys, argv)
+        assert payload["command"] == "saturate"
+        assert payload["error"] == "RuntimeError"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: postcondition failed\n"
+
+    def test_abbreviated_json_is_a_usage_error(self, files, capsys):
+        # Without prefix matching, ``--json`` has exactly one spelling.
+        assert main(["rank", files["c4.aut"], "--js"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --js" in captured.err
 
     def test_usage_error(self, capsys):
         payload = self._error(capsys, ["rank"])

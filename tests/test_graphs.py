@@ -4,6 +4,7 @@ import pytest
 
 from padfa import (
     Acceptor,
+    PairAutomaton,
     PartialDfa,
     StateSet,
     coreachable_to,
@@ -22,29 +23,32 @@ class TestStrongConnectivity:
 
     def test_m2_not_connected(self):
         assert not is_strongly_connected(m2())
+        assert not is_strongly_connected(PartialDfa(2, (), ((), ())))
 
     def test_single_state_vacuously_connected(self):
         assert is_strongly_connected(PartialDfa(1, ("a",), ((None,),)))
+        assert is_strongly_connected(PartialDfa(1, (), ((),)))
 
     def test_empty_automaton_rejected(self):
         with pytest.raises(ValueError):
             is_strongly_connected(PartialDfa(0, ("a",), ()))
 
 
+def _brute_reach(dfa: PartialDfa, start: int) -> set[int]:
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for target in dfa.transitions[state]:
+            if target is not None and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
 def _brute_all_pairs_reachable(dfa: PartialDfa) -> bool:
     n = dfa.state_count
-    for start in range(n):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            state = frontier.pop()
-            for target in dfa.transitions[state]:
-                if target is not None and target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        if len(seen) != n:
-            return False
-    return True
+    return all(len(_brute_reach(dfa, start)) == n for start in range(n))
 
 
 def _component(dfa: PartialDfa, state: int) -> set[int]:
@@ -75,6 +79,13 @@ class TestScc:
             dfa = random_partial_dfa(rng, rng.randint(1, 6), rng.randint(1, 3), rng.uniform(0.3, 1.0))
             assert is_strongly_connected(dfa) == _brute_all_pairs_reachable(dfa)
             assert is_strongly_connected(dfa) == (len(_component(dfa, 0)) == dfa.state_count)
+            n = dfa.state_count
+            ends = rng.sample(range(n), rng.randint(1, n))
+            reach = {s: _brute_reach(dfa, s) for s in range(n)}
+            assert reachable_from(dfa, ends) == set().union(*(reach[s] for s in ends))
+            assert coreachable_to(dfa, ends) == {
+                s for s in range(n) if reach[s].intersection(ends)
+            }
 
 
 class TestTrim:
@@ -194,10 +205,14 @@ def test_singleton_reachability_matches_brute_enumeration():
 
 def test_merge_policy_walks_to_a_singleton():
     rng = random.Random(105)
-    for _ in range(30):
-        dfa = random_partial_dfa(rng, rng.randint(2, 6), rng.randint(1, 3), 0.8)
+    cases = [PartialDfa(2, (), ((), ()))] + [
+        random_partial_dfa(rng, rng.randint(2, 6), rng.randint(1, 3), 0.8)
+        for _ in range(30)
+    ]
+    for dfa in cases:
         pa = pair_automaton(dfa)
         dist, policy = pa.merge_policy()
+        assert dist[PairAutomaton.DEAD] is None
         for node in range(len(pa.step)):
             if dist[node] in (None, 0):
                 continue
