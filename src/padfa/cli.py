@@ -288,6 +288,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(self, message)
 
+    # argparse hands everything after a command to that command's parser
+    # through this method and lets the root report what is left over; each
+    # parser reports its own leftovers instead, so ``rank FILE --bogus``
+    # prints the usage of ``padfa rank``.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)

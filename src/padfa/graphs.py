@@ -4,16 +4,22 @@ Covers reachability, strong connectivity, trimming of acceptors, and the
 pair automaton (the restriction of the power automaton to subsets of size
 at most two) that drives the polynomial minimum-rank search.
 
+The pair automaton is stored as one column per letter, filled a state at
+a time: the pairs {p, q} with q > p are consecutive nodes, so one ``map``
+reads all their targets off row t(p) of the image-node matrix
+``node_of``, where index n stands for "undefined".
+
 Every backward walk reads the predecessor table of ``predecessor_links``:
 coreachability (so ``trim`` and strong connectivity), the merge policy of
-the pair automaton, and the direct birecurrence test on the reversal.
+the pair automaton (one table per letter column), and the direct
+birecurrence test on the reversal.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import Acceptor, PartialDfa, StateSet
@@ -119,22 +125,23 @@ def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
     return Acceptor(trimmed, old_to_new[acceptor.initial], accepting), old_to_new
 
 
-def _image_node(n: int, p: Optional[int], q: Optional[int]) -> int:
-    """Pair-automaton node of the image set {p, q} of an ``n``-state
-    automaton, undefined (``None``) members dropped: dead, a singleton, or a
-    pair."""
-    if p is None:
-        p = q
-    elif q is None:
-        q = p
-    if p is None:
-        return PairAutomaton.DEAD
-    if p == q:
-        return 1 + p
-    if p > q:
-        p, q = q, p
-    # Pairs are laid out after the singletons, ordered by (p, q).
-    return 1 + n + p * (2 * n - p - 1) // 2 + (q - p - 1)
+class _Rows:
+    """Row view of per-letter columns: ``rows[node][letter]`` is
+    ``columns[letter][node]``, and ``len(rows)`` is the node count (also
+    over an empty alphabet).  Each row is built on request."""
+
+    __slots__ = ("columns", "node_count")
+
+    def __init__(self, columns: tuple[list[int], ...], node_count: int):
+        self.columns = columns
+        self.node_count = node_count
+
+    def __len__(self) -> int:
+        return self.node_count
+
+    def __getitem__(self, node: int) -> tuple[int, ...]:
+        node = range(self.node_count)[node]
+        return tuple(column[node] for column in self.columns)
 
 
 @dataclass(frozen=True)
@@ -142,69 +149,112 @@ class PairAutomaton:
     """Power automaton restricted to subsets of size at most two.
 
     Node 0 is the absorbing dead node, nodes ``1..n`` are the singletons,
-    and the remaining nodes are the unordered pairs.  ``step[node][letter]``
-    is total: a pair moves to the (pair or singleton) image of its two
-    states, to the singleton of the surviving state when exactly one image
-    is defined, and to dead when neither is.
+    and the remaining nodes are the unordered pairs, ordered by (p, q).
+    The table is one column per letter: ``columns[letter][node]`` is total,
+    a pair moving to the (pair or singleton) image of its two states, to
+    the singleton of the surviving state when exactly one image is defined,
+    and to dead when neither is.  ``step[node][letter]`` reads the same
+    entry row-wise.
+
+    State index n stands for "undefined": ``targets[letter][s]`` is the
+    successor of state s, or n, and ``targets[letter][n]`` is n.
+    ``node_of`` is the (n+1) x (n+1) matrix of image nodes, so
+    ``node_of[x][y]`` is the node of the set {x, y} with n dropped:
+    ``node_of[x][n]`` is the singleton x and ``node_of[n][n]`` is dead.
     """
 
     state_count: int
-    step: tuple[tuple[int, ...], ...]
+    targets: tuple[list[int], ...]
+    columns: tuple[list[int], ...]
+    node_of: list[list[int]]
 
     DEAD = 0
+
+    @property
+    def node_count(self) -> int:
+        n = self.state_count
+        return 1 + n + n * (n - 1) // 2
+
+    @property
+    def step(self) -> _Rows:
+        return _Rows(self.columns, self.node_count)
 
     def singleton_index(self, state: int) -> int:
         return 1 + state
 
     def pair_index(self, p: int, q: int) -> int:
-        if p == q:
-            raise ValueError("a pair needs two distinct states")
-        return _image_node(self.state_count, p, q)
+        if p == q or not (0 <= p < self.state_count and 0 <= q < self.state_count):
+            raise ValueError("a pair needs two distinct states of the automaton")
+        return self.node_of[p][q]
+
+    def image(self, states: list[int], word: Iterable[int]) -> list[int]:
+        """The states reached from ``states`` along ``word``, sorted,
+        without the states whose path hits an undefined entry."""
+        for letter in word:
+            states = list(map(self.targets[letter].__getitem__, states))
+        return sorted(set(states) - {self.state_count})
 
     def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
         """Shortest word length from each node to any singleton (None if
         none) and, per node, the smallest letter moving one step closer.
 
         Backward breadth-first search from the singletons, which are at
-        distance 0; the dead node is unreachable.  Every edge into level d
-        is seen before any node of level d + 1 is expanded, so a node's
-        policy is the smallest letter over all its edges into the level
-        below it.
+        distance 0, one level at a time; the dead node is unreachable.  A
+        level is expanded letter by letter, walking one predecessor table
+        per letter, so the first letter to discover a node is its smallest
+        letter into the level below.
         """
-        letter_count = len(self.step[0])
-        head, link = predecessor_links(
-            chain.from_iterable(self.step), len(self.step), letter_count
-        )
-        dist: list[Optional[int]] = [None] * len(self.step)
-        policy: list[Optional[int]] = [None] * len(self.step)
-        queue = deque(map(self.singleton_index, range(self.state_count)))
-        for node in queue:
+        node_count = self.node_count
+        links = [predecessor_links(column, node_count, 1) for column in self.columns]
+        dist: list[Optional[int]] = [None] * node_count
+        policy: list[Optional[int]] = [None] * node_count
+        level = list(map(self.singleton_index, range(self.state_count)))
+        for node in level:
             dist[node] = 0
-        while queue:
-            node = queue.popleft()
-            closer = dist[node] + 1
-            entry = head[node]
-            while entry >= 0:
-                pred, letter = divmod(entry, letter_count)
-                if dist[pred] is None:
-                    dist[pred] = closer
-                    policy[pred] = letter
-                    queue.append(pred)
-                elif dist[pred] == closer and letter < policy[pred]:
-                    policy[pred] = letter
-                entry = link[entry]
+        distance = 0
+        while level:
+            distance += 1
+            farther = []
+            for letter, (head, link) in enumerate(links):
+                for node in level:
+                    pred = head[node]
+                    while pred >= 0:
+                        if dist[pred] is None:
+                            dist[pred] = distance
+                            policy[pred] = letter
+                            farther.append(pred)
+                        pred = link[pred]
+            level = farther
         return dist, policy
 
 
 def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     """Build the size-at-most-two power automaton of ``dfa``."""
     n = dfa.state_count
-    table = dfa.transitions
-    # A singleton {s} has the row of the pair {s, s}.
-    sources = chain(((s, s) for s in range(n)), combinations(range(n), 2))
-    rows = [(PairAutomaton.DEAD,) * dfa.letter_count]
-    rows.extend(
-        tuple(_image_node(n, tp, tq) for tp, tq in zip(table[p], table[q]))
-        for p, q in sources
+    dead = PairAutomaton.DEAD
+    targets = tuple(
+        [n if row[letter] is None else row[letter] for row in dfa.transitions] + [n]
+        for letter in range(dfa.letter_count)
     )
-    return PairAutomaton(n, tuple(rows))
+    # Row p holds the pairs {q, p} (q < p) of the rows above, {p}, the
+    # pairs {p, q} (q > p), which are numbered consecutively, and at index
+    # n the set {p, undefined} = {p}.
+    node_of: list[list[int]] = []
+    first = 1 + n
+    for p in range(n):
+        row = list(map(itemgetter(p), node_of))
+        row.append(1 + p)
+        row += range(first, first + n - 1 - p)
+        row.append(1 + p)
+        node_of.append(row)
+        first += n - 1 - p
+    node_of.append([*range(1, n + 1), dead])
+    columns = []
+    for successors in targets:
+        column = [dead]
+        # The singleton {s} moves to {t(s)}, which row n holds.
+        column += map(node_of[n].__getitem__, successors[:n])
+        for p in range(n):
+            column += map(node_of[successors[p]].__getitem__, successors[p + 1 : n])
+        columns.append(column)
+    return PairAutomaton(n, targets, tuple(columns), node_of)

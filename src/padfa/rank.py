@@ -25,7 +25,6 @@ from .core import (
     breadth_first,
     byte_image,
     byte_tables,
-    members,
     word_to,
 )
 from .graphs import is_strongly_connected, pair_automaton
@@ -104,6 +103,11 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     step the smallest letter moving closer) and replace S by its image.
     Each round strictly shrinks S, and when no pair of S merges, |S| is the
     rank of the automaton.
+
+    S is a sorted list of states.  A round reads the distances of the pairs
+    {p, q} of survivors p < q through row p of the pair automaton's
+    ``node_of`` matrix, one ``map`` per p, walks the chosen pair through
+    the letter columns, and takes the image of S under the whole segment.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
@@ -112,23 +116,27 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
 
     pairs = pair_automaton(dfa)
     dist, policy = pairs.merge_policy()
+    node_of, columns = pairs.node_of, pairs.columns
+    # Pairs that never merge sort after every distance.
+    unmerged = len(dist)
+    key = [unmerged if d is None else d for d in dist]
 
-    mask = (1 << dfa.state_count) - 1
+    survivors = list(range(dfa.state_count))
     witness: list[int] = []
     while True:
-        best: tuple[int, int, int] | None = None
-        survivors = list(members(mask))
-        for i, p in enumerate(survivors):
-            for q in survivors[i + 1 :]:
-                d = dist[pairs.pair_index(p, q)]
-                if d is not None and (best is None or (d, p, q) < best):
-                    best = (d, p, q)
-        if best is None:
+        best = (unmerged, 0, 0)
+        for i in range(len(survivors) - 1):
+            p = survivors[i]
+            rest = survivors[i + 1 :]
+            d, q = min(zip(map(key.__getitem__, map(node_of[p].__getitem__, rest)), rest))
+            if d < best[0]:
+                best = (d, p, q)
+        distance, p, q = best
+        if distance == unmerged:
             break
-        _, p, q = best
-        node = pairs.pair_index(p, q)
+        node = node_of[p][q]
         segment: list[int] = []
-        while dist[node] != 0:
+        for _ in range(distance):
             letter = policy[node]
             if letter is None:
                 raise RuntimeError(
@@ -136,12 +144,12 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
                     "but has no merging letter"
                 )
             segment.append(letter)
-            node = pairs.step[node][letter]
+            node = columns[letter][node]
         # Applying the merging word to all of S only shrinks it further; the
         # chosen pair guarantees at least one survivor and strict progress.
-        mask = dfa.image_mask(mask, tuple(segment))
+        survivors = pairs.image(survivors, segment)
         witness.extend(segment)
-    return RankResult(mask.bit_count(), tuple(witness))
+    return RankResult(len(survivors), tuple(witness))
 
 
 def rank_word_length_bound(n: int, r: int) -> int:

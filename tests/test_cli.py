@@ -311,6 +311,19 @@ def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_leftover_arguments_print_the_command_usage(files, capsys):
+    assert main(["rank", files["c4.aut"], "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: padfa rank [-h] [--json]")
+    assert captured.err.endswith("padfa rank: error: unrecognized arguments: --bogus\n")
+    assert main(["oracle", "common-word", files["yes.inst"], "extra"]) == 2
+    assert capsys.readouterr().err.startswith("usage: padfa oracle common-word")
+    # Before any command the leftovers are the root parser's.
+    assert main(["--bogus", "rank", files["c4.aut"]]) == 2
+    assert capsys.readouterr().err.startswith("usage: padfa [-h]")
+
+
 def test_json_outputs_are_parseable_everywhere(files, capsys):
     commands = [
         ["validate", files["m2.aut"]],
@@ -403,6 +416,14 @@ class TestJsonErrors:
         assert payload["command"] == "rank"
         assert payload["error"] == "ArgumentError"
         assert "required: file" in payload["message"]
+
+    def test_leftover_arguments(self, files, capsys):
+        payload = self._error(capsys, ["rank", files["c4.aut"], "--bogus"])
+        assert payload == {
+            "command": "rank",
+            "error": "ArgumentError",
+            "message": "unrecognized arguments: --bogus",
+        }
 
     def test_usage_error_without_a_command(self, capsys):
         payload = self._error(capsys, [])

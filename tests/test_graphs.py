@@ -152,6 +152,25 @@ class TestPairAutomaton:
         pairs = [pa.pair_index(p, q) for p in range(n) for q in range(p + 1, n)]
         assert pairs == list(range(n + 1, len(pa.step)))
         assert len(pa.step) == 1 + n + n * (n - 1) // 2
+        for p, q in ((0, 0), (0, n), (-1, 0)):
+            with pytest.raises(ValueError):
+                pa.pair_index(p, q)
+
+    def test_image_drops_undefined_paths(self):
+        rng = random.Random(106)
+        for _ in range(40):
+            dfa = random_partial_dfa(rng, rng.randint(1, 6), rng.randint(1, 3), 0.6)
+            pa = pair_automaton(dfa)
+            for _ in range(5):
+                mask = rng.randrange(1 << dfa.state_count)
+                word = tuple(
+                    rng.randrange(dfa.letter_count) for _ in range(rng.randint(0, 5))
+                )
+                states = [s for s in range(dfa.state_count) if mask >> s & 1]
+                image = dfa.image_mask(mask, word)
+                assert pa.image(states, word) == [
+                    s for s in range(dfa.state_count) if image >> s & 1
+                ]
 
 
 def d2_like() -> PartialDfa:

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from padfa import (
     BudgetExceededError,
     PartialDfa,
+    RankResult,
     SearchBudget,
     StateSet,
     exact_rank,
@@ -91,6 +93,14 @@ class TestMinRankWordSc:
         )
         assert min_rank_word_sc(dfa).rank == 1
         assert exact_rank(dfa).rank == 1
+
+    def test_empty_alphabet(self):
+        dfa = PartialDfa(1, (), ((),))
+        pa = pair_automaton(dfa)
+        assert len(pa.step) == 2
+        assert pa.step[pa.singleton_index(0)] == ()
+        assert pa.merge_policy() == ([None, 0], [None, None])
+        assert min_rank_word_sc(dfa) == RankResult(1, ())
 
     def test_not_strongly_connected_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +195,78 @@ def test_prefix_extension_reaches_minimum_rank():
                 node = pa.step[node][policy[node]]
             mask = dfa.image_mask(mask, tuple(word))
         assert mask.bit_count() == target
+
+
+def _reference_pair_merge(dfa: PartialDfa):
+    """Greedy pair merging written from its definition: the pair automaton
+    over frozensets, distances by backward breadth-first search from the
+    singletons, per node the smallest letter into the level below, then the
+    (d, p, q)-smallest mergeable pair of the survivors, round by round.
+
+    Returns the rank, the witness, and ``dist``/``policy`` keyed by node."""
+    n, k = dfa.state_count, dfa.letter_count
+
+    def image(node: frozenset, letter: int) -> frozenset:
+        return frozenset(dfa.step(s, letter) for s in node) - {None}
+
+    nodes = [frozenset(c) for size in (0, 1, 2) for c in combinations(range(n), size)]
+    preds: dict[frozenset, list] = {node: [] for node in nodes}
+    for node in nodes:
+        for letter in range(k):
+            preds[image(node, letter)].append((node, letter))
+    level = [node for node in nodes if len(node) == 1]
+    dist = dict.fromkeys(level, 0)
+    policy: dict[frozenset, int] = {}
+    distance = 0
+    while level:
+        distance += 1
+        farther: dict[frozenset, int] = {}
+        for node in level:
+            for pred, letter in preds[node]:
+                if pred not in dist:
+                    farther[pred] = min(letter, farther.get(pred, letter))
+        for pred, letter in farther.items():
+            dist[pred] = distance
+            policy[pred] = letter
+        level = list(farther)
+
+    survivors = set(range(n))
+    witness: list[int] = []
+    while True:
+        candidates = [
+            (dist[frozenset(pair)], *pair)
+            for pair in combinations(sorted(survivors), 2)
+            if frozenset(pair) in dist
+        ]
+        if not candidates:
+            break
+        _, p, q = min(candidates)
+        node = frozenset((p, q))
+        while dist[node]:
+            letter = policy[node]
+            witness.append(letter)
+            node = image(node, letter)
+            survivors = {dfa.step(s, letter) for s in survivors} - {None}
+    return len(survivors), tuple(witness), dist, policy
+
+
+def test_pair_merging_matches_the_reference():
+    rng = random.Random(207)
+    cases = [
+        random_sc_dfa(rng, max_states=9, density_range=(0.3, 1.0))
+        for _ in range(300)
+    ]
+    cases += [cerny(n) for n in range(2, 31)]
+    for dfa in cases:
+        rank, witness, dist, policy = _reference_pair_merge(dfa)
+        assert min_rank_word_sc(dfa) == RankResult(rank, witness)
+        pa = pair_automaton(dfa)
+        nodes = [frozenset()] + [frozenset((s,)) for s in range(dfa.state_count)]
+        nodes += map(frozenset, combinations(range(dfa.state_count), 2))
+        assert pa.merge_policy() == (
+            [dist.get(node) for node in nodes],
+            [policy.get(node) for node in nodes],
+        )
 
 
 class TestLengthBound:
