@@ -17,11 +17,11 @@ from .birecurrent import (
     is_birecurrent_direct,
     minimize,
 )
-from .bruteforce import brute_language, brute_rank, brute_saturating_word
 from .core import (
     DEFAULT_BUDGET,
     Acceptor,
     BudgetExceededError,
+    IntersectionInstance,
     PartialDfa,
     SearchBudget,
     StateSet,
@@ -29,7 +29,6 @@ from .core import (
 )
 from .gadgets import (
     GadgetLayout,
-    IntersectionInstance,
     binarize,
     binarize_with_selfloop,
     build_complete_gadget,
@@ -77,9 +76,6 @@ __all__ = [
     "Word",
     "binarize",
     "binarize_with_selfloop",
-    "brute_language",
-    "brute_rank",
-    "brute_saturating_word",
     "build_complete_gadget",
     "build_saturation_gadget",
     "build_sc_gadget",

@@ -3,17 +3,19 @@
 Exit codes follow one contract everywhere: 0 for yes/ok, 1 for a negative
 verdict (not synchronizing, no saturating word, not birecurrent, no common
 word), 2 for errors of any kind (parse failures, violated preconditions,
-exhausted search budgets).  ``--json`` switches every command to a single
-machine-readable object on stdout with the same verdicts; an error then is
-the object ``{"command", "error", "message"}``, where ``error`` names the
-exception class (``ArgumentError`` for a usage error, whose ``command`` is
-``null`` when no command was recognized).
+exhausted search budgets, internal errors such as ``MemoryError``, and a
+closed stdout, after which nothing more is written).  ``--json`` switches
+every command to a single machine-readable object on stdout with the same
+verdicts; an error then is the object ``{"command", "error", "message"}``,
+where ``error`` names the exception class (``ArgumentError`` for a usage
+error, whose ``command`` is ``null`` when no command was recognized).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +27,6 @@ from .birecurrent import (
 from .core import DEFAULT_BUDGET, BudgetExceededError, PartialDfa, StateSet, Word
 from .formats import (
     LoadedAutomaton,
-    ParseError,
     parse_automaton,
     parse_instance,
     serialize_automaton,
@@ -255,12 +256,11 @@ def cmd_oracle(args) -> int:
     if word is None:
         _emit(args, ["none"], {"command": "oracle", "found": False, "word": None})
         return 1
-    alphabet = instance.alphabet
-    names = [alphabet[a] for a in word]
+    dfa = instance.machines[0].dfa
     _emit(
         args,
-        [f"common word: {' '.join(names) if names else 'ε'}"],
-        {"command": "oracle", "found": True, "word": names},
+        [f"common word: {_render_word(dfa, word)}"],
+        {"command": "oracle", "found": True, "word": list(dfa.word_names(word))},
     )
     return 0
 
@@ -410,18 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(command: str | None, error: str, message: str) -> None:
+    """The ``--json`` error object, on stdout."""
+    payload = {"command": command, "error": error, "message": message}
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _fail(args, exc: Exception, label: str) -> int:
     """Report ``exc`` as a JSON error object on stdout under ``--json``, else
-    as ``label: message`` on stderr; either way the exit code is 2."""
+    as ``label: message`` on stderr, the message falling back to the class
+    name (a ``MemoryError`` has none); either way the exit code is 2."""
+    message = str(exc) or type(exc).__name__
     if args.json:
-        payload = {
-            "command": args.command,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        print(json.dumps(payload, sort_keys=True))
+        _print_error(args.command, type(exc).__name__, message)
     else:
-        print(f"{label}: {exc}", file=sys.stderr)
+        print(f"{label}: {message}", file=sys.stderr)
     return 2
 
 
@@ -438,21 +441,24 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     except _UsageError as exc:
         if "--json" in argv:
-            payload = {
-                "command": parsed.command,
-                "error": "ArgumentError",
-                "message": str(exc),
-            }
-            print(json.dumps(payload, sort_keys=True))
+            _print_error(parsed.command, "ArgumentError", str(exc))
         else:
             exc.parser.print_usage(sys.stderr)
             print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.handler(args)
-    except (ParseError, ValueError, OSError, BudgetExceededError) as exc:
+        status = args.handler(args)
+        # A short output is still buffered; a closed stdout shows up here.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: write nothing more to it, and point it
+        # at os.devnull so that the interpreter's final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except (ValueError, OSError, BudgetExceededError) as exc:
         return _fail(args, exc, "error")
-    except RuntimeError as exc:
+    except Exception as exc:
         return _fail(args, exc, "internal error")
 
 

@@ -1,4 +1,5 @@
-"""Core data types for partial deterministic finite automata.
+"""Core data types for partial deterministic finite automata and for the
+finite-automata intersection (FAI) instances the gadgets reduce from.
 
 A partial DFA keeps its transition table as a dense (state x letter) grid
 whose entries are either a target state index or ``None`` for "undefined".
@@ -207,24 +208,12 @@ class StateSet:
     def full(cls, universe: int) -> "StateSet":
         return cls(universe, (1 << universe) - 1)
 
-    def union(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.universe, self.mask | other.mask)
-
     def intersection(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.universe, self.mask & other.mask)
 
-    def difference(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.universe, self.mask & ~other.mask)
-
     def complement(self) -> "StateSet":
         return StateSet(self.universe, ((1 << self.universe) - 1) & ~self.mask)
-
-    def issubset(self, other: "StateSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
 
     def _check(self, other: "StateSet") -> None:
         if self.universe != other.universe:
@@ -321,19 +310,8 @@ class PartialDfa:
         except ValueError:
             raise ValueError(f"unknown letter {name!r}") from None
 
-    def word_from_names(self, names: Iterable[str]) -> Word:
-        return tuple(self.letter_index(name) for name in names)
-
     def word_names(self, word: Word) -> tuple[str, ...]:
         return tuple(self.alphabet[a] for a in word)
-
-    def step(self, state: int, letter: int) -> Optional[int]:
-        """Apply one letter to one state; ``None`` when undefined."""
-        if not 0 <= state < self.state_count:
-            raise ValueError(f"state {state} out of range")
-        if not 0 <= letter < len(self.alphabet):
-            raise ValueError(f"letter index {letter} out of range")
-        return self.transitions[state][letter]
 
     def run(self, state: int, word: Word) -> Optional[int]:
         """Apply a word to one state, ``None`` as soon as a step is undefined."""
@@ -437,3 +415,27 @@ class Acceptor:
             return False
         state = self.dfa.run(self.initial, word)
         return state is not None and state in self.accepting
+
+
+@dataclass(frozen=True)
+class IntersectionInstance:
+    """A finite-automata intersection instance: complete acceptors sharing
+    one alphabet."""
+
+    machines: tuple[Acceptor, ...]
+
+    def __post_init__(self):
+        if not self.machines:
+            raise ValueError("an instance needs at least one machine")
+        alphabet = self.machines[0].dfa.alphabet
+        for i, machine in enumerate(self.machines):
+            if machine.is_empty:
+                raise ValueError(f"machine {i} has no states")
+            if machine.dfa.alphabet != alphabet:
+                raise ValueError(f"machine {i} uses a different alphabet")
+            if not machine.dfa.is_complete():
+                raise ValueError(f"machine {i} is not complete")
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return self.machines[0].dfa.alphabet

@@ -17,7 +17,8 @@ DFA).  Instance files start with one shared ``alphabet:`` line followed by
 one ``machine:`` block per acceptor using the same keys.  Serialization is
 canonical (sorted transition lines), so parse -> serialize -> parse is the
 identity on semantic content.  A file may declare at most ``MAX_STATES``
-states (2**20); a larger ``states:`` count is a :class:`ParseError`.
+states (2**20); a larger ``states:`` count is a :class:`ParseError`.  The
+module imports only ``core``, so loading a file loads no gadget code.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Acceptor, PartialDfa, StateSet
-from .gadgets import IntersectionInstance
+from .core import Acceptor, IntersectionInstance, PartialDfa, StateSet
 
 
 class ParseError(ValueError):
@@ -182,6 +182,23 @@ def _check_letter_names(alphabet: tuple[str, ...]) -> None:
             raise ValueError(f"letter name {name!r} contains whitespace")
 
 
+def _body_lines(
+    dfa: PartialDfa, initial: Optional[int], accepting: Optional[StateSet]
+) -> list[str]:
+    """The ``initial:``, ``accepting:`` and ``trans:`` lines of one automaton
+    (the first two only when given), shared by both file kinds."""
+    lines = []
+    if initial is not None:
+        lines.append(f"initial: {initial}")
+    if accepting is not None:
+        lines.append(("accepting: " + " ".join(map(str, sorted(accepting)))).rstrip())
+    for state, row in enumerate(dfa.transitions):
+        for letter, target in enumerate(row):
+            if target is not None:
+                lines.append(f"trans: {state} {dfa.alphabet[letter]} {target}")
+    return lines
+
+
 def serialize_automaton(
     dfa: PartialDfa,
     initial: Optional[int] = None,
@@ -190,14 +207,7 @@ def serialize_automaton(
     _check_letter_names(dfa.alphabet)
     lines = [f"states: {dfa.state_count}"]
     lines.append(("alphabet: " + " ".join(dfa.alphabet)).rstrip())
-    if initial is not None:
-        lines.append(f"initial: {initial}")
-    if accepting is not None:
-        lines.append(("accepting: " + " ".join(map(str, sorted(accepting)))).rstrip())
-    for state in range(dfa.state_count):
-        for letter, target in enumerate(dfa.transitions[state]):
-            if target is not None:
-                lines.append(f"trans: {state} {dfa.alphabet[letter]} {target}")
+    lines += _body_lines(dfa, initial, accepting)
     return "\n".join(lines) + "\n"
 
 
@@ -232,12 +242,7 @@ def parse_instance(text: str) -> IntersectionInstance:
         loaded = _build_automaton(block, alphabet=alphabet)
         if loaded.initial is None:
             raise ParseError(f"machine {i}: missing 'initial:' line")
-        accepting = (
-            loaded.accepting
-            if loaded.accepting is not None
-            else StateSet(loaded.dfa.state_count)
-        )
-        machines.append(Acceptor(loaded.dfa, loaded.initial, accepting))
+        machines.append(loaded.require_acceptor())
     try:
         return IntersectionInstance(tuple(machines))
     except ValueError as exc:
@@ -246,21 +251,11 @@ def parse_instance(text: str) -> IntersectionInstance:
 
 def serialize_instance(instance: IntersectionInstance) -> str:
     _check_letter_names(instance.alphabet)
-    chunks = [("alphabet: " + " ".join(instance.alphabet)).rstrip()]
+    lines = [("alphabet: " + " ".join(instance.alphabet)).rstrip()]
     for machine in instance.machines:
-        chunks.append("machine:")
-        chunks.append(f"states: {machine.dfa.state_count}")
-        chunks.append(f"initial: {machine.initial}")
-        chunks.append(
-            ("accepting: " + " ".join(map(str, sorted(machine.accepting)))).rstrip()
-        )
-        for state in range(machine.dfa.state_count):
-            for letter, target in enumerate(machine.dfa.transitions[state]):
-                if target is not None:
-                    chunks.append(
-                        f"trans: {state} {machine.dfa.alphabet[letter]} {target}"
-                    )
-    return "\n".join(chunks) + "\n"
+        lines += ["machine:", f"states: {machine.dfa.state_count}"]
+        lines += _body_lines(machine.dfa, machine.initial, machine.accepting)
+    return "\n".join(lines) + "\n"
 
 
 def _quote(text: str) -> str:

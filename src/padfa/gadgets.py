@@ -16,7 +16,8 @@ oracle against which the four gadget constructions are verified:
                                   distinguished target set
 
 Every construction is deterministic: fresh letter names, target choices and
-state numbering depend only on the instance.
+state numbering depend only on the instance.  The instance type,
+``IntersectionInstance``, comes from ``core``.
 """
 
 from __future__ import annotations
@@ -28,36 +29,13 @@ from typing import Any, Optional
 from .core import (
     DEFAULT_BUDGET,
     Acceptor,
+    IntersectionInstance,
     PartialDfa,
     SearchBudget,
     StateSet,
     Word,
 )
 from .graphs import coreachable_to, reachable_from
-
-
-@dataclass(frozen=True)
-class IntersectionInstance:
-    """A finite-automata intersection instance: complete acceptors sharing
-    one alphabet."""
-
-    machines: tuple[Acceptor, ...]
-
-    def __post_init__(self):
-        if not self.machines:
-            raise ValueError("an instance needs at least one machine")
-        alphabet = self.machines[0].dfa.alphabet
-        for i, machine in enumerate(self.machines):
-            if machine.is_empty:
-                raise ValueError(f"machine {i} has no states")
-            if machine.dfa.alphabet != alphabet:
-                raise ValueError(f"machine {i} uses a different alphabet")
-            if not machine.dfa.is_complete():
-                raise ValueError(f"machine {i} is not complete")
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return self.machines[0].dfa.alphabet
 
 
 @dataclass(frozen=True)

@@ -112,13 +112,9 @@ def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
     if acceptor.initial not in useful:
         return Acceptor.empty(dfa.alphabet), {}
     old_to_new = {old: new for new, old in enumerate(useful)}
-    rows = []
-    for old in useful:
-        row = []
-        for target in dfa.transitions[old]:
-            row.append(old_to_new.get(target) if target is not None else None)
-        rows.append(tuple(row))
-    trimmed = PartialDfa(len(useful), dfa.alphabet, tuple(rows))
+    # ``None`` and the states outside ``useful`` both map to ``None``.
+    rows = tuple(tuple(map(old_to_new.get, dfa.transitions[old])) for old in useful)
+    trimmed = PartialDfa(len(useful), dfa.alphabet, rows)
     accepting = StateSet.from_iterable(
         len(useful), (old_to_new[s] for s in acceptor.accepting if s in old_to_new)
     )

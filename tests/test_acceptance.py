@@ -14,9 +14,6 @@ import time
 from padfa import (
     StateSet,
     binarize,
-    brute_language,
-    brute_rank,
-    brute_saturating_word,
     build_complete_gadget,
     build_saturation_gadget,
     build_sc_gadget,
@@ -34,6 +31,7 @@ from padfa import (
     pair_automaton,
     rank_word_length_bound,
 )
+from padfa.bruteforce import brute_language, brute_rank, brute_saturating_word
 from padfa.cli import main
 from padfa.formats import parse_automaton, serialize_automaton, serialize_instance
 

@@ -12,7 +12,6 @@ from padfa import (
     PartialDfa,
     SearchBudget,
     StateSet,
-    brute_language,
     build_saturation_gadget,
     determinize_reversal,
     is_birecurrent,
@@ -21,6 +20,7 @@ from padfa import (
     is_strongly_connected,
     minimize,
 )
+from padfa.bruteforce import brute_language
 
 from support import (
     m2,

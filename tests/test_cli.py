@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import padfa.birecurrent
 import padfa.cli
+from padfa import PartialDfa
 from padfa.cli import main
-from padfa.formats import parse_automaton, serialize_automaton
+from padfa.formats import parse_automaton, serialize_acceptor, serialize_automaton
 
 from support import c4, reversal_blowup
 
@@ -68,10 +73,6 @@ trans: 1 b 1
 """
 
 
-def _serialize_acceptor(acceptor) -> str:
-    return serialize_automaton(acceptor.dfa, acceptor.initial, acceptor.accepting)
-
-
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -81,7 +82,7 @@ def files(tmp_path):
         "yes.inst": YES_INSTANCE,
         "no.inst": NO_INSTANCE,
         "c4.aut": serialize_automaton(c4()),
-        "r16.aut": _serialize_acceptor(reversal_blowup(16)),
+        "r16.aut": serialize_acceptor(reversal_blowup(16)),
     }.items():
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
@@ -299,6 +300,35 @@ class TestDotCommand:
         assert main(["dot", files["m2.aut"], "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"command": "dot", "dot": out}
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("command", ["dot", "info"])
+    def test_closed_stdout_exits_two(self, tmp_path, command, flags):
+        # ``padfa dot big.aut | head -c 10`` once the reader has gone: ``dot``
+        # fails inside its 230 KB write, ``info`` only when its few buffered
+        # lines are flushed (so stdout keeps its default buffering here).
+        # Nothing more is written, to stdout or stderr, and the exit code is 2.
+        n = 3000
+        cycle = PartialDfa(n, ("a",), tuple(((s + 1) % n,) for s in range(n)))
+        path = tmp_path / "cycle.aut"
+        path.write_text(serialize_automaton(cycle), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(padfa.cli.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "padfa", command, str(path), *flags],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b""
+        assert proc.returncode == 2
+
 
 def test_usage_error_exits_two(capsys):
     assert main(["rank"]) == 2
@@ -389,20 +419,32 @@ class TestJsonErrors:
         assert payload["command"] == "birecurrent"
         assert payload["error"] == "MethodDisagreement"
 
-    def test_runtime_error_is_internal(self, files, capsys, monkeypatch):
-        # A failed postcondition exits 2, never 1 (a negative verdict).
+    @pytest.mark.parametrize(
+        "error",
+        [
+            RuntimeError("postcondition failed"),
+            MemoryError(),
+            TypeError("unsupported operand"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_runtime_error_is_internal(self, files, capsys, monkeypatch, error):
+        # A failed postcondition or any other unexpected exception exits 2,
+        # never 1 (a negative verdict).  An error without a message, such as
+        # the interpreter's MemoryError, is reported by its class name.
         def broken(*args, **kwargs):
-            raise RuntimeError("postcondition failed")
+            raise error
 
         monkeypatch.setattr(padfa.cli, "find_saturating_min_rank_word", broken)
         argv = ["saturate", files["m2.aut"], "--set", "all"]
         payload = self._error(capsys, argv)
         assert payload["command"] == "saturate"
-        assert payload["error"] == "RuntimeError"
+        assert payload["error"] == type(error).__name__
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "internal error: postcondition failed\n"
+        assert captured.err == f"internal error: {payload['message']}\n"
+        assert payload["message"] == (str(error) or type(error).__name__)
 
     def test_abbreviated_json_is_a_usage_error(self, files, capsys):
         # Without prefix matching, ``--json`` has exactly one spelling.

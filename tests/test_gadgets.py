@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import padfa.core
+import padfa.gadgets
 from padfa import (
     Acceptor,
     IntersectionInstance,
@@ -108,6 +110,11 @@ class TestHasCommonWord:
         )
         with pytest.raises(ValueError):
             IntersectionInstance((one_state_universal(), a_only))
+
+    def test_instance_type_lives_in_core(self):
+        # One class, reachable from the package, ``core`` and ``gadgets``.
+        assert IntersectionInstance is padfa.core.IntersectionInstance
+        assert IntersectionInstance is padfa.gadgets.IntersectionInstance
 
 
 class TestSyncGadget:

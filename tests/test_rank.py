@@ -207,7 +207,7 @@ def _reference_pair_merge(dfa: PartialDfa):
     n, k = dfa.state_count, dfa.letter_count
 
     def image(node: frozenset, letter: int) -> frozenset:
-        return frozenset(dfa.step(s, letter) for s in node) - {None}
+        return frozenset(dfa.transitions[s][letter] for s in node) - {None}
 
     nodes = [frozenset(c) for size in (0, 1, 2) for c in combinations(range(n), size)]
     preds: dict[frozenset, list] = {node: [] for node in nodes}
@@ -246,7 +246,7 @@ def _reference_pair_merge(dfa: PartialDfa):
             letter = policy[node]
             witness.append(letter)
             node = image(node, letter)
-            survivors = {dfa.step(s, letter) for s in survivors} - {None}
+            survivors = {dfa.transitions[s][letter] for s in survivors} - {None}
     return len(survivors), tuple(witness), dist, policy
 
 

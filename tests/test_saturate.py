@@ -6,11 +6,11 @@ import padfa.saturate
 from padfa import (
     PartialDfa,
     StateSet,
-    brute_saturating_word,
     exact_rank,
     find_saturating_min_rank_word,
     is_saturated_by,
 )
+from padfa.bruteforce import brute_saturating_word
 
 from support import d2, m2, p2, random_partial_dfa, random_word
 
