@@ -1,14 +1,21 @@
 """Command-line front end.
 
+Each ``cmd_*`` handler only computes its exit status, plain lines and
+``--json`` object; ``main`` is the one writer and the one guard against a
+closed stdout.
+
 Exit codes follow one contract everywhere: 0 for yes/ok, 1 for a negative
 verdict (not synchronizing, no saturating word, not birecurrent, no common
-word), 2 for errors of any kind (parse failures, violated preconditions,
-exhausted search budgets, internal errors such as ``MemoryError``, and a
-closed stdout, after which nothing more is written).  ``--json`` switches
-every command to a single machine-readable object on stdout with the same
-verdicts; an error then is the object ``{"command", "error", "message"}``,
-where ``error`` names the exception class (``ArgumentError`` for a usage
-error, whose ``command`` is ``null`` when no command was recognized).
+word), 2 for errors of any kind (usage errors, parse failures, violated
+preconditions, exhausted search budgets, internal errors such as
+``MemoryError``, a failed write to stdout, reported on stderr, and a closed
+stdout, after which nothing more is written, be it an answer, an error or
+the help text).  ``--json`` anywhere in the arguments switches to a single
+machine-readable object on stdout with the same verdicts; an error then is
+the object ``{"command", "error", "message"}``, where ``error`` names the
+exception class (``ArgumentError`` for a usage error, whose ``command`` is
+``null`` when no command was recognized).  Only the commands that search
+take ``--budget``.
 """
 
 from __future__ import annotations
@@ -59,14 +66,6 @@ def _render_word(dfa: PartialDfa, word: Word) -> str:
     return " ".join(dfa.word_names(word)) if word else "ε"
 
 
-def _emit(args, human: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in human:
-            print(line)
-
-
 def _parse_set(spec: str, universe: int) -> StateSet:
     if spec == "all":
         return StateSet.full(universe)
@@ -79,17 +78,17 @@ def _parse_set(spec: str, universe: int) -> StateSet:
     return StateSet.from_iterable(universe, members)
 
 
-def cmd_validate(args) -> int:
+# What a handler returns: (exit status, plain lines, ``--json`` object).
+Answer = tuple[int, list[str], dict]
+
+
+def cmd_validate(args) -> Answer:
     loaded = _load_automaton(args.file)
-    _emit(
-        args,
-        ["ok"],
-        {"command": "validate", "ok": True, "states": loaded.dfa.state_count},
-    )
-    return 0
+    payload = {"command": "validate", "ok": True, "states": loaded.dfa.state_count}
+    return 0, ["ok"], payload
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> Answer:
     loaded = _load_automaton(args.file)
     dfa = loaded.dfa
     connected = dfa.state_count > 0 and is_strongly_connected(dfa)
@@ -108,11 +107,10 @@ def cmd_info(args) -> int:
         f"permutation: {'yes' if payload['permutation'] else 'no'}",
         f"strongly_connected: {'yes' if connected else 'no'}",
     ]
-    _emit(args, human, payload)
-    return 0
+    return 0, human, payload
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> Answer:
     loaded = _load_automaton(args.file)
     if args.method == "poly":
         result = min_rank_word_sc(loaded.dfa)
@@ -128,11 +126,10 @@ def cmd_rank(args) -> int:
     if args.witness:
         human.append(f"witness: {_render_word(loaded.dfa, result.witness)}")
         payload["witness"] = list(loaded.dfa.word_names(result.witness))
-    _emit(args, human, payload)
-    return 0
+    return 0, human, payload
 
 
-def cmd_sync(args) -> int:
+def cmd_sync(args) -> Answer:
     loaded = _load_automaton(args.file)
     synchronizing, witness = is_synchronizing(loaded.dfa, args.budget)
     payload = {"command": "sync", "synchronizing": synchronizing}
@@ -140,19 +137,17 @@ def cmd_sync(args) -> int:
     if args.witness and witness is not None:
         human.append(f"witness: {_render_word(loaded.dfa, witness)}")
         payload["witness"] = list(loaded.dfa.word_names(witness))
-    _emit(args, human, payload)
-    return 0 if synchronizing else 1
+    return (0 if synchronizing else 1), human, payload
 
 
-def cmd_saturate(args) -> int:
+def cmd_saturate(args) -> Answer:
     loaded = _load_automaton(args.file)
     states = _parse_set(args.set, loaded.dfa.state_count)
     word = find_saturating_min_rank_word(loaded.dfa, states, args.budget)
     if word is None:
-        _emit(args, ["none"], {"command": "saturate", "found": False, "word": None})
-        return 1
-    _emit(
-        args,
+        return 1, ["none"], {"command": "saturate", "found": False, "word": None}
+    return (
+        0,
         [f"saturating word: {_render_word(loaded.dfa, word)}"],
         {
             "command": "saturate",
@@ -160,10 +155,9 @@ def cmd_saturate(args) -> int:
             "word": list(loaded.dfa.word_names(word)),
         },
     )
-    return 0
 
 
-def cmd_birecurrent(args) -> int:
+def cmd_birecurrent(args) -> Answer:
     acceptor = _load_automaton(args.file).require_acceptor()
     if args.method == "direct":
         verdict = is_birecurrent_direct(acceptor, args.budget)
@@ -171,12 +165,11 @@ def cmd_birecurrent(args) -> int:
         verdict = is_birecurrent_characterization(acceptor, args.budget)
     else:
         verdict = is_birecurrent(acceptor, args.budget)
-    _emit(
-        args,
+    return (
+        0 if verdict else 1,
         [f"birecurrent: {'yes' if verdict else 'no'}"],
         {"command": "birecurrent", "method": args.method, "birecurrent": verdict},
     )
-    return 0 if verdict else 1
 
 
 def _layout_payload(kind: str, layout: GadgetLayout, extra: dict | None = None) -> dict:
@@ -198,7 +191,7 @@ def _layout_payload(kind: str, layout: GadgetLayout, extra: dict | None = None) 
     return payload
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> Answer:
     instance = _load_instance(args.instance)
     extra: dict | None = None
     if args.kind == "sync":
@@ -219,8 +212,8 @@ def cmd_reduce(args) -> int:
         + "\n",
         encoding="utf-8",
     )
-    _emit(
-        args,
+    return (
+        0,
         [f"wrote {out}", f"wrote {sidecar}"],
         {
             "command": "reduce",
@@ -231,10 +224,9 @@ def cmd_reduce(args) -> int:
             "letters": len(gadget.alphabet),
         },
     )
-    return 0
 
 
-def cmd_binarize(args) -> int:
+def cmd_binarize(args) -> Answer:
     loaded = _load_automaton(args.file)
     if args.add_selfloop:
         gadget, _ = binarize_with_selfloop(loaded.dfa)
@@ -242,38 +234,34 @@ def cmd_binarize(args) -> int:
         gadget, _ = binarize(loaded.dfa, args.last_letter)
     out = Path(args.output)
     out.write_text(serialize_automaton(gadget), encoding="utf-8")
-    _emit(
-        args,
+    return (
+        0,
         [f"wrote {out}"],
         {"command": "binarize", "output": str(out), "states": gadget.state_count},
     )
-    return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Answer:
     instance = _load_instance(args.instance)
     word = has_common_word(instance, args.budget)
     if word is None:
-        _emit(args, ["none"], {"command": "oracle", "found": False, "word": None})
-        return 1
+        return 1, ["none"], {"command": "oracle", "found": False, "word": None}
     dfa = instance.machines[0].dfa
-    _emit(
-        args,
+    return (
+        0,
         [f"common word: {_render_word(dfa, word)}"],
         {"command": "oracle", "found": True, "word": list(dfa.word_names(word))},
     )
-    return 0
 
 
-def cmd_dot(args) -> int:
+def cmd_dot(args) -> Answer:
     text = to_dot(_load_automaton(args.file))
-    _emit(args, [text.rstrip("\n")], {"command": "dot", "dot": text})
-    return 0
+    return 0, [text.rstrip("\n")], {"command": "dot", "dot": text}
 
 
 class _UsageError(Exception):
     """A command-line usage error, raised by the parser instead of printing
-    and exiting so that ``main`` can report it in the requested format."""
+    and exiting so that ``_outcome`` can report it in the requested format."""
 
     def __init__(self, parser: argparse.ArgumentParser, message: str):
         super().__init__(message)
@@ -281,12 +269,17 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # No prefix abbreviations: ``main`` looks for the literal ``--json``.
+    # No prefix abbreviations: ``_outcome`` looks for the literal ``--json``.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise _UsageError(self, message)
+
+    # argparse drops a failed write of the help text and exits 0; this lets
+    # a closed stdout reach ``main``.
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
     # argparse hands everything after a command to that command's parser
     # through this method and lets the root report what is left over; each
@@ -304,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
-    common.add_argument(
+    # Only the commands that run a search spend a budget.
+    searching = argparse.ArgumentParser(add_help=False, parents=[common])
+    searching.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=cmd_info)
 
-    p = sub.add_parser("rank", parents=[common], help="minimum nonzero rank")
+    p = sub.add_parser("rank", parents=[searching], help="minimum nonzero rank")
     p.add_argument("file")
     p.add_argument(
         "--method",
@@ -339,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="also print the word")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("sync", parents=[common], help="is some word of rank 1?")
+    p = sub.add_parser("sync", parents=[searching], help="is some word of rank 1?")
     p.add_argument("file")
     p.add_argument("--witness", action="store_true", help="also print the word")
     p.set_defaults(handler=cmd_sync)
 
     p = sub.add_parser(
-        "saturate", parents=[common], help="saturating minimum-rank word for a set"
+        "saturate", parents=[searching], help="saturating minimum-rank word for a set"
     )
     p.add_argument("file")
     p.add_argument(
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_saturate)
 
     p = sub.add_parser(
-        "birecurrent", parents=[common], help="does the acceptor recognize a birecurrent set?"
+        "birecurrent", parents=[searching], help="does the acceptor recognize a birecurrent set?"
     )
     p.add_argument("file")
     p.add_argument(
@@ -398,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="reference analyses")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     q = oracle_sub.add_parser(
-        "common-word", parents=[common], help="shortest word accepted by all machines"
+        "common-word", parents=[searching], help="shortest word accepted by all machines"
     )
     q.add_argument("instance")
     q.set_defaults(handler=cmd_oracle)
@@ -410,57 +405,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_error(command: str | None, error: str, message: str) -> None:
-    """The ``--json`` error object, on stdout."""
-    payload = {"command": command, "error": error, "message": message}
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _fail(args, exc: Exception, label: str) -> int:
-    """Report ``exc`` as a JSON error object on stdout under ``--json``, else
-    as ``label: message`` on stderr, the message falling back to the class
-    name (a ``MemoryError`` has none); either way the exit code is 2."""
-    message = str(exc) or type(exc).__name__
-    if args.json:
-        _print_error(args.command, type(exc).__name__, message)
-    else:
-        print(f"{label}: {message}", file=sys.stderr)
-    return 2
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """Parse ``argv`` and run its command: the exit status and the text for
+    stdout and for stderr, be it the answer or the error."""
+    # The subcommand is recorded here before its own arguments are parsed,
+    # so a usage error can still name it.
+    args = argparse.Namespace(command=None)
+    try:
+        build_parser().parse_args(argv, args)
+        status, lines, payload = args.handler(args)
+        as_json, err = args.json, ""
+    except SystemExit as exc:
+        # -h/--help: argparse has printed the help text.
+        return (0 if exc.code in (0, None) else 2), "", ""
+    except BrokenPipeError:
+        raise  # a closed pipe is not reported; see ``main``
+    except Exception as exc:
+        # A ``MemoryError`` has no message: fall back to the class name.
+        message = str(exc) or type(exc).__name__
+        if isinstance(exc, _UsageError):
+            # The arguments did not parse, so ``args.json`` may be unset.
+            as_json, error = "--json" in argv, "ArgumentError"
+            label = exc.parser.format_usage() + f"{exc.parser.prog}: error"
+        else:
+            # ``args.json`` is unset if the help text could not be written.
+            as_json = getattr(args, "json", "--json" in argv)
+            error = type(exc).__name__
+            expected = isinstance(exc, (ValueError, OSError, BudgetExceededError))
+            label = "error" if expected else "internal error"
+        status, lines, err = 2, [], f"{label}: {message}\n"
+        payload = {"command": args.command, "error": error, "message": message}
+    if as_json:
+        return status, json.dumps(payload, sort_keys=True) + "\n", ""
+    return status, "".join(line + "\n" for line in lines), err
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and write its answer or its error: the one writer of
+    stdout and stderr, and the one guard against a closed stdout."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The subcommand is recorded here before its own arguments are parsed,
-    # so a usage error can still name it.
-    parsed = argparse.Namespace(command=None)
     try:
-        args = parser.parse_args(argv, parsed)
-    except SystemExit as exc:
-        # -h/--help
-        return 0 if exc.code in (0, None) else 2
-    except _UsageError as exc:
-        if "--json" in argv:
-            _print_error(parsed.command, "ArgumentError", str(exc))
-        else:
-            exc.parser.print_usage(sys.stderr)
-            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        status = args.handler(args)
+        status, out, err = _outcome(argv)
+        sys.stderr.write(err)
+        if out:  # an unbuffered write of nothing still fails on a full disk
+            sys.stdout.write(out)
         # A short output is still buffered; a closed stdout shows up here.
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # The reader closed stdout: write nothing more to it, and point it
-        # at os.devnull so that the interpreter's final flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
-    except (ValueError, OSError, BudgetExceededError) as exc:
-        return _fail(args, exc, "error")
-    except Exception as exc:
-        return _fail(args, exc, "internal error")
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        pass  # the reader closed stdout, or a pipe a handler wrote to
+    except (ValueError, OSError) as exc:
+        # stdout cannot take the answer: a character its encoding lacks, a full disk
+        sys.stderr.write(f"error: {exc}\n")
+    # Point stdout at os.devnull: the interpreter's final flush cannot fail.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 2

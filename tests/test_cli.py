@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -300,24 +301,53 @@ class TestDotCommand:
         assert main(["dot", files["m2.aut"], "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"command": "dot", "dot": out}
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
-    @pytest.mark.parametrize("command", ["dot", "info"])
-    def test_closed_stdout_exits_two(self, tmp_path, command, flags):
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [
+            (["dot", "{cycle}"], False),
+            (["dot", "{cycle}", "--json"], False),
+            (["info", "{cycle}"], False),
+            (["info", "{cycle}", "--json"], False),
+            (["validate", "{bad}", "--json"], False),
+            (["rank", "{cycle}", "--bogus", "--json"], False),
+            (["-h"], False),
+            (["-h"], True),
+        ],
+        ids=[
+            "dot-plain",
+            "dot-json",
+            "info-plain",
+            "info-json",
+            "json-parse-error",
+            "json-usage-error",
+            "help",
+            "help-unbuffered",
+        ],
+    )
+    def test_closed_stdout_exits_two(self, tmp_path, argv, unbuffered):
         # ``padfa dot big.aut | head -c 10`` once the reader has gone: ``dot``
         # fails inside its 230 KB write, ``info`` only when its few buffered
         # lines are flushed (so stdout keeps its default buffering here).
+        # The error object, a usage error and the help text meet the same
+        # closed stdout, and argparse must not swallow the failed help write
+        # when stdout is unbuffered.  ``{cycle}`` stands for a 3000-state
+        # cycle and ``{bad}`` for a file that does not parse.
         # Nothing more is written, to stdout or stderr, and the exit code is 2.
         n = 3000
         cycle = PartialDfa(n, ("a",), tuple(((s + 1) % n,) for s in range(n)))
-        path = tmp_path / "cycle.aut"
-        path.write_text(serialize_automaton(cycle), encoding="utf-8")
+        paths = {"{cycle}": tmp_path / "cycle.aut", "{bad}": tmp_path / "bad.aut"}
+        paths["{cycle}"].write_text(serialize_automaton(cycle), encoding="utf-8")
+        bad_text = "states: 1\nalphabet: a\ntrans: 0 a 9\n"
+        paths["{bad}"].write_text(bad_text, encoding="utf-8")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = str(Path(padfa.cli.__file__).resolve().parents[1])
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "padfa", command, str(path), *flags],
+                [sys.executable, "-m", "padfa", *[str(paths.get(a, a)) for a in argv]],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=env,
@@ -328,6 +358,67 @@ class TestDotCommand:
         assert b"Traceback" not in proc.stderr
         assert proc.stderr == b""
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "sink, argv",
+        [
+            (os.devnull, ["saturate", "p2.aut", "--set", "0"]),
+            ("/dev/full", ["dot", "m2.aut"]),
+            ("/dev/full", ["dot", "m2.aut", "--json"]),
+        ],
+        ids=["ascii", "full", "full-json"],
+    )
+    def test_failed_write_exits_two(self, files, sink, argv):
+        # stdout cannot take the answer: the empty word ``ε`` on an ASCII
+        # stdout, or any answer on a full disk.  The failure is one
+        # ``error: …`` line on stderr, also under ``--json``.
+        if not os.path.exists(sink):
+            pytest.skip(f"no {sink}")
+        env = dict(os.environ, PYTHONIOENCODING="ascii")
+        env["PYTHONPATH"] = str(Path(padfa.cli.__file__).resolve().parents[1])
+        with open(sink, "wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "padfa", *[files.get(a, a) for a in argv]],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1
+        assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "m2.aut"],
+        ["info", "m2.aut"],
+        ["dot", "m2.aut"],
+        ["reduce", "sync", "yes.inst", "-o", "{dir}/out.aut"],
+        ["binarize", "m2.aut", "--add-selfloop", "-o", "{dir}/out.aut"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_only_where_a_search_spends_it(files, capsys, argv):
+    argv = [files.get(a, a.replace("{dir}", str(files["dir"]))) for a in argv]
+    assert main(argv + ["--budget", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 5" in captured.err
+    assert main(argv + ["--budget", "5", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == argv[0]
+    assert payload["error"] == "ArgumentError"
+    assert not (files["dir"] / "out.aut").exists()
+
+
+def test_json_after_double_dash_is_a_file_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_usage_error_exits_two(capsys):
@@ -482,3 +573,188 @@ class TestJsonErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: direct=False but characterization=True\n"
+
+
+# The exact answer of every command, plain and under --json, from the
+# ``files`` fixture.  ``{dir}`` stands for the fixture's directory.  Each
+# case is (argv, exit code, plain stdout, JSON stdout, files written); a
+# written file is pinned by its text, or by its SHA-256 when it is long.
+_LAYOUTS = {
+    "sync": {
+        "kind": "sync",
+        "letter_map": {"check": 3, "reset": 2},
+        "meta": {
+            "check_letter": "check",
+            "reset_letter": "reset",
+            "universal_machine_index": 2,
+        },
+        "special_states": {"accept_sink": 5, "reject_sink": 6},
+        "state_map": {"0,0": 0, "0,1": 1, "1,0": 2, "1,1": 3, "2,0": 4},
+    },
+    "saturation": {
+        "kind": "saturation",
+        "letter_map": {"check": 3, "reset": 2},
+        "meta": {"check_letter": "check", "reset_letter": "reset"},
+        "special_states": {"accept_sink": 4},
+        "state_map": {"0,0": 0, "0,1": 1, "1,0": 2, "1,1": 3},
+    },
+    "sc": {
+        "kind": "sc",
+        "letter_map": {"check": 3, "jump1": 4, "jump2": 5, "reset": 2},
+        "meta": {"check_letter": "check", "reset_letter": "reset", "targets": [0, 2]},
+        "special_states": {"accept_sink": 4, "hub": 4},
+        "state_map": {"0,0": 0, "0,1": 1, "1,0": 2, "1,1": 3},
+    },
+    "complete": {
+        "kind": "complete",
+        "letter_map": {"check": 3, "jump1": 4, "jump2": 5, "reset": 2},
+        "meta": {
+            "check_letter": "check",
+            "reset_letter": "reset",
+            "targets": [0, 2],
+            "twin_of": {"0": 5, "1": 6, "10": 11, "2": 7, "3": 8, "4": 9},
+        },
+        "special_states": {
+            "accept_sink": 4,
+            "accept_sink_twin": 9,
+            "trap": 10,
+            "trap_twin": 11,
+        },
+        "state_map": {"0,0": 0, "0,1": 1, "1,0": 2, "1,1": 3},
+        "target_set": [0, 1, 2, 3, 4, 11],
+    },
+}
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_GADGET_SHA256 = {
+    "sync": "2a86a39c207dc788b8cb3f51a0b16f62d660b6812273257d863aa48bb7943e8a",
+    "saturation": "36b061722dcf42f810c817c8be5b113fa37a94f4638bf70012cd4d1e2ea4c9e0",
+    "sc": "176ce5c736ecdc1de91f1442d34c9d98c66d292eb30c860d0910469b62d0ecc6",
+    "complete": "a8898a234ee40e114123be233855c9392524fc2fe533b65fe85cf71189ca836c",
+}
+
+_GADGET_SIZES = {"sync": (4, 7), "saturation": (4, 5), "sc": (6, 5), "complete": (6, 12)}
+
+_C4_WITNESS = '["b", "a", "a", "a", "b", "a", "a", "a", "b"]'
+
+_M2_DOT = (
+    "digraph automaton {\n"
+    "  rankdir=LR;\n"
+    '  __start [shape=point, label=""];\n'
+    "  0 [shape=circle];\n"
+    "  1 [shape=doublecircle];\n"
+    "  __start -> 0;\n"
+    '  0 -> 1 [label="a"];\n'
+    '  1 -> 1 [label="a"];\n'
+    "}\n"
+)
+
+GOLDEN = {
+    "validate": (
+        ["validate", "m2.aut"],
+        0,
+        "ok\n",
+        '{"command": "validate", "ok": true, "states": 2}\n',
+        {},
+    ),
+    "info": (
+        ["info", "c4.aut"],
+        0,
+        "states: 4\nletters: 2\ncomplete: yes\npermutation: no\nstrongly_connected: yes\n",
+        '{"command": "info", "complete": true, "letters": 2, "permutation": false, '
+        '"states": 4, "strongly_connected": true}\n',
+        {},
+    ),
+    "rank": (
+        ["rank", "c4.aut", "--witness"],
+        0,
+        "rank: 1\nwitness: b a a a b a a a b\n",
+        '{"command": "rank", "method": "bfs", "rank": 1, '
+        f'"witness": {_C4_WITNESS}, "witness_length": 9}}\n',
+        {},
+    ),
+    "sync": (
+        ["sync", "c4.aut", "--witness"],
+        0,
+        "synchronizing\nwitness: b a a a b a a a b\n",
+        f'{{"command": "sync", "synchronizing": true, "witness": {_C4_WITNESS}}}\n',
+        {},
+    ),
+    "saturate": (
+        ["saturate", "p2.aut", "--set", "0"],
+        0,
+        "saturating word: ε\n",
+        '{"command": "saturate", "found": true, "word": []}\n',
+        {},
+    ),
+    "birecurrent": (
+        ["birecurrent", "p2.aut"],
+        0,
+        "birecurrent: yes\n",
+        '{"birecurrent": true, "command": "birecurrent", "method": "both"}\n',
+        {},
+    ),
+    **{
+        f"reduce-{kind}": (
+            ["reduce", kind, "yes.inst", "-o", f"{{dir}}/{kind}.aut"],
+            0,
+            f"wrote {{dir}}/{kind}.aut\nwrote {{dir}}/{kind}.aut.layout.json\n",
+            f'{{"command": "reduce", "kind": "{kind}", '
+            f'"layout": "{{dir}}/{kind}.aut.layout.json", "letters": {letters}, '
+            f'"output": "{{dir}}/{kind}.aut", "states": {states}}}\n',
+            {
+                f"{kind}.aut": _GADGET_SHA256[kind],
+                f"{kind}.aut.layout.json": _sha256(
+                    json.dumps(_LAYOUTS[kind], indent=2, sort_keys=True) + "\n"
+                ),
+            },
+        )
+        for kind, (letters, states) in _GADGET_SIZES.items()
+    },
+    "binarize": (
+        ["binarize", "m2.aut", "--add-selfloop", "-o", "{dir}/bin.aut"],
+        0,
+        "wrote {dir}/bin.aut\n",
+        '{"command": "binarize", "output": "{dir}/bin.aut", "states": 4}\n',
+        {
+            "bin.aut": _sha256(
+                "states: 4\nalphabet: 0 1\n"
+                "trans: 0 0 1\ntrans: 0 1 2\ntrans: 1 0 1\ntrans: 1 1 0\n"
+                "trans: 2 0 3\ntrans: 2 1 2\ntrans: 3 0 3\ntrans: 3 1 2\n"
+            )
+        },
+    ),
+    "oracle": (
+        ["oracle", "common-word", "yes.inst"],
+        0,
+        "common word: b a\n",
+        '{"command": "oracle", "found": true, "word": ["b", "a"]}\n',
+        {},
+    ),
+    "dot": (
+        ["dot", "m2.aut"],
+        0,
+        _M2_DOT,
+        json.dumps({"command": "dot", "dot": _M2_DOT}) + "\n",
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "json"])
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_exact_output(files, capsys, case, mode):
+    argv, code, plain, as_json, written = GOLDEN[case]
+    directory = str(files["dir"])
+    argv = [files.get(arg, arg.replace("{dir}", directory)) for arg in argv]
+    assert main(argv + (["--json"] if mode == "json" else [])) == code
+    captured = capsys.readouterr()
+    expected = plain if mode == "plain" else as_json
+    assert captured.out == expected.replace("{dir}", directory)
+    assert captured.err == ""
+    # Each written file is pinned by the SHA-256 of its bytes.
+    for name, pinned in written.items():
+        assert hashlib.sha256((files["dir"] / name).read_bytes()).hexdigest() == pinned
