@@ -7,22 +7,47 @@ at most two) that drives the polynomial minimum-rank search.
 The pair automaton is stored as one column per letter, filled a state at
 a time: the pairs {p, q} with q > p are consecutive nodes, so one ``map``
 reads all their targets off row t(p) of the image-node matrix
-``node_of``, where index n stands for "undefined".
+``node_of``, where index n stands for "undefined".  Its merge policy and
+image read many entries at once by ``gather``, one C-level
+``itemgetter`` call per list of indices.
 
 Every backward walk reads the predecessor table of ``predecessor_links``:
-coreachability (so ``trim`` and strong connectivity), the merge policy of
-the pair automaton (one table per letter column), and the direct
-birecurrence test on the reversal.
+coreachability (so ``trim`` and strong connectivity), the direct
+birecurrence test on the reversal, and the merge policy of the pair
+automaton (one table per letter column) once it stops pulling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import itemgetter
-from typing import Iterable, Optional
+from operator import itemgetter, not_
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .core import Acceptor, PartialDfa, StateSet
+
+T = TypeVar("T")
+
+# The merge policy pulls until the unassigned pairs, summed over its pull
+# levels, would pass PULL_LIMIT node counts, and then pushes for good: a
+# ski-rental rule, which pays for the predecessor links only once the pulls
+# have cost a few times as much.  Random questions finish after pulling about
+# 2.3 node counts, in 0.55-0.75 of the time that pushing takes; C_n, with its
+# thousands of one-node levels, switches after four levels and takes 1.25-1.7
+# times as long as pushing throughout (CPython 3.11: n = 200 and 800, C_64
+# and C_128).
+PULL_LIMIT = 4
+
+
+def gather(seq: Sequence[T], indices: Sequence[int]) -> tuple[T, ...]:
+    """``tuple(seq[i] for i in indices)`` in one C-level call.
+
+    ``itemgetter`` returns a bare item for one index and cannot be built
+    for none, so those two cases take the generator.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(seq[i] for i in indices)
 
 
 def predecessor_links(
@@ -157,6 +182,12 @@ class PairAutomaton:
     ``node_of`` is the (n+1) x (n+1) matrix of image nodes, so
     ``node_of[x][y]`` is the node of the set {x, y} with n dropped:
     ``node_of[x][n]`` is the singleton x and ``node_of[n][n]`` is dead.
+
+    ``merge_policy`` is a breadth-first search from the singletons that
+    pulls while its levels are few and large and pushes once they are not
+    (Beamer, Asanović and Patterson, "Direction-optimizing breadth-first
+    search", SC 2012), switching one way only, after ``PULL_LIMIT`` node
+    counts of pulls.
     """
 
     state_count: int
@@ -187,27 +218,59 @@ class PairAutomaton:
         """The states reached from ``states`` along ``word``, sorted,
         without the states whose path hits an undefined entry."""
         for letter in word:
-            states = list(map(self.targets[letter].__getitem__, states))
+            states = gather(self.targets[letter], states)
         return sorted(set(states) - {self.state_count})
 
     def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
         """Shortest word length from each node to any singleton (None if
         none) and, per node, the smallest letter moving one step closer.
 
-        Backward breadth-first search from the singletons, which are at
-        distance 0, one level at a time; the dead node is unreachable.  A
-        level is expanded letter by letter, walking one predecessor table
-        per letter, so the first letter to discover a node is its smallest
-        letter into the level below.
+        Breadth-first search from the singletons, which are at distance 0,
+        one level at a time; the dead node is never reached.  It starts by
+        pulling: at level d, letter by letter, it gathers the targets of the
+        still-unassigned pairs in the letter's column and then gathers the
+        marks of level d - 1 at those targets, so the first letter to hit a
+        node is its smallest letter into the level below.  A pull level
+        reads every unassigned pair, which pays on a few large levels but
+        not on many small ones (C_n has thousands of one-node levels).  So
+        once the unassigned pairs summed over the pulled levels would pass
+        ``PULL_LIMIT`` node counts, it builds one ``predecessor_links`` table
+        per letter and pushes for the remaining levels, letter by letter,
+        walking the predecessors of each node of the level.
         """
         node_count = self.node_count
-        links = [predecessor_links(column, node_count, 1) for column in self.columns]
+        n = self.state_count
         dist: list[Optional[int]] = [None] * node_count
         policy: list[Optional[int]] = [None] * node_count
-        level = list(map(self.singleton_index, range(self.state_count)))
-        for node in level:
-            dist[node] = 0
+        level = list(range(1, n + 1))
+        dist[1 : n + 1] = [0] * n
+        marks = bytearray(node_count)
+        marks[1 : n + 1] = b"\x01" * n
+        unassigned = list(range(n + 1, node_count))
+        pulls = PULL_LIMIT * node_count
         distance = 0
+        while level and unassigned:
+            pulls -= len(unassigned)
+            if pulls < 0:
+                break
+            distance += 1
+            level = []
+            reached = bytearray(node_count)
+            for letter, column in enumerate(self.columns):
+                hits = gather(marks, gather(column, unassigned))
+                found = list(compress(unassigned, hits))
+                if found:
+                    unassigned = list(compress(unassigned, map(not_, hits)))
+                    for node in found:
+                        dist[node] = distance
+                        policy[node] = letter
+                        reached[node] = 1
+                    level += found
+            marks = reached
+        if not (level and unassigned):
+            return dist, policy
+
+        links = [predecessor_links(column, node_count, 1) for column in self.columns]
         while level:
             distance += 1
             farther = []

@@ -27,7 +27,7 @@ from .core import (
     byte_tables,
     word_to,
 )
-from .graphs import is_strongly_connected, pair_automaton
+from .graphs import gather, is_strongly_connected, pair_automaton
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,11 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     Each round strictly shrinks S, and when no pair of S merges, |S| is the
     rank of the automaton.
 
-    S is a sorted list of states.  A round reads the distances of the pairs
-    {p, q} of survivors p < q through row p of the pair automaton's
-    ``node_of`` matrix, one ``map`` per p, walks the chosen pair through
-    the letter columns, and takes the image of S under the whole segment.
+    S is a sorted list of states.  A round lists the pair nodes {p, q} of
+    survivors p < q in (p, q) order, one ``gather`` from row p of the pair
+    automaton's ``node_of`` matrix per p, gathers their distances in one
+    call and takes the first smallest, walks the chosen pair through the
+    letter columns, and takes the image of S under the whole segment.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
@@ -123,18 +124,17 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
 
     survivors = list(range(dfa.state_count))
     witness: list[int] = []
-    while True:
-        best = (unmerged, 0, 0)
-        for i in range(len(survivors) - 1):
-            p = survivors[i]
-            rest = survivors[i + 1 :]
-            d, q = min(zip(map(key.__getitem__, map(node_of[p].__getitem__, rest)), rest))
-            if d < best[0]:
-                best = (d, p, q)
-        distance, p, q = best
+    while len(survivors) > 1:
+        # The pair nodes of the survivors in (p, q) order, so the first
+        # smallest distance belongs to the (d, p, q)-smallest pair.
+        nodes: list[int] = []
+        for i, p in enumerate(survivors[:-1]):
+            nodes += gather(node_of[p], survivors[i + 1 :])
+        distances = gather(key, nodes)
+        distance = min(distances)
         if distance == unmerged:
             break
-        node = node_of[p][q]
+        node = nodes[distances.index(distance)]
         segment: list[int] = []
         for _ in range(distance):
             letter = policy[node]

@@ -13,6 +13,7 @@ from padfa import (
     reachable_from,
     trim,
 )
+from padfa.graphs import gather
 
 from support import c4, m2, p2, random_partial_dfa
 
@@ -171,6 +172,57 @@ class TestPairAutomaton:
                 assert pa.image(states, word) == [
                     s for s in range(dfa.state_count) if image >> s & 1
                 ]
+
+    def test_image_of_no_state_and_of_one_state(self):
+        dfa = PartialDfa.from_map(3, ["a", "b"], {(0, "a"): 1, (1, "a"): 2, (2, "b"): 0})
+        pa = pair_automaton(dfa)
+        for word in ((), (0,), (0, 1), (1, 0, 0)):
+            assert pa.image([], word) == []
+            for state in range(3):
+                image = dfa.image_mask(1 << state, word)
+                assert pa.image([state], word) == [s for s in range(3) if image >> s & 1]
+
+    def test_merge_policy_of_one_state(self):
+        for dfa in (
+            PartialDfa(1, (), ((),)),
+            PartialDfa(1, ("a",), ((0,),)),
+            PartialDfa(1, ("a", "b"), ((None, 0),)),
+        ):
+            assert pair_automaton(dfa).merge_policy() == ([None, 0], [None, None])
+
+    def test_merge_policy_of_two_states_has_one_pair(self):
+        # Node 3 is the only pair; it merges under the first letter that
+        # maps both states to one state or leaves exactly one defined.
+        cases = {
+            m2(): ([None, 0, 0, 1], [None, None, None, 0]),
+            d2_like(): ([None, 0, 0, 1], [None, None, None, 0]),
+            PartialDfa(2, ("a", "b"), ((1, 0), (0, 0))): ([None, 0, 0, 1], [None, None, None, 1]),
+            PartialDfa(2, ("a", "b"), ((1, 1), (0, 1))): ([None, 0, 0, 1], [None, None, None, 1]),
+        }
+        for dfa, expected in cases.items():
+            pa = pair_automaton(dfa)
+            assert pa.node_count == 4
+            assert pa.merge_policy() == expected
+
+    def test_merge_policy_leaves_unmerged_pairs_unassigned(self):
+        # The pair of p2 never reaches a singleton, so the pull sweep ends
+        # with it still unassigned.
+        assert pair_automaton(p2()).merge_policy() == ([None, 0, 0, None], [None] * 4)
+        # State 2 is fixed by both letters and no other state ever reaches
+        # it, so {0, 1} merges under b while {0, 2} and {1, 2} never merge.
+        dfa = PartialDfa(3, ("a", "b"), ((1, 0), (0, 0), (2, 2)))
+        assert pair_automaton(dfa).merge_policy() == (
+            [None, 0, 0, 0, 1, None, None],
+            [None, None, None, None, 1, None, None],
+        )
+
+
+def test_gather_takes_any_number_of_indices():
+    seq = [10, 11, 12, 13]
+    assert gather(seq, []) == ()
+    assert gather(seq, [2]) == (12,)
+    assert gather(seq, [3, 0, 3]) == (13, 10, 13)
+    assert gather(bytearray(b"\x00\x01"), [1]) == (1,)
 
 
 def d2_like() -> PartialDfa:

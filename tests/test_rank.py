@@ -1,8 +1,9 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import padfa.graphs
 from padfa import (
     BudgetExceededError,
     PartialDfa,
@@ -10,6 +11,7 @@ from padfa import (
     SearchBudget,
     StateSet,
     exact_rank,
+    is_strongly_connected,
     is_synchronizing,
     min_rank_word_sc,
     pair_automaton,
@@ -267,6 +269,66 @@ def test_pair_merging_matches_the_reference():
             [dist.get(node) for node in nodes],
             [policy.get(node) for node in nodes],
         )
+
+
+def _reference_lists(dfa: PartialDfa, dist: dict, policy: dict):
+    """The reference ``dist`` and ``policy`` as lists in pair-automaton node
+    order: dead, the singletons, then the pairs in (p, q) order."""
+    nodes = [frozenset()] + [frozenset((s,)) for s in range(dfa.state_count)]
+    nodes += map(frozenset, combinations(range(dfa.state_count), 2))
+    return [dist.get(node) for node in nodes], [policy.get(node) for node in nodes]
+
+
+def _dense_random(n: int, seed: int) -> PartialDfa:
+    """A cycle letter (so strongly connected) and two random letters, each
+    entry defined with probability 0.9."""
+    rng = random.Random(seed)
+    rows = tuple(
+        ((s + 1) % n, *(rng.randrange(n) if rng.random() < 0.9 else None for _ in range(2)))
+        for s in range(n)
+    )
+    return PartialDfa(n, ("a", "b", "c"), rows)
+
+
+@pytest.mark.parametrize(
+    "dfa, tables",
+    # A few large levels: the pull sweep finishes and builds no table.
+    # Hundreds of one-pair levels: it switches to pushing, one table per letter.
+    [(_dense_random(60, 208), 0), (cerny(10), 2), (cerny(30), 2)],
+    ids=["random60", "cerny10", "cerny30"],
+)
+def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, dfa, tables):
+    built = []
+    links = padfa.graphs.predecessor_links
+
+    def counting(*args):
+        built.append(args)
+        return links(*args)
+
+    monkeypatch.setattr(padfa.graphs, "predecessor_links", counting)
+    _, _, dist, policy = _reference_pair_merge(dfa)
+    assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
+    assert len(built) == tables
+
+
+def _binary_automata(max_states: int):
+    """Every binary partial DFA with 1 to ``max_states`` states."""
+    for n in range(1, max_states + 1):
+        for flat in product([None, *range(n)], repeat=2 * n):
+            yield PartialDfa(n, ("a", "b"), tuple(zip(flat[::2], flat[1::2])))
+
+
+def test_pair_route_on_every_binary_automaton_up_to_three_states():
+    automata = list(_binary_automata(3))
+    assert len(automata) == 2**2 + 3**4 + 4**6 == 4181
+    strongly_connected = [dfa for dfa in automata if is_strongly_connected(dfa)]
+    assert len(strongly_connected) == 857
+    for dfa in strongly_connected:
+        rank, witness, dist, policy = _reference_pair_merge(dfa)
+        result = min_rank_word_sc(dfa)
+        assert result == RankResult(rank, witness)
+        assert result.rank == exact_rank(dfa).rank
+        assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
 
 
 class TestLengthBound:
