@@ -71,11 +71,10 @@ def _parse_set(spec: str, universe: int) -> StateSet:
         return StateSet.full(universe)
     if not spec.strip():
         return StateSet(universe)
-    try:
-        members = [int(token) for token in spec.split(",")]
-    except ValueError:
+    tokens = [token.strip() for token in spec.split(",")]
+    if not all(token.isascii() and token.isdigit() for token in tokens):
         raise ValueError(f"--set expects comma-separated indices, got {spec!r}")
-    return StateSet.from_iterable(universe, members)
+    return StateSet.from_iterable(universe, map(int, tokens))
 
 
 # What a handler returns: (exit status, plain lines, ``--json`` object).

@@ -23,7 +23,10 @@ form lives only as long as its search and is not cached on the automaton,
 which would keep 256 entries per 8 states and letter alive for every
 automaton a caller holds.  One-off images (``step_mask``, ``image_mask``)
 use ``union_image``, since compiling a table costs more than it saves
-there.
+there.  Images are masks in and masks out: a caller that checks one, such
+as the saturation postconditions, combines masks with ``&`` and counts
+them with ``int.bit_count``, and ``StateSet`` only carries a mask across
+the API.
 
 All values here are immutable after construction and safe to share between
 concurrent readers.
@@ -37,7 +40,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Word = tuple[int, ...]
-EMPTY_WORD: Word = ()
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -61,8 +63,8 @@ class SearchBudget:
         self.limit = limit
         self.remaining = limit
 
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError(
                 f"search budget of {self.limit} visited nodes exhausted"
@@ -180,11 +182,8 @@ def word_to(parents: Parents, node: int) -> Word:
 
 @dataclass(frozen=True)
 class StateSet:
-    """Subset of ``range(universe)`` backed by a bitmask.
-
-    Set operations require matching universes; ``mask`` bit ``i`` set means
-    state ``i`` is a member.
-    """
+    """Subset of ``range(universe)`` backed by a bitmask: ``mask`` bit ``i``
+    set means state ``i`` is a member.  Set algebra works on the masks."""
 
     universe: int
     mask: int = 0
@@ -207,17 +206,6 @@ class StateSet:
     @classmethod
     def full(cls, universe: int) -> "StateSet":
         return cls(universe, (1 << universe) - 1)
-
-    def intersection(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.universe, self.mask & other.mask)
-
-    def complement(self) -> "StateSet":
-        return StateSet(self.universe, ((1 << self.universe) - 1) & ~self.mask)
-
-    def _check(self, other: "StateSet") -> None:
-        if self.universe != other.universe:
-            raise ValueError("state sets over different universes")
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -354,16 +342,6 @@ class PartialDfa:
             for images in self.letter_images
         )
 
-    def image(self, states: StateSet, word: Word) -> StateSet:
-        """The set ``{delta(s, word) : s in states, delta(s, word) defined}``."""
-        if states.universe != self.state_count:
-            raise ValueError("state set universe does not match automaton")
-        return StateSet(self.state_count, self.image_mask(states.mask, word))
-
-    def rank_of_word(self, states: StateSet, word: Word) -> int:
-        """Size of the image of ``states`` under ``word``."""
-        return len(self.image(states, word))
-
     def is_complete(self) -> bool:
         return all(target is not None for row in self.transitions for target in row)
 
@@ -409,12 +387,6 @@ class Acceptor:
     @property
     def is_empty(self) -> bool:
         return self.dfa.state_count == 0
-
-    def accepts(self, word: Word) -> bool:
-        if self.is_empty:
-            return False
-        state = self.dfa.run(self.initial, word)
-        return state is not None and state in self.accepting
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,14 @@ def _content_lines(text: str) -> list[tuple[int, str, str]]:
 
 
 def _parse_int(token: str, number: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"line {number}: {what} must be an integer, got {token!r}")
+    # ASCII digits only: ``int`` also takes signs, underscores and other
+    # scripts' digits, which would not survive a round trip as written.
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than ``int`` converts
+            pass
+    raise ParseError(f"line {number}: {what} must be a decimal number, got {token!r}")
 
 
 _AUTOMATON_KEYS = {"states", "alphabet", "initial", "accepting", "trans"}
@@ -101,8 +105,6 @@ def _build_automaton(
         seen.add(key)
         if key == "states":
             state_count = _parse_int(rest, number, "state count")
-            if state_count < 0:
-                raise ParseError(f"line {number}: state count must be >= 0")
             if state_count > MAX_STATES:
                 raise ParseError(
                     f"line {number}: state count {state_count} exceeds the "
@@ -142,9 +144,9 @@ def _build_automaton(
         dst = _parse_int(dst_token, number, "target state")
         if letter not in letter_set:
             raise ParseError(f"line {number}: letter {letter!r} not in alphabet")
-        if not 0 <= src < state_count:
+        if src >= state_count:
             raise ParseError(f"line {number}: source state {src} out of range")
-        if not 0 <= dst < state_count:
+        if dst >= state_count:
             raise ParseError(f"line {number}: target state {dst} out of range")
         if (src, letter) in delta:
             raise ParseError(
@@ -153,7 +155,7 @@ def _build_automaton(
         delta[(src, letter)] = dst
 
     dfa = PartialDfa.from_map(state_count, alphabet, delta)
-    if initial is not None and not 0 <= initial < state_count:
+    if initial is not None and initial >= state_count:
         raise ParseError(f"initial state {initial} out of range")
     accepting: Optional[StateSet] = None
     if accepting_tokens is not None:
@@ -162,7 +164,7 @@ def _build_automaton(
             for token in accepting_tokens
         ]
         for state in states:
-            if not 0 <= state < state_count:
+            if state >= state_count:
                 raise ParseError(
                     f"line {accepting_line}: accepting state {state} out of range"
                 )

@@ -7,9 +7,12 @@ at most two) that drives the polynomial minimum-rank search.
 The pair automaton is stored as one column per letter, filled a state at
 a time: the pairs {p, q} with q > p are consecutive nodes, so one ``map``
 reads all their targets off row t(p) of the image-node matrix
-``node_of``, where index n stands for "undefined".  Its merge policy and
-image read many entries at once by ``gather``, one C-level
-``itemgetter`` call per list of indices.
+``node_of``, where index n stands for "undefined".  Its merge policy, and
+the merge rounds of ``rank.min_rank_word_sc``, read many entries at once by
+``gather``, one C-level ``itemgetter`` call per list of indices.  The
+columns are also the only image the pair automaton offers: a set of states
+moves as its singleton nodes, which drop into the dead node where a
+transition is undefined.
 
 Every backward walk reads the predecessor table of ``predecessor_links``:
 coreachability (so ``trim`` and strong connectivity), the direct
@@ -175,10 +178,11 @@ class PairAutomaton:
     a pair moving to the (pair or singleton) image of its two states, to
     the singleton of the surviving state when exactly one image is defined,
     and to dead when neither is.  ``step[node][letter]`` reads the same
-    entry row-wise.
+    entry row-wise.  A singleton column entry is the image of one state, so
+    the columns also carry the image of any state set: gather its singleton
+    nodes and drop the dead node.
 
-    State index n stands for "undefined": ``targets[letter][s]`` is the
-    successor of state s, or n, and ``targets[letter][n]`` is n.
+    State index n stands for "undefined".
     ``node_of`` is the (n+1) x (n+1) matrix of image nodes, so
     ``node_of[x][y]`` is the node of the set {x, y} with n dropped:
     ``node_of[x][n]`` is the singleton x and ``node_of[n][n]`` is dead.
@@ -191,7 +195,6 @@ class PairAutomaton:
     """
 
     state_count: int
-    targets: tuple[list[int], ...]
     columns: tuple[list[int], ...]
     node_of: list[list[int]]
 
@@ -213,13 +216,6 @@ class PairAutomaton:
         if p == q or not (0 <= p < self.state_count and 0 <= q < self.state_count):
             raise ValueError("a pair needs two distinct states of the automaton")
         return self.node_of[p][q]
-
-    def image(self, states: list[int], word: Iterable[int]) -> list[int]:
-        """The states reached from ``states`` along ``word``, sorted,
-        without the states whose path hits an undefined entry."""
-        for letter in word:
-            states = gather(self.targets[letter], states)
-        return sorted(set(states) - {self.state_count})
 
     def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
         """Shortest word length from each node to any singleton (None if
@@ -291,10 +287,6 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     """Build the size-at-most-two power automaton of ``dfa``."""
     n = dfa.state_count
     dead = PairAutomaton.DEAD
-    targets = tuple(
-        [n if row[letter] is None else row[letter] for row in dfa.transitions] + [n]
-        for letter in range(dfa.letter_count)
-    )
     # Row p holds the pairs {q, p} (q < p) of the rows above, {p}, the
     # pairs {p, q} (q > p), which are numbered consecutively, and at index
     # n the set {p, undefined} = {p}.
@@ -309,11 +301,15 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
         first += n - 1 - p
     node_of.append([*range(1, n + 1), dead])
     columns = []
-    for successors in targets:
+    for letter in range(dfa.letter_count):
+        # successors[s] is the successor of state s, or n where undefined.
+        successors = [
+            n if row[letter] is None else row[letter] for row in dfa.transitions
+        ]
         column = [dead]
         # The singleton {s} moves to {t(s)}, which row n holds.
-        column += map(node_of[n].__getitem__, successors[:n])
+        column += map(node_of[n].__getitem__, successors)
         for p in range(n):
-            column += map(node_of[successors[p]].__getitem__, successors[p + 1 : n])
+            column += map(node_of[successors[p]].__getitem__, successors[p + 1 :])
         columns.append(column)
-    return PairAutomaton(n, targets, tuple(columns), node_of)
+    return PairAutomaton(n, tuple(columns), node_of)

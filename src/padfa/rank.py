@@ -107,8 +107,10 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     S is a sorted list of states.  A round lists the pair nodes {p, q} of
     survivors p < q in (p, q) order, one ``gather`` from row p of the pair
     automaton's ``node_of`` matrix per p, gathers their distances in one
-    call and takes the first smallest, walks the chosen pair through the
-    letter columns, and takes the image of S under the whole segment.
+    call and takes the first smallest.  The chosen pair then leads one walk
+    list and the survivors follow as their singleton nodes, so one
+    ``gather`` per letter of the segment advances them all through the
+    letter's column; the survivors that reach the dead node drop out.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
@@ -134,21 +136,26 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
         distance = min(distances)
         if distance == unmerged:
             break
-        node = nodes[distances.index(distance)]
-        segment: list[int] = []
+        walk = [nodes[distances.index(distance)]]
+        walk += [1 + s for s in survivors]
         for _ in range(distance):
-            letter = policy[node]
+            letter = policy[walk[0]]
             if letter is None:
                 raise RuntimeError(
-                    f"pair node {node} is {dist[node]} letters from a singleton "
-                    "but has no merging letter"
+                    f"pair node {walk[0]} is {dist[walk[0]]} letters from a "
+                    "singleton but has no merging letter"
                 )
-            segment.append(letter)
-            node = columns[letter][node]
-        # Applying the merging word to all of S only shrinks it further; the
-        # chosen pair guarantees at least one survivor and strict progress.
-        survivors = pairs.image(survivors, segment)
-        witness.extend(segment)
+            witness.append(letter)
+            walk = gather(columns[letter], walk)
+        # The chosen pair has merged, so at least one survivor is left and
+        # at least one is gone.
+        image = [node - 1 for node in sorted(set(walk[1:]) - {pairs.DEAD})]
+        if not 0 < len(image) < len(survivors):
+            raise RuntimeError(
+                f"a round of {distance} letters took {len(survivors)} survivors "
+                f"to {len(image)}"
+            )
+        survivors = image
     return RankResult(len(survivors), tuple(witness))
 
 

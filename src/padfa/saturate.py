@@ -34,9 +34,8 @@ def is_saturated_by(dfa: PartialDfa, states: StateSet, word: Word) -> bool:
     for state in states:
         if dfa.run(state, word) is None:
             return False
-    inside = dfa.image(states, word)
-    outside = dfa.image(states.complement(), word)
-    return not inside.intersection(outside)
+    outside = ((1 << dfa.state_count) - 1) & ~states.mask
+    return dfa.image_mask(states.mask, word) & dfa.image_mask(outside, word) == 0
 
 
 def find_saturating_min_rank_word(
@@ -83,6 +82,6 @@ def find_saturating_min_rank_word(
     word = word_to(parents, found)
     if not is_saturated_by(dfa, states, word):
         raise RuntimeError(f"search returned {word}, which does not saturate the set")
-    if dfa.rank_of_word(StateSet.full(n), word) != target_rank:
+    if dfa.image_mask(full, word).bit_count() != target_rank:
         raise RuntimeError(f"search returned {word}, which is not of rank {target_rank}")
     return word

@@ -12,8 +12,13 @@ from padfa import (
     PartialDfa,
     SearchBudget,
     StateSet,
+    binarize,
+    binarize_with_selfloop,
+    build_complete_gadget,
     build_saturation_gadget,
+    build_sc_gadget,
     determinize_reversal,
+    has_common_word,
     is_birecurrent,
     is_birecurrent_characterization,
     is_birecurrent_direct,
@@ -23,10 +28,13 @@ from padfa import (
 from padfa.bruteforce import brute_language
 
 from support import (
+    disjoint_instance,
     m2,
+    parity_instance,
     reversal_blowup,
     p2,
     random_acceptor,
+    random_complete_gadget_instance,
     random_permutation_acceptor,
 )
 
@@ -286,3 +294,36 @@ def test_birecurrence_invariant_under_reversal():
             continue
         reversed_acc = determinize_reversal(minimal).as_acceptor()
         assert is_birecurrent(acc) == is_birecurrent(reversed_acc)
+
+
+def test_gadgets_are_birecurrent_iff_the_instance_has_a_common_word():
+    # The paper's theorem, read on each gadget as an acceptor from state 0:
+    # the sc gadget with every state accepting, also as a binary partial
+    # DFA, and the complete gadget accepting its distinguished set, also
+    # binarized into a binary complete DFA.
+    rng = random.Random(407)
+    instances = [disjoint_instance(), parity_instance()]
+    wanted = {True: 10, False: 10}
+    while any(wanted.values()):
+        instance = random_complete_gadget_instance(rng, total_states=4)
+        expected = has_common_word(instance) is not None
+        if wanted[expected]:
+            wanted[expected] -= 1
+            instances.append(instance)
+    for instance in instances:
+        expected = has_common_word(instance) is not None
+        sc, _ = build_sc_gadget(instance)
+        selfloop, _ = binarize_with_selfloop(sc)
+        complete, layout, distinguished = build_complete_gadget(instance)
+        binary, _ = binarize(complete, layout.meta["reset_letter"])
+        columns = complete.letter_count
+        copies = [state * columns + c for state in distinguished for c in range(columns)]
+        assert selfloop.letter_count == binary.letter_count == 2
+        assert complete.is_complete() and binary.is_complete()
+        readings = [
+            Acceptor(sc, 0, StateSet.full(sc.state_count)),
+            Acceptor(selfloop, 0, StateSet.full(selfloop.state_count)),
+            Acceptor(complete, 0, distinguished),
+            Acceptor(binary, 0, StateSet.from_iterable(binary.state_count, copies)),
+        ]
+        assert [is_birecurrent(reading) for reading in readings] == [expected] * 4

@@ -179,6 +179,15 @@ class TestSaturate:
     def test_bad_set_spec(self, files, capsys):
         assert main(["saturate", files["m2.aut"], "--set", "0,x"]) == 2
 
+    @pytest.mark.parametrize("spec", ["0_1", "+0", "\u0661", "\uff11", "0,-1"])
+    def test_set_indices_are_ascii_digits_only(self, files, capsys, spec):
+        # int() reads each of these as a state of m2.aut.
+        assert main(["saturate", files["m2.aut"], "--set", spec]) == 2
+        assert "--set expects comma-separated indices" in capsys.readouterr().err
+
+    def test_set_indices_may_be_spaced(self, files, capsys):
+        assert main(["saturate", files["m2.aut"], "--set", "0, 1"]) == 0
+
 
 class TestBirecurrent:
     def test_yes(self, files, capsys):

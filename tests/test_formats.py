@@ -101,6 +101,34 @@ class TestParseAutomaton:
             parse_automaton("states: 6\nalphabet: a\n")
 
 
+# A complete one-letter machine, every index of which is read by _parse_int.
+MACHINE = "states: 10\ninitial: 0\naccepting: 3\n" + "".join(
+    f"trans: {s} a 3\n" for s in range(10)
+)
+
+
+@pytest.mark.parametrize(
+    "valid, spelled",
+    [
+        ("states: 10", "states: 1_0"),
+        ("initial: 0", "initial: +0"),
+        ("accepting: 3", "accepting: \u0663"),
+        ("trans: 0 a 3", "trans: 0 a \uff13"),
+    ],
+)
+def test_indices_are_ascii_digits_only(valid, spelled):
+    # int() reads each spelling as the valid index, which a file would then
+    # be written back with.
+    machine = MACHINE.replace(valid + "\n", spelled + "\n")
+    assert machine != MACHINE
+    assert parse_automaton("alphabet: a\n" + MACHINE).dfa.state_count == 10
+    assert len(parse_instance("alphabet: a\nmachine:\n" + MACHINE).machines) == 1
+    with pytest.raises(ParseError, match="must be a decimal number"):
+        parse_automaton("alphabet: a\n" + machine)
+    with pytest.raises(ParseError, match="must be a decimal number"):
+        parse_instance("alphabet: a\nmachine:\n" + machine)
+
+
 class TestRoundTrip:
     def test_corpus_of_twenty_files(self):
         rng = random.Random(601)

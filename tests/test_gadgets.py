@@ -91,7 +91,11 @@ class TestHasCommonWord:
             exhaustive = None
             for length in range(horizon + 1):
                 for word in product(range(2), repeat=length):
-                    if all(m.accepts(word) for m in instance.machines):
+                    # The machines are complete, so every run ends in a state.
+                    if all(
+                        m.dfa.run(m.initial, word) in m.accepting
+                        for m in instance.machines
+                    ):
                         exhaustive = word
                         break
                 if exhaustive is not None:
@@ -134,7 +138,8 @@ class TestSyncGadget:
         reset = layout.letter_map[layout.meta["reset_letter"]]
         check = layout.letter_map[layout.meta["check_letter"]]
         staged = (reset,) + word + (check,)
-        assert gadget.rank_of_word(StateSet.full(gadget.state_count), staged) == 1
+        full = StateSet.full(gadget.state_count).mask
+        assert gadget.image_mask(full, staged).bit_count() == 1
         ok, _ = is_synchronizing(gadget)
         assert ok
 
@@ -188,8 +193,9 @@ class TestSaturationGadget:
         reset = layout.letter_map[layout.meta["reset_letter"]]
         check = layout.letter_map[layout.meta["check_letter"]]
         staged = (reset,) + common + (check,)
-        assert is_saturated_by(gadget, StateSet.full(gadget.state_count), staged)
-        assert gadget.rank_of_word(StateSet.full(gadget.state_count), staged) == 1
+        full = StateSet.full(gadget.state_count)
+        assert is_saturated_by(gadget, full, staged)
+        assert gadget.image_mask(full.mask, staged).bit_count() == 1
 
     def test_no_instance_never_saturates(self):
         gadget, _ = build_saturation_gadget(no_instance())
@@ -289,7 +295,7 @@ class TestBinarize:
         columns = gadget.letter_count
         word = (0,) * (columns - 1) + (1,)
         full = StateSet.full(binary.state_count)
-        image = binary.image(full, word)
+        image = StateSet(binary.state_count, binary.image_mask(full.mask, word))
         reset = gadget.letter_index(reset_name)
         expected_states = {
             target
@@ -374,7 +380,7 @@ class TestCompleteGadget:
         full = StateSet.full(gadget.state_count)
         with_check = (reset,) + word + (check, jump)
         assert is_saturated_by(gadget, distinguished, with_check)
-        assert gadget.rank_of_word(full, with_check) == 2
+        assert gadget.image_mask(full.mask, with_check).bit_count() == 2
         # Skipping the check letter leaves the two copies' images overlapping.
         without_check = (reset,) + word + (jump,)
         assert not is_saturated_by(gadget, distinguished, without_check)

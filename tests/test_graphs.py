@@ -157,31 +157,6 @@ class TestPairAutomaton:
             with pytest.raises(ValueError):
                 pa.pair_index(p, q)
 
-    def test_image_drops_undefined_paths(self):
-        rng = random.Random(106)
-        for _ in range(40):
-            dfa = random_partial_dfa(rng, rng.randint(1, 6), rng.randint(1, 3), 0.6)
-            pa = pair_automaton(dfa)
-            for _ in range(5):
-                mask = rng.randrange(1 << dfa.state_count)
-                word = tuple(
-                    rng.randrange(dfa.letter_count) for _ in range(rng.randint(0, 5))
-                )
-                states = [s for s in range(dfa.state_count) if mask >> s & 1]
-                image = dfa.image_mask(mask, word)
-                assert pa.image(states, word) == [
-                    s for s in range(dfa.state_count) if image >> s & 1
-                ]
-
-    def test_image_of_no_state_and_of_one_state(self):
-        dfa = PartialDfa.from_map(3, ["a", "b"], {(0, "a"): 1, (1, "a"): 2, (2, "b"): 0})
-        pa = pair_automaton(dfa)
-        for word in ((), (0,), (0, 1), (1, 0, 0)):
-            assert pa.image([], word) == []
-            for state in range(3):
-                image = dfa.image_mask(1 << state, word)
-                assert pa.image([state], word) == [s for s in range(3) if image >> s & 1]
-
     def test_merge_policy_of_one_state(self):
         for dfa in (
             PartialDfa(1, (), ((),)),
