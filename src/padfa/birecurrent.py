@@ -14,9 +14,10 @@ Rindone, "Birecurrent sets", IJAC 2017):
 * the characterization route minimizes, then asks whether the accepting set
   is saturated by a word of minimum rank.
 
-``is_birecurrent`` minimizes once and hands the minimal acceptor to both
-deciders, which share nothing past that first step; each public decider
-called on its own minimizes for itself.  An acceptor read from a file has
+Both deciders first minimize and require the minimal automaton to be
+strongly connected.  ``is_birecurrent`` takes that step once and hands the
+minimal acceptor to both, which share nothing past it; each public decider
+called on its own takes it for itself.  An acceptor read from a file has
 at most ``formats.MAX_STATES`` states: a file declaring more is rejected
 before either decider runs.
 
@@ -206,25 +207,15 @@ def _reversal_is_strongly_connected(
     return all(backward_closure(rows, len(order), acceptor.dfa.letter_count, [0]))
 
 
-def _direct_verdict(minimal: Acceptor, budget: int | SearchBudget) -> bool:
-    """The direct decider on an already minimal acceptor."""
-    if minimal.is_empty:
-        return False
-    if not is_strongly_connected(minimal.dfa):
-        return False
-    # A nonempty minimal acceptor is trim, so its accepting set is nonempty
-    # and the reversal is never empty.
-    return _reversal_is_strongly_connected(minimal, budget)
-
-
-def _characterization_verdict(minimal: Acceptor, budget: int | SearchBudget) -> bool:
-    """The characterization decider on an already minimal acceptor."""
-    if minimal.is_empty:
-        return False
-    if not is_strongly_connected(minimal.dfa):
-        return False
-    word = find_saturating_min_rank_word(minimal.dfa, minimal.accepting, budget)
-    return word is not None
+def _strongly_connected_minimal(acceptor: Acceptor) -> Optional[Acceptor]:
+    """The minimal acceptor, or ``None`` when it is empty or not strongly
+    connected, where both deciders answer no.  A nonempty minimal acceptor
+    is trim, so its accepting set is nonempty and its reversal is never
+    empty."""
+    minimal = minimize(acceptor)
+    if minimal.is_empty or not is_strongly_connected(minimal.dfa):
+        return None
+    return minimal
 
 
 def is_birecurrent_direct(
@@ -233,7 +224,8 @@ def is_birecurrent_direct(
     """Minimize, then require the automaton and the determinization of its
     reversal to both be strongly connected.  Only the subset construction
     spends ``budget``."""
-    return _direct_verdict(minimize(acceptor), budget)
+    minimal = _strongly_connected_minimal(acceptor)
+    return minimal is not None and _reversal_is_strongly_connected(minimal, budget)
 
 
 def is_birecurrent_characterization(
@@ -241,7 +233,11 @@ def is_birecurrent_characterization(
 ) -> bool:
     """Minimize, then require the accepting set to be saturated by a word of
     minimum rank (and the automaton to be strongly connected)."""
-    return _characterization_verdict(minimize(acceptor), budget)
+    minimal = _strongly_connected_minimal(acceptor)
+    if minimal is None:
+        return False
+    word = find_saturating_min_rank_word(minimal.dfa, minimal.accepting, budget)
+    return word is not None
 
 
 def is_birecurrent(
@@ -253,9 +249,12 @@ def is_birecurrent(
     of them and raises :class:`MethodDisagreement` rather than guessing.
     """
     shared = SearchBudget.ensure(budget)
-    minimal = minimize(acceptor)
-    direct = _direct_verdict(minimal, shared)
-    characterized = _characterization_verdict(minimal, shared)
+    minimal = _strongly_connected_minimal(acceptor)
+    if minimal is None:
+        return False
+    direct = _reversal_is_strongly_connected(minimal, shared)
+    word = find_saturating_min_rank_word(minimal.dfa, minimal.accepting, shared)
+    characterized = word is not None
     if direct != characterized:
         raise MethodDisagreement(
             f"direct={direct} but characterization={characterized}"

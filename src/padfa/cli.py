@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Each ``cmd_*`` handler only computes its exit status, plain lines and
-``--json`` object; ``main`` is the one writer and the one guard against a
-closed stdout.
+``--json`` object; ``_outcome`` names the command in that object, as in an
+error's, and ``main`` is the one writer and the one guard against a closed
+stdout.
 
 Exit codes follow one contract everywhere: 0 for yes/ok, 1 for a negative
 verdict (not synchronizing, no saturating word, not birecurrent, no common
@@ -35,6 +36,7 @@ from .core import DEFAULT_BUDGET, BudgetExceededError, PartialDfa, StateSet, Wor
 from .formats import (
     LoadedAutomaton,
     parse_automaton,
+    parse_index,
     parse_instance,
     serialize_automaton,
     to_dot,
@@ -62,8 +64,10 @@ def _load_instance(path: str):
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _render_word(dfa: PartialDfa, word: Word) -> str:
-    return " ".join(dfa.word_names(word)) if word else "ε"
+def _word(dfa: PartialDfa, word: Word) -> tuple[str, list[str]]:
+    """``word`` as plain text (``ε`` when empty) and as its ``--json`` list."""
+    names = list(dfa.word_names(word))
+    return (" ".join(names) if word else "ε"), names
 
 
 def _parse_set(spec: str, universe: int) -> StateSet:
@@ -71,40 +75,44 @@ def _parse_set(spec: str, universe: int) -> StateSet:
         return StateSet.full(universe)
     if not spec.strip():
         return StateSet(universe)
-    tokens = [token.strip() for token in spec.split(",")]
-    if not all(token.isascii() and token.isdigit() for token in tokens):
+    indices = [parse_index(token.strip()) for token in spec.split(",")]
+    if None in indices:
         raise ValueError(f"--set expects comma-separated indices, got {spec!r}")
-    return StateSet.from_iterable(universe, map(int, tokens))
+    return StateSet.from_iterable(universe, indices)
 
 
 # What a handler returns: (exit status, plain lines, ``--json`` object).
+# ``_outcome`` adds the command's name to the object.
 Answer = tuple[int, list[str], dict]
+
+
+def _found(dfa: PartialDfa, label: str, word: Word | None) -> Answer:
+    """The answer of a search for one word: status 1 and ``none`` when there
+    is none."""
+    if word is None:
+        return 1, ["none"], {"found": False, "word": None}
+    text, names = _word(dfa, word)
+    return 0, [f"{label}: {text}"], {"found": True, "word": names}
 
 
 def cmd_validate(args) -> Answer:
     loaded = _load_automaton(args.file)
-    payload = {"command": "validate", "ok": True, "states": loaded.dfa.state_count}
-    return 0, ["ok"], payload
+    return 0, ["ok"], {"ok": True, "states": loaded.dfa.state_count}
 
 
 def cmd_info(args) -> Answer:
     loaded = _load_automaton(args.file)
     dfa = loaded.dfa
-    connected = dfa.state_count > 0 and is_strongly_connected(dfa)
     payload = {
-        "command": "info",
         "states": dfa.state_count,
         "letters": len(dfa.alphabet),
         "complete": dfa.is_complete(),
         "permutation": dfa.is_permutation(),
-        "strongly_connected": connected,
+        "strongly_connected": dfa.state_count > 0 and is_strongly_connected(dfa),
     }
     human = [
-        f"states: {dfa.state_count}",
-        f"letters: {len(dfa.alphabet)}",
-        f"complete: {'yes' if payload['complete'] else 'no'}",
-        f"permutation: {'yes' if payload['permutation'] else 'no'}",
-        f"strongly_connected: {'yes' if connected else 'no'}",
+        f"{key}: {('no', 'yes')[value] if isinstance(value, bool) else value}"
+        for key, value in payload.items()
     ]
     return 0, human, payload
 
@@ -117,25 +125,24 @@ def cmd_rank(args) -> Answer:
         result = exact_rank(loaded.dfa, args.budget)
     human = [f"rank: {result.rank}"]
     payload = {
-        "command": "rank",
         "method": args.method,
         "rank": result.rank,
         "witness_length": result.word_length,
     }
     if args.witness:
-        human.append(f"witness: {_render_word(loaded.dfa, result.witness)}")
-        payload["witness"] = list(loaded.dfa.word_names(result.witness))
+        text, payload["witness"] = _word(loaded.dfa, result.witness)
+        human.append(f"witness: {text}")
     return 0, human, payload
 
 
 def cmd_sync(args) -> Answer:
     loaded = _load_automaton(args.file)
     synchronizing, witness = is_synchronizing(loaded.dfa, args.budget)
-    payload = {"command": "sync", "synchronizing": synchronizing}
+    payload = {"synchronizing": synchronizing}
     human = ["synchronizing" if synchronizing else "not synchronizing"]
     if args.witness and witness is not None:
-        human.append(f"witness: {_render_word(loaded.dfa, witness)}")
-        payload["witness"] = list(loaded.dfa.word_names(witness))
+        text, payload["witness"] = _word(loaded.dfa, witness)
+        human.append(f"witness: {text}")
     return (0 if synchronizing else 1), human, payload
 
 
@@ -143,79 +150,70 @@ def cmd_saturate(args) -> Answer:
     loaded = _load_automaton(args.file)
     states = _parse_set(args.set, loaded.dfa.state_count)
     word = find_saturating_min_rank_word(loaded.dfa, states, args.budget)
-    if word is None:
-        return 1, ["none"], {"command": "saturate", "found": False, "word": None}
-    return (
-        0,
-        [f"saturating word: {_render_word(loaded.dfa, word)}"],
-        {
-            "command": "saturate",
-            "found": True,
-            "word": list(loaded.dfa.word_names(word)),
-        },
-    )
+    return _found(loaded.dfa, "saturating word", word)
+
+
+# ``--method`` of ``birecurrent``: its choices and their deciders.
+_DECIDERS = {
+    "direct": is_birecurrent_direct,
+    "char": is_birecurrent_characterization,
+    "both": is_birecurrent,
+}
 
 
 def cmd_birecurrent(args) -> Answer:
     acceptor = _load_automaton(args.file).require_acceptor()
-    if args.method == "direct":
-        verdict = is_birecurrent_direct(acceptor, args.budget)
-    elif args.method == "char":
-        verdict = is_birecurrent_characterization(acceptor, args.budget)
-    else:
-        verdict = is_birecurrent(acceptor, args.budget)
+    verdict = _DECIDERS[args.method](acceptor, args.budget)
     return (
         0 if verdict else 1,
         [f"birecurrent: {'yes' if verdict else 'no'}"],
-        {"command": "birecurrent", "method": args.method, "birecurrent": verdict},
+        {"method": args.method, "birecurrent": verdict},
     )
 
 
-def _layout_payload(kind: str, layout: GadgetLayout, extra: dict | None = None) -> dict:
+def _layout_payload(kind: str, layout: GadgetLayout) -> dict:
     meta = {}
     for key, value in layout.meta.items():
         if isinstance(value, dict):
             meta[key] = {str(k): v for k, v in value.items()}
         else:
             meta[key] = value
-    payload = {
+    return {
         "kind": kind,
         "state_map": {f"{m},{q}": v for (m, q), v in layout.state_map.items()},
         "special_states": dict(layout.special_states),
         "letter_map": dict(layout.letter_map),
         "meta": meta,
     }
-    if extra:
-        payload.update(extra)
-    return payload
+
+
+# ``KIND`` of ``reduce``: its choices and their gadget builders.
+_GADGETS = {
+    "sync": build_sync_gadget,
+    "saturation": build_saturation_gadget,
+    "sc": build_sc_gadget,
+    "complete": build_complete_gadget,
+}
 
 
 def cmd_reduce(args) -> Answer:
     instance = _load_instance(args.instance)
-    extra: dict | None = None
-    if args.kind == "sync":
-        gadget, layout = build_sync_gadget(instance)
-    elif args.kind == "saturation":
-        gadget, layout = build_saturation_gadget(instance)
-    elif args.kind == "sc":
-        gadget, layout = build_sc_gadget(instance)
-    else:
-        gadget, layout, distinguished = build_complete_gadget(instance)
-        extra = {"target_set": sorted(distinguished)}
+    # Only ``build_complete_gadget`` returns a third value, its distinguished set.
+    gadget, layout, *distinguished = _GADGETS[args.kind](instance)
+    layout_payload = _layout_payload(args.kind, layout)
+    if distinguished:
+        layout_payload["target_set"] = sorted(distinguished[0])
 
     out = Path(args.output)
     out.write_text(serialize_automaton(gadget), encoding="utf-8")
     sidecar = Path(str(out) + ".layout.json")
     sidecar.write_text(
-        json.dumps(_layout_payload(args.kind, layout, extra), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
+        json.dumps(layout_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return (
         0,
         [f"wrote {out}", f"wrote {sidecar}"],
         {
-            "command": "reduce",
             "kind": args.kind,
             "output": str(out),
             "layout": str(sidecar),
@@ -236,26 +234,19 @@ def cmd_binarize(args) -> Answer:
     return (
         0,
         [f"wrote {out}"],
-        {"command": "binarize", "output": str(out), "states": gadget.state_count},
+        {"output": str(out), "states": gadget.state_count},
     )
 
 
 def cmd_oracle(args) -> Answer:
     instance = _load_instance(args.instance)
     word = has_common_word(instance, args.budget)
-    if word is None:
-        return 1, ["none"], {"command": "oracle", "found": False, "word": None}
-    dfa = instance.machines[0].dfa
-    return (
-        0,
-        [f"common word: {_render_word(dfa, word)}"],
-        {"command": "oracle", "found": True, "word": list(dfa.word_names(word))},
-    )
+    return _found(instance.machines[0].dfa, "common word", word)
 
 
 def cmd_dot(args) -> Answer:
     text = to_dot(_load_automaton(args.file))
-    return 0, [text.rstrip("\n")], {"command": "dot", "dot": text}
+    return 0, [text.rstrip("\n")], {"dot": text}
 
 
 class _UsageError(Exception):
@@ -356,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument(
         "--method",
-        choices=["direct", "char", "both"],
+        choices=_DECIDERS,
         default="both",
         help="direct strong-connectivity test, saturation characterization, "
         "or both with an agreement check (default)",
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reduce", parents=[common], help="build a gadget from an instance file"
     )
-    p.add_argument("kind", choices=["sync", "saturation", "sc", "complete"])
+    p.add_argument("kind", choices=_GADGETS)
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_reduce)
@@ -433,7 +424,8 @@ def _outcome(argv: list[str]) -> tuple[int, str, str]:
             expected = isinstance(exc, (ValueError, OSError, BudgetExceededError))
             label = "error" if expected else "internal error"
         status, lines, err = 2, [], f"{label}: {message}\n"
-        payload = {"command": args.command, "error": error, "message": message}
+        payload = {"error": error, "message": message}
+    payload["command"] = args.command
     if as_json:
         return status, json.dumps(payload, sort_keys=True) + "\n", ""
     return status, "".join(line + "\n" for line in lines), err

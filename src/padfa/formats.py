@@ -66,14 +66,23 @@ def _content_lines(text: str) -> list[tuple[int, str, str]]:
     return lines
 
 
-def _parse_int(token: str, number: int, what: str) -> int:
-    # ASCII digits only: ``int`` also takes signs, underscores and other
-    # scripts' digits, which would not survive a round trip as written.
+def parse_index(token: str) -> Optional[int]:
+    """The number spelled by ``token`` in ASCII decimal digits, or ``None``.
+
+    ``int`` also takes signs, underscores and other scripts' digits, which
+    would not survive a round trip as written."""
     if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # more digits than ``int`` converts
             pass
+    return None
+
+
+def _parse_int(token: str, number: int, what: str) -> int:
+    value = parse_index(token)
+    if value is not None:
+        return value
     raise ParseError(f"line {number}: {what} must be a decimal number, got {token!r}")
 
 

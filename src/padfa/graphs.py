@@ -23,6 +23,7 @@ automaton (one table per letter column) once it stops pulling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence, TypeVar
@@ -149,31 +150,13 @@ def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
     return Acceptor(trimmed, old_to_new[acceptor.initial], accepting), old_to_new
 
 
-class _Rows:
-    """Row view of per-letter columns: ``rows[node][letter]`` is
-    ``columns[letter][node]``, and ``len(rows)`` is the node count (also
-    over an empty alphabet).  Each row is built on request."""
-
-    __slots__ = ("columns", "node_count")
-
-    def __init__(self, columns: tuple[list[int], ...], node_count: int):
-        self.columns = columns
-        self.node_count = node_count
-
-    def __len__(self) -> int:
-        return self.node_count
-
-    def __getitem__(self, node: int) -> tuple[int, ...]:
-        node = range(self.node_count)[node]
-        return tuple(column[node] for column in self.columns)
-
-
 @dataclass(frozen=True)
 class PairAutomaton:
     """Power automaton restricted to subsets of size at most two.
 
-    Node 0 is the absorbing dead node, nodes ``1..n`` are the singletons,
-    and the remaining nodes are the unordered pairs, ordered by (p, q).
+    Node 0 is the absorbing dead node, node ``1 + s`` is the singleton
+    {s}, and the remaining nodes are the unordered pairs, ordered by (p, q):
+    {p, q} is node ``node_of[p][q]``.
     The table is one column per letter: ``columns[letter][node]`` is total,
     a pair moving to the (pair or singleton) image of its two states, to
     the singleton of the surviving state when exactly one image is defined,
@@ -205,17 +188,15 @@ class PairAutomaton:
         n = self.state_count
         return 1 + n + n * (n - 1) // 2
 
-    @property
-    def step(self) -> _Rows:
-        return _Rows(self.columns, self.node_count)
-
-    def singleton_index(self, state: int) -> int:
-        return 1 + state
-
-    def pair_index(self, p: int, q: int) -> int:
-        if p == q or not (0 <= p < self.state_count and 0 <= q < self.state_count):
-            raise ValueError("a pair needs two distinct states of the automaton")
-        return self.node_of[p][q]
+    @cached_property
+    def step(self) -> list[tuple[int, ...]]:
+        """The rows of the table, built on first read: ``step[node][letter]``
+        is ``columns[letter][node]``, and a node's row is empty over an
+        empty alphabet.  No search reads the rows; the benchmark's trace
+        counts them."""
+        if not self.columns:
+            return [()] * self.node_count
+        return list(zip(*self.columns))
 
     def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
         """Shortest word length from each node to any singleton (None if

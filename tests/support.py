@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from padfa import (
     Acceptor,
@@ -52,6 +53,13 @@ def reversal_blowup(n: int) -> Acceptor:
     rows.append((n, n, 0))
     dfa = PartialDfa(n + 1, ("a", "b", "c"), tuple(rows))
     return Acceptor(dfa, 0, StateSet.from_iterable(n + 1, [n]))
+
+
+def binary_automata(max_states: int):
+    """Every binary partial DFA with 1 to ``max_states`` states."""
+    for n in range(1, max_states + 1):
+        for flat in product([None, *range(n)], repeat=2 * n):
+            yield PartialDfa(n, ("a", "b"), tuple(zip(flat[::2], flat[1::2])))
 
 
 def letters(count: int) -> list[str]:

@@ -188,7 +188,7 @@ def test_criterion_6_complete_gadget():
         pairs = pair_automaton(gadget)
         dist = pairs.merge_policy()[0]
         for state, twin in layout.meta["twin_of"].items():
-            assert dist[pairs.pair_index(state, twin)] is None
+            assert dist[pairs.node_of[state][twin]] is None
         found = find_saturating_min_rank_word(gadget, distinguished)
         assert (found is not None) == expected
         verdicts[expected] += 1

@@ -28,6 +28,7 @@ from padfa import (
 from padfa.bruteforce import brute_language
 
 from support import (
+    binary_automata,
     disjoint_instance,
     m2,
     parity_instance,
@@ -276,6 +277,18 @@ def test_methods_agree_on_random_acceptors():
     for _ in range(80):
         acc = random_acceptor(rng, max_states=6)
         assert is_birecurrent_direct(acc) == is_birecurrent_characterization(acc)
+
+
+def test_deciders_agree_on_every_binary_acceptor_up_to_three_states():
+    # is_birecurrent raises MethodDisagreement if the deciders differ.
+    acceptors = verdicts = 0
+    for dfa in binary_automata(3):
+        for mask in range(1, 1 << dfa.state_count):
+            acceptor = Acceptor(dfa, 0, StateSet(dfa.state_count, mask))
+            acceptors += 1
+            verdicts += is_birecurrent(acceptor)
+    assert acceptors == 4 * 1 + 3**4 * 3 + 4**6 * 7 == 28_919
+    assert verdicts == 12_526
 
 
 def test_permutation_acceptors_always_birecurrent():

@@ -179,9 +179,16 @@ class TestSaturate:
     def test_bad_set_spec(self, files, capsys):
         assert main(["saturate", files["m2.aut"], "--set", "0,x"]) == 2
 
-    @pytest.mark.parametrize("spec", ["0_1", "+0", "\u0661", "\uff11", "0,-1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "0_1", "+0", "\u0661", "\uff11", "0,-1",
+            # ASCII digits, but more of them than int() converts.
+            pytest.param("0" * 5000, id="5000-digits"),
+        ],
+    )
     def test_set_indices_are_ascii_digits_only(self, files, capsys, spec):
-        # int() reads each of these as a state of m2.aut.
+        # int() reads each of the first five as a state of m2.aut.
         assert main(["saturate", files["m2.aut"], "--set", spec]) == 2
         assert "--set expects comma-separated indices" in capsys.readouterr().err
 
@@ -441,6 +448,28 @@ def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        (["reduce", "bogus", "INSTANCE", "-o", "OUT"], "{sync,saturation,sc,complete}"),
+        (["birecurrent", "FILE", "--method", "bogus"], "[--method {direct,char,both}]"),
+    ],
+    ids=["reduce", "birecurrent"],
+)
+def test_an_unknown_choice_prints_the_choices_in_order(capsys, argv, choices):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # The usage text, which argparse wraps to the terminal's width.
+    usage, _, _ = captured.err.partition(f"padfa {argv[0]}: error:")
+    assert usage.startswith(f"usage: padfa {argv[0]} [-h] [--json]")
+    assert choices in usage
+    assert main(argv + ["--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == argv[0]
+    assert payload["error"] == "ArgumentError"
+
+
 def test_leftover_arguments_print_the_command_usage(files, capsys):
     assert main(["rank", files["c4.aut"], "--bogus"]) == 2
     captured = capsys.readouterr()
@@ -514,7 +543,9 @@ class TestJsonErrors:
         assert payload["error"] == "BudgetExceededError"
 
     def test_method_disagreement(self, files, capsys, monkeypatch):
-        monkeypatch.setattr(padfa.birecurrent, "_direct_verdict", lambda *a: False)
+        monkeypatch.setattr(
+            padfa.birecurrent, "_reversal_is_strongly_connected", lambda *a: False
+        )
         payload = self._error(capsys, ["birecurrent", files["p2.aut"]])
         assert payload["command"] == "birecurrent"
         assert payload["error"] == "MethodDisagreement"
@@ -577,7 +608,9 @@ class TestJsonErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: search budget of 2 visited nodes exhausted\n"
-        monkeypatch.setattr(padfa.birecurrent, "_direct_verdict", lambda *a: False)
+        monkeypatch.setattr(
+            padfa.birecurrent, "_reversal_is_strongly_connected", lambda *a: False
+        )
         assert main(["birecurrent", files["p2.aut"]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

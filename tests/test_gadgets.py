@@ -368,7 +368,7 @@ class TestCompleteGadget:
         pa = pair_automaton(gadget)
         dist = pa.merge_policy()[0]
         for state, twin in layout.meta["twin_of"].items():
-            assert dist[pa.pair_index(state, twin)] is None
+            assert dist[pa.node_of[state][twin]] is None
 
     def test_yes_instance_staged_witness(self):
         instance = yes_instance()

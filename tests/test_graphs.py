@@ -125,16 +125,16 @@ class TestTrim:
 class TestPairAutomaton:
     def test_m2_pair_merges(self):
         pa = pair_automaton(m2())
-        assert pa.step[pa.pair_index(0, 1)][0] == pa.singleton_index(1)
+        assert pa.step[pa.node_of[0][1]][0] == 1 + 1
 
     def test_d2_exactly_one_defined(self):
         dfa = PartialDfa.from_map(2, ["a"], {(0, "a"): 1})
         pa = pair_automaton(dfa)
-        assert pa.step[pa.pair_index(0, 1)][0] == pa.singleton_index(1)
+        assert pa.step[pa.node_of[0][1]][0] == 1 + 1
 
     def test_p2_never_merges(self):
         pa = pair_automaton(p2())
-        node = pa.pair_index(0, 1)
+        node = pa.node_of[0][1]
         assert pa.step[node][0] == node
         assert pa.merge_policy()[0][node] is None
 
@@ -149,13 +149,10 @@ class TestPairAutomaton:
         n = 4
         pa = pair_automaton(c4())
         assert pa.DEAD == 0
-        assert [pa.singleton_index(s) for s in range(n)] == list(range(1, n + 1))
-        pairs = [pa.pair_index(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert [pa.node_of[s][n] for s in range(n)] == list(range(1, n + 1))
+        pairs = [pa.node_of[p][q] for p in range(n) for q in range(p + 1, n)]
         assert pairs == list(range(n + 1, len(pa.step)))
         assert len(pa.step) == 1 + n + n * (n - 1) // 2
-        for p, q in ((0, 0), (0, n), (-1, 0)):
-            with pytest.raises(ValueError):
-                pa.pair_index(p, q)
 
     def test_merge_policy_of_one_state(self):
         for dfa in (
@@ -246,7 +243,7 @@ def test_singleton_reachability_matches_brute_enumeration():
         dist = pa.merge_policy()[0]
         for p in range(n):
             for q in range(p + 1, n):
-                assert dist[pa.pair_index(p, q)] == expected.get((p, q))
+                assert dist[pa.node_of[p][q]] == expected.get((p, q))
 
 
 def test_merge_policy_walks_to_a_singleton():

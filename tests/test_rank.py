@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +18,7 @@ from padfa import (
     rank_word_length_bound,
 )
 
-from support import c4, cerny, m2, p2, random_sc_dfa
+from support import binary_automata, c4, cerny, m2, p2, random_sc_dfa
 
 
 class TestExactRank:
@@ -101,7 +101,7 @@ class TestMinRankWordSc:
         dfa = PartialDfa(1, (), ((),))
         pa = pair_automaton(dfa)
         assert len(pa.step) == 2
-        assert pa.step[pa.singleton_index(0)] == ()
+        assert pa.step[1 + 0] == ()
         assert pa.merge_policy() == ([None, 0], [None, None])
         assert min_rank_word_sc(dfa) == RankResult(1, ())
 
@@ -183,15 +183,15 @@ def test_prefix_extension_reaches_minimum_rank():
         while True:
             members = [s for s in range(dfa.state_count) if mask >> s & 1]
             candidates = [
-                (dist[pa.pair_index(p, q)], p, q)
+                (dist[pa.node_of[p][q]], p, q)
                 for i, p in enumerate(members)
                 for q in members[i + 1 :]
-                if dist[pa.pair_index(p, q)] is not None
+                if dist[pa.node_of[p][q]] is not None
             ]
             if not candidates:
                 break
             _, p, q = min(candidates)
-            node = pa.pair_index(p, q)
+            node = pa.node_of[p][q]
             word = []
             while dist[node] != 0:
                 word.append(policy[node])
@@ -312,15 +312,8 @@ def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, d
     assert len(built) == tables
 
 
-def _binary_automata(max_states: int):
-    """Every binary partial DFA with 1 to ``max_states`` states."""
-    for n in range(1, max_states + 1):
-        for flat in product([None, *range(n)], repeat=2 * n):
-            yield PartialDfa(n, ("a", "b"), tuple(zip(flat[::2], flat[1::2])))
-
-
 def test_pair_route_on_every_binary_automaton_up_to_three_states():
-    automata = list(_binary_automata(3))
+    automata = list(binary_automata(3))
     assert len(automata) == 2**2 + 3**4 + 4**6 == 4181
     strongly_connected = [dfa for dfa in automata if is_strongly_connected(dfa)]
     assert len(strongly_connected) == 857
