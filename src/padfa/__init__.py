@@ -44,7 +44,6 @@ from .graphs import (
     is_strongly_connected,
     pair_automaton,
     reachable_from,
-    trim,
 )
 from .rank import (
     RankResult,
@@ -97,5 +96,4 @@ __all__ = [
     "rank_word_length_bound",
     "reachable_from",
     "strongly_connect_gadget",
-    "trim",
 ]

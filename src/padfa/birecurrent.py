@@ -43,7 +43,12 @@ from .core import (
     byte_image,
     byte_tables,
 )
-from .graphs import backward_closure, is_strongly_connected, trim
+from .graphs import (
+    backward_closure,
+    coreachable_to,
+    is_strongly_connected,
+    reachable_from,
+)
 from .saturate import find_saturating_min_rank_word
 
 
@@ -54,25 +59,28 @@ class MethodDisagreement(RuntimeError):
 def minimize(acceptor: Acceptor) -> Acceptor:
     """The minimal trim partial acceptor for the same language.
 
-    Trims first, then merges language-equivalent states by partition
-    refinement where "undefined" is its own transition outcome (no dead
-    state is ever materialized).  The result is unique up to isomorphism;
-    the empty language yields the canonical empty acceptor.
+    Partition refinement over the useful states, those reachable from the
+    initial state and co-reachable to an accepting one.  ``block_of`` holds
+    only these, so ``map(block_of.get, row)`` reads undefined and useless
+    targets alike as ``None``, its own transition outcome: that is the whole
+    trim, and no dead state is ever materialized.  The result is unique up
+    to isomorphism; the empty language yields the canonical empty acceptor.
     """
-    trimmed, _ = trim(acceptor)
-    if trimmed.is_empty:
-        return trimmed
-    dfa = trimmed.dfa
-    n = dfa.state_count
+    dfa = acceptor.dfa
+    if acceptor.is_empty:
+        return acceptor
+    useful = reachable_from(dfa, [acceptor.initial])
+    useful &= coreachable_to(dfa, acceptor.accepting)
+    if acceptor.initial not in useful:
+        return Acceptor.empty(dfa.alphabet)
+    states = sorted(useful)
 
-    block_of = [1 if s in trimmed.accepting else 0 for s in range(n)]
-    count = len(set(block_of))
+    block_of = {s: 1 if s in acceptor.accepting else 0 for s in states}
+    count = len(set(block_of.values()))
     while True:
         blocks: dict[tuple, list[int]] = {}
-        for s in range(n):
-            sig = (block_of[s],) + tuple(
-                None if t is None else block_of[t] for t in dfa.transitions[s]
-            )
+        for s in states:
+            sig = (block_of[s], *map(block_of.get, dfa.transitions[s]))
             blocks.setdefault(sig, []).append(s)
         # Insertion order is the order of first members, so every round
         # numbers its blocks by first occurrence and the result is
@@ -85,14 +93,14 @@ def minimize(acceptor: Acceptor) -> Acceptor:
         count = len(blocks)
 
     rows = tuple(
-        tuple(None if t is None else block_of[t] for t in dfa.transitions[members[0]])
+        tuple(map(block_of.get, dfa.transitions[members[0]]))
         for members in blocks.values()
     )
     accepting = StateSet.from_iterable(
-        count, {block_of[s] for s in trimmed.accepting}
+        count, {block_of[s] for s in acceptor.accepting if s in block_of}
     )
     return Acceptor(
-        PartialDfa(count, dfa.alphabet, rows), block_of[trimmed.initial], accepting
+        PartialDfa(count, dfa.alphabet, rows), block_of[acceptor.initial], accepting
     )
 
 
@@ -100,33 +108,22 @@ def minimize(acceptor: Acceptor) -> Acceptor:
 class SubsetAutomaton:
     """Determinization of the reversal of an acceptor.
 
-    Nodes are the reachable nonempty subsets of the original states,
-    starting from the accepting set; transitions that would reach the empty
-    subset are left undefined, so the structure is itself a partial DFA over
-    node indices.  A node is accepting when it contains the original
-    initial state.
+    ``acceptor`` recognizes the reversed language.  Its state i stands for
+    ``nodes[i]``, a nonempty set of original states reachable from the
+    accepting set, which is state 0; a letter whose preimage is empty is
+    undefined.  A state accepts when its set holds the original initial
+    state.  An empty accepting set gives the empty acceptor and no nodes.
     """
 
-    alphabet: tuple[str, ...]
+    acceptor: Acceptor
     nodes: tuple[StateSet, ...]
-    transitions: tuple[tuple[Optional[int], ...], ...]
-    initial: Optional[int]
-    accepting_nodes: tuple[int, ...]
 
     @property
     def is_empty(self) -> bool:
         return not self.nodes
 
     def as_dfa(self) -> PartialDfa:
-        return PartialDfa(len(self.nodes), self.alphabet, self.transitions)
-
-    def as_acceptor(self) -> Acceptor:
-        """View the subset automaton as an acceptor for the reversed language."""
-        return Acceptor(
-            self.as_dfa(),
-            self.initial,
-            StateSet.from_iterable(len(self.nodes), self.accepting_nodes),
-        )
+        return self.acceptor.dfa
 
 
 def _reversal_rows(
@@ -185,15 +182,16 @@ def determinize_reversal(
     """
     dfa = acceptor.dfa
     if acceptor.is_empty or not acceptor.accepting:
-        return SubsetAutomaton(dfa.alphabet, (), (), None, ())
+        return SubsetAutomaton(Acceptor.empty(dfa.alphabet), ())
     order, rows = _reversal_rows(acceptor, budget)
-    k = dfa.letter_count
-    nodes = tuple(StateSet(dfa.state_count, mask) for mask in order)
-    accepting_nodes = tuple(
-        i for i, mask in enumerate(order) if mask >> acceptor.initial & 1
+    k, count = dfa.letter_count, len(order)
+    transitions = tuple(tuple(rows[i * k : i * k + k]) for i in range(count))
+    accepting = StateSet.from_iterable(
+        count, (i for i, mask in enumerate(order) if mask >> acceptor.initial & 1)
     )
-    transitions = tuple(tuple(rows[i * k : i * k + k]) for i in range(len(order)))
-    return SubsetAutomaton(dfa.alphabet, nodes, transitions, 0, accepting_nodes)
+    reversal = Acceptor(PartialDfa(count, dfa.alphabet, transitions), 0, accepting)
+    nodes = tuple(StateSet(dfa.state_count, mask) for mask in order)
+    return SubsetAutomaton(reversal, nodes)
 
 
 def _reversal_is_strongly_connected(

@@ -115,3 +115,34 @@ def brute_language(
         if target is not None and target in acceptor.accepting:
             accepted.add(word)
     return accepted
+
+
+def brute_is_birecurrent(
+    acceptor: Acceptor, max_len: int, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Birecurrence read off the Myhill–Nerode classes of the language L and
+    of its reversal, with no automaton built: L is birecurrent when the
+    nonempty residuals ``{v : uv in L}`` of each, with ``a`` moving u's
+    residual to ua's, form a nonempty strongly connected graph.  A residual
+    is known by its words up to ``max_len`` and reached by the words u up to
+    ``max_len``.  That is exact when ``max_len`` >= 2^n - 2 for n states:
+    the reversal has m <= 2^n - 1 nonempty residuals, each reached, and told
+    from the others and from the empty one, by words of at most m - 1 letters.
+    """
+    k = acceptor.dfa.letter_count
+    words = list(_words(k, max_len))
+    language = brute_language(acceptor, 2 * max_len + 1, budget)
+    for accepted in (language, {word[::-1] for word in language}):
+
+        def residual(u: Word) -> frozenset[Word]:
+            return frozenset(v for v in words if u + v in accepted)
+
+        moves = {residual(u): {residual(u + (a,)) for a in range(k)} for u in words}
+        moves.pop(frozenset(), None)
+        nodes = moves.keys()
+        reach = {r: {r} for r in nodes}
+        for _ in nodes:
+            reach = {r: s.union(*map(moves.get, s)) & nodes for r, s in reach.items()}
+        if not nodes or any(s != nodes for s in reach.values()):
+            return False
+    return True

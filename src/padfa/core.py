@@ -230,9 +230,9 @@ class PartialDfa:
     ``transitions[s][a]`` is the target of state ``s`` under letter index
     ``a``, or ``None`` when undefined.  Letter order is the declaration
     order and is semantically significant (binarization enumerates the
-    alphabet in this order).  ``state_count`` may be 0 only for the
-    canonical empty automaton produced by trimming; analyses that need a
-    nonempty state set reject it.
+    alphabet in this order).  States are plain ``int`` indices, never
+    ``bool``.  ``state_count`` may be 0 only for the canonical empty
+    acceptor; analyses that need a nonempty state set reject it.
     """
 
     state_count: int
@@ -240,21 +240,22 @@ class PartialDfa:
     transitions: tuple[tuple[Optional[int], ...], ...]
 
     def __post_init__(self):
-        if self.state_count < 0:
-            raise ValueError("state_count must be non-negative")
+        n = self.state_count
+        if type(n) is not int or n < 0:
+            raise ValueError("state_count must be a non-negative int")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet names must be unique")
         for name in self.alphabet:
             if not name:
                 raise ValueError("alphabet names must be nonempty")
-        if len(self.transitions) != self.state_count:
+        if len(self.transitions) != n:
             raise ValueError("transition table must have one row per state")
         for row in self.transitions:
             if len(row) != len(self.alphabet):
                 raise ValueError("transition row width must match alphabet size")
             for target in row:
-                if target is not None and not 0 <= target < self.state_count:
-                    raise ValueError(f"transition target {target} out of range")
+                if target is not None and not (type(target) is int and 0 <= target < n):
+                    raise ValueError(f"transition target {target!r} out of range")
 
     @classmethod
     def from_map(
@@ -362,8 +363,7 @@ class Acceptor:
     """A partial DFA with an initial state and a set of accepting states.
 
     The canonical empty acceptor (zero states, ``initial is None``) stands
-    for the empty language; it is what trimming returns when no useful
-    state survives.
+    for the empty language, and ``minimize`` returns it for that language.
     """
 
     dfa: PartialDfa
@@ -377,7 +377,7 @@ class Acceptor:
         if n == 0:
             if self.initial is not None:
                 raise ValueError("empty acceptor cannot have an initial state")
-        elif self.initial is None or not 0 <= self.initial < n:
+        elif type(self.initial) is not int or not 0 <= self.initial < n:
             raise ValueError(f"initial state {self.initial} out of range")
 
     @classmethod

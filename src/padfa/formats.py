@@ -222,10 +222,6 @@ def serialize_automaton(
     return "\n".join(lines) + "\n"
 
 
-def serialize_acceptor(acceptor: Acceptor) -> str:
-    return serialize_automaton(acceptor.dfa, acceptor.initial, acceptor.accepting)
-
-
 def parse_instance(text: str) -> IntersectionInstance:
     lines = _content_lines(text)
     if not lines or lines[0][1] != "alphabet":

@@ -1,8 +1,8 @@
 """Graph utilities over the transition structure of a partial DFA.
 
-Covers reachability, strong connectivity, trimming of acceptors, and the
-pair automaton (the restriction of the power automaton to subsets of size
-at most two) that drives the polynomial minimum-rank search.
+Covers reachability, strong connectivity, and the pair automaton (the
+restriction of the power automaton to subsets of size at most two) that
+drives the polynomial minimum-rank search.
 
 The pair automaton is stored as one column per letter, filled a state at
 a time: the pairs {p, q} with q > p are consecutive nodes, so one ``map``
@@ -15,9 +15,10 @@ moves as its singleton nodes, which drop into the dead node where a
 transition is undefined.
 
 Every backward walk reads the predecessor table of ``predecessor_links``:
-coreachability (so ``trim`` and strong connectivity), the direct
-birecurrence test on the reversal, and the merge policy of the pair
-automaton (one table per letter column) once it stops pulling.
+coreachability (so strong connectivity and the useful states of
+``birecurrent.minimize``), the direct birecurrence test on the reversal,
+and the merge policy of the pair automaton (one table per letter column)
+once it stops pulling.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import chain, compress
 from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence, TypeVar
 
-from .core import Acceptor, PartialDfa, StateSet
+from .core import PartialDfa
 
 T = TypeVar("T")
 
@@ -121,33 +122,6 @@ def is_strongly_connected(dfa: PartialDfa) -> bool:
         raise ValueError("strong connectivity is undefined for the empty automaton")
     n = dfa.state_count
     return len(reachable_from(dfa, [0])) == n == len(coreachable_to(dfa, [0]))
-
-
-def trim(acceptor: Acceptor) -> tuple[Acceptor, dict[int, int]]:
-    """Restrict to states both reachable from the initial state and
-    co-reachable to an accepting state.
-
-    Indices are re-packed in ascending order; the old-to-new map is returned
-    alongside.  When the initial state itself is not useful the canonical
-    empty acceptor is returned (callers must handle it).
-    """
-    if acceptor.is_empty:
-        return acceptor, {}
-    dfa = acceptor.dfa
-    useful = sorted(
-        reachable_from(dfa, [acceptor.initial])
-        & coreachable_to(dfa, list(acceptor.accepting))
-    )
-    if acceptor.initial not in useful:
-        return Acceptor.empty(dfa.alphabet), {}
-    old_to_new = {old: new for new, old in enumerate(useful)}
-    # ``None`` and the states outside ``useful`` both map to ``None``.
-    rows = tuple(tuple(map(old_to_new.get, dfa.transitions[old])) for old in useful)
-    trimmed = PartialDfa(len(useful), dfa.alphabet, rows)
-    accepting = StateSet.from_iterable(
-        len(useful), (old_to_new[s] for s in acceptor.accepting if s in old_to_new)
-    )
-    return Acceptor(trimmed, old_to_new[acceptor.initial], accepting), old_to_new
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,20 @@ class TestMinimize:
                 StateSet.from_iterable(2, [0]),
             )
         )
+        # Useless states read as undefined: state 2 is reached by b but
+        # reaches no accepting state, and state 3 is never reached.
+        useless = PartialDfa(4, ("a", "b"), ((1, 2), (1, None), (2, None), (1, 1)))
+        assert minimize(Acceptor(useless, 0, StateSet.from_iterable(4, [1]))) == (
+            Acceptor(
+                PartialDfa(2, ("a", "b"), ((1, None), (1, None))),
+                0,
+                StateSet.from_iterable(2, [1]),
+            )
+        )
+        # Started from its accepting sink, m2 keeps that state alone.
+        assert minimize(Acceptor(m2(), 1, StateSet.from_iterable(2, [1]))) == (
+            Acceptor(PartialDfa(1, ("a",), ((0,),)), 0, StateSet.full(1))
+        )
 
     def test_empty_accepting_set_gives_empty_acceptor(self):
         assert minimize(Acceptor(m2(), 0, StateSet(2))).is_empty
@@ -104,7 +118,7 @@ class TestMinimize:
                 continue
             # Brzozowski: the determinized reversal of an accessible DFA is
             # minimal, and minimize numbers its states in the same order.
-            reversal = determinize_reversal(once).as_acceptor()
+            reversal = determinize_reversal(once).acceptor
             assert minimize(reversal) == reversal
 
 
@@ -120,7 +134,7 @@ class TestDeterminizeReversal:
         assert result.nodes[0] == StateSet.from_iterable(2, [1])
         assert len(result.nodes) == 2
         assert result.nodes[1] == StateSet.full(2)
-        assert result.transitions[1][0] == 1
+        assert result.as_dfa().transitions[1][0] == 1
 
     def test_reverse_language_membership(self):
         rng = random.Random(403)
@@ -130,7 +144,7 @@ class TestDeterminizeReversal:
             if reversal.is_empty:
                 assert not acc.accepting
                 continue
-            reversed_acc = reversal.as_acceptor()
+            reversed_acc = reversal.acceptor
             expected = {word[::-1] for word in brute_language(acc, 5)}
             assert brute_language(reversed_acc, 5) == expected
 
@@ -305,7 +319,7 @@ def test_birecurrence_invariant_under_reversal():
         minimal = minimize(acc)
         if minimal.is_empty:
             continue
-        reversed_acc = determinize_reversal(minimal).as_acceptor()
+        reversed_acc = determinize_reversal(minimal).acceptor
         assert is_birecurrent(acc) == is_birecurrent(reversed_acc)
 
 

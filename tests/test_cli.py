@@ -11,7 +11,7 @@ import padfa.birecurrent
 import padfa.cli
 from padfa import PartialDfa
 from padfa.cli import main
-from padfa.formats import parse_automaton, serialize_acceptor, serialize_automaton
+from padfa.formats import parse_automaton, serialize_automaton
 
 from support import c4, reversal_blowup
 
@@ -77,13 +77,14 @@ trans: 1 b 1
 @pytest.fixture
 def files(tmp_path):
     paths = {}
+    r16 = reversal_blowup(16)
     for name, text in {
         "m2.aut": M2_ACCEPTOR,
         "p2.aut": P2_ACCEPTOR,
         "yes.inst": YES_INSTANCE,
         "no.inst": NO_INSTANCE,
         "c4.aut": serialize_automaton(c4()),
-        "r16.aut": serialize_acceptor(reversal_blowup(16)),
+        "r16.aut": serialize_automaton(r16.dfa, r16.initial, r16.accepting),
     }.items():
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")

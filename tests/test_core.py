@@ -127,6 +127,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateSet.from_iterable(2, [2])
 
+    # serialize_automaton would write these as "True" or "1.0", which
+    # parse_automaton rejects, so they are refused where they come in.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PartialDfa(2, ("a",), ((0,), (True,))),
+            lambda: PartialDfa(2, ("a",), ((0,), (1.0,))),
+            lambda: PartialDfa(True, ("a",), ((0,),)),
+            lambda: PartialDfa(1.0, ("a",), ((0,),)),
+            lambda: Acceptor(m2(), True, StateSet(2)),
+            lambda: Acceptor(m2(), 1.0, StateSet(2)),
+        ],
+        ids=["bool-target", "float-target", "bool-count", "float-count",
+             "bool-initial", "float-initial"],
+    )
+    def test_state_indices_are_ints(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestStateSet:
     def test_operations(self):
@@ -202,6 +221,25 @@ def test_searches_cache_nothing_on_the_automaton():
     determinize_reversal(Acceptor(dfa, 0, StateSet.from_iterable(12, [0])))
     cached = set(vars(dfa)) - {field.name for field in fields(PartialDfa)}
     assert cached <= {"letter_images", "letter_domains"}
+
+
+def test_all_is_the_package_namespace():
+    # Every public name that padfa/__init__ binds is in __all__ and nothing
+    # else is, so a name removed from the package cannot linger there.
+    source = Path(padfa.__file__).read_text(encoding="utf-8")
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = sorted(name for name in bound if not name.startswith("_"))
+    assert sorted(padfa.__all__) == public
+    namespace = {}
+    exec("from padfa import *", namespace)
+    assert {name: namespace[name] for name in public} == {
+        name: getattr(padfa, name) for name in public
+    }
 
 
 def test_no_assert_statements_in_the_package():

@@ -3,15 +3,12 @@ import random
 import pytest
 
 from padfa import (
-    Acceptor,
     PairAutomaton,
     PartialDfa,
-    StateSet,
     coreachable_to,
     is_strongly_connected,
     pair_automaton,
     reachable_from,
-    trim,
 )
 from padfa.graphs import gather
 
@@ -87,39 +84,6 @@ class TestScc:
             assert coreachable_to(dfa, ends) == {
                 s for s in range(n) if reach[s].intersection(ends)
             }
-
-
-class TestTrim:
-    def test_useful_acceptor_unchanged(self):
-        acc = Acceptor(m2(), 0, StateSet.from_iterable(2, [1]))
-        trimmed, mapping = trim(acc)
-        assert trimmed == acc
-        assert mapping == {0: 0, 1: 1}
-
-    def test_unreachable_state_dropped(self):
-        acc = Acceptor(m2(), 1, StateSet.from_iterable(2, [1]))
-        trimmed, mapping = trim(acc)
-        assert trimmed.dfa.state_count == 1
-        assert mapping == {1: 0}
-        assert trimmed.initial == 0 and 0 in trimmed.accepting
-
-    def test_no_accepting_states_gives_empty(self):
-        acc = Acceptor(m2(), 0, StateSet(2))
-        trimmed, mapping = trim(acc)
-        assert trimmed.is_empty
-        assert mapping == {}
-
-    def test_idempotent(self):
-        rng = random.Random(103)
-        for _ in range(60):
-            n = rng.randint(1, 6)
-            dfa = random_partial_dfa(rng, n, rng.randint(1, 3), rng.uniform(0.3, 1.0))
-            accepting = StateSet.from_iterable(
-                n, [s for s in range(n) if rng.random() < 0.4]
-            )
-            once, _ = trim(Acceptor(dfa, rng.randrange(n), accepting))
-            twice, _ = trim(once)
-            assert once == twice
 
 
 class TestPairAutomaton:
