@@ -185,20 +185,18 @@ def parse_automaton(text: str) -> LoadedAutomaton:
     return _build_automaton(_content_lines(text))
 
 
-def _check_letter_names(alphabet: tuple[str, ...]) -> None:
-    """The file format separates letter names by whitespace, so a name
-    containing any would not parse back."""
-    for name in alphabet:
+def serialize_automaton(
+    dfa: PartialDfa,
+    initial: Optional[int] = None,
+    accepting: Optional[StateSet] = None,
+) -> str:
+    # The file format separates letter names by whitespace, so a name
+    # containing any would not parse back.
+    for name in dfa.alphabet:
         if any(char.isspace() for char in name):
             raise ValueError(f"letter name {name!r} contains whitespace")
-
-
-def _body_lines(
-    dfa: PartialDfa, initial: Optional[int], accepting: Optional[StateSet]
-) -> list[str]:
-    """The ``initial:``, ``accepting:`` and ``trans:`` lines of one automaton
-    (the first two only when given), shared by both file kinds."""
-    lines = []
+    lines = [f"states: {dfa.state_count}"]
+    lines.append(("alphabet: " + " ".join(dfa.alphabet)).rstrip())
     if initial is not None:
         lines.append(f"initial: {initial}")
     if accepting is not None:
@@ -207,18 +205,6 @@ def _body_lines(
         for letter, target in enumerate(row):
             if target is not None:
                 lines.append(f"trans: {state} {dfa.alphabet[letter]} {target}")
-    return lines
-
-
-def serialize_automaton(
-    dfa: PartialDfa,
-    initial: Optional[int] = None,
-    accepting: Optional[StateSet] = None,
-) -> str:
-    _check_letter_names(dfa.alphabet)
-    lines = [f"states: {dfa.state_count}"]
-    lines.append(("alphabet: " + " ".join(dfa.alphabet)).rstrip())
-    lines += _body_lines(dfa, initial, accepting)
     return "\n".join(lines) + "\n"
 
 
@@ -254,15 +240,6 @@ def parse_instance(text: str) -> IntersectionInstance:
         return IntersectionInstance(tuple(machines))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def serialize_instance(instance: IntersectionInstance) -> str:
-    _check_letter_names(instance.alphabet)
-    lines = [("alphabet: " + " ".join(instance.alphabet)).rstrip()]
-    for machine in instance.machines:
-        lines += ["machine:", f"states: {machine.dfa.state_count}"]
-        lines += _body_lines(machine.dfa, machine.initial, machine.accepting)
-    return "\n".join(lines) + "\n"
 
 
 def _quote(text: str) -> str:

@@ -9,10 +9,13 @@ a time: the pairs {p, q} with q > p are consecutive nodes, so one ``map``
 reads all their targets off row t(p) of the image-node matrix
 ``node_of``, where index n stands for "undefined".  Its merge policy, and
 the merge rounds of ``rank.min_rank_word_sc``, read many entries at once by
-``gather``, one C-level ``itemgetter`` call per list of indices.  The
-columns are also the only image the pair automaton offers: a set of states
-moves as its singleton nodes, which drop into the dead node where a
-transition is undefined.
+``gather``, one C-level ``itemgetter`` call per list of indices.  The merge
+policy also returns the merging pairs in the order its search found them,
+level by level and sorted within each level, which is (distance, p, q)
+order; each merge round takes its pair from that order.  The columns are
+also the only image the pair automaton offers: a set of states moves as
+its singleton nodes, which drop into the dead node where a transition is
+undefined.
 
 Every backward walk reads the predecessor table of ``predecessor_links``:
 coreachability (so strong connectivity and the useful states of
@@ -172,9 +175,14 @@ class PairAutomaton:
             return [()] * self.node_count
         return list(zip(*self.columns))
 
-    def merge_policy(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    def merge_policy(
+        self,
+    ) -> tuple[list[Optional[int]], list[Optional[int]], list[int]]:
         """Shortest word length from each node to any singleton (None if
-        none) and, per node, the smallest letter moving one step closer.
+        none), per node the smallest letter moving one step closer, and the
+        order: every node at a positive distance, sorted by (distance,
+        node).  As the pairs are numbered in (p, q) order, the order lists
+        the merging pairs {p, q} in (distance, p, q) order.
 
         Breadth-first search from the singletons, which are at distance 0,
         one level at a time; the dead node is never reached.  It starts by
@@ -187,17 +195,24 @@ class PairAutomaton:
         once the unassigned pairs summed over the pulled levels would pass
         ``PULL_LIMIT`` node counts, it builds one ``predecessor_links`` table
         per letter and pushes for the remaining levels, letter by letter,
-        walking the predecessors of each node of the level.
+        walking the predecessors of each node of the level.  Each level is
+        sorted before it joins the order; a pull level is one ascending run
+        per letter, so the sort only merges runs.  ``unassigned`` is sliced
+        from the rows of ``node_of``, so the pulled levels and the order
+        hold its int objects rather than one new int per pair.
         """
         node_count = self.node_count
         n = self.state_count
         dist: list[Optional[int]] = [None] * node_count
         policy: list[Optional[int]] = [None] * node_count
+        order: list[int] = []
         level = list(range(1, n + 1))
         dist[1 : n + 1] = [0] * n
         marks = bytearray(node_count)
         marks[1 : n + 1] = b"\x01" * n
-        unassigned = list(range(n + 1, node_count))
+        unassigned = []
+        for p, row in enumerate(self.node_of[:n]):
+            unassigned += row[p + 1 : n]
         pulls = PULL_LIMIT * node_count
         distance = 0
         while level and unassigned:
@@ -217,9 +232,11 @@ class PairAutomaton:
                         policy[node] = letter
                         reached[node] = 1
                     level += found
+            level.sort()
+            order += level
             marks = reached
         if not (level and unassigned):
-            return dist, policy
+            return dist, policy, order
 
         links = [predecessor_links(column, node_count, 1) for column in self.columns]
         while level:
@@ -234,8 +251,10 @@ class PairAutomaton:
                             policy[pred] = letter
                             farther.append(pred)
                         pred = link[pred]
+            farther.sort()
+            order += farther
             level = farther
-        return dist, policy
+        return dist, policy, order
 
 
 def pair_automaton(dfa: PartialDfa) -> PairAutomaton:

@@ -15,6 +15,8 @@ order or hash seeds, only on the automaton and the declared letter order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from typing import Sequence
 
 from .core import (
@@ -104,13 +106,20 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     Each round strictly shrinks S, and when no pair of S merges, |S| is the
     rank of the automaton.
 
-    S is a sorted list of states.  A round lists the pair nodes {p, q} of
-    survivors p < q in (p, q) order, one ``gather`` from row p of the pair
-    automaton's ``node_of`` matrix per p, gathers their distances in one
-    call and takes the first smallest.  The chosen pair then leads one walk
-    list and the survivors follow as their singleton nodes, so one
-    ``gather`` per letter of the segment advances them all through the
-    letter's column; the survivors that reach the dead node drop out.
+    S is a sorted list of states.  The merge policy's order lists the
+    merging pair nodes in (d, p, q) order, so a round's pair is the first
+    entry whose two states both survive.  A round scans the order for it in
+    chunks that double from |S| entries; a chunk gathers the first and the
+    second states of its pairs and then their survivor marks.  The scan
+    stops after |S|(|S| - 1)/2 entries, the number of pairs of S.  If that
+    covered the whole order, no pair of S merges; otherwise the round falls
+    back to listing: it lists the pair nodes {p, q} of survivors p < q
+    in (p, q) order, one ``gather`` from row p of the pair automaton's
+    ``node_of`` matrix per p, gathers their distances in one call and takes
+    the first smallest.  The chosen pair then leads one walk list and the
+    survivors follow as their singleton nodes, so one ``gather`` per letter
+    of the segment advances them all through the letter's column; the
+    survivors that reach the dead node drop out.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
@@ -118,25 +127,51 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
         raise ValueError("min_rank_word_sc requires a strongly connected automaton")
 
     pairs = pair_automaton(dfa)
-    dist, policy = pairs.merge_policy()
+    dist, policy, order = pairs.merge_policy()
     node_of, columns = pairs.node_of, pairs.columns
-    # Pairs that never merge sort after every distance.
-    unmerged = len(dist)
-    key = [unmerged if d is None else d for d in dist]
+    # The first and the second state of each pair node, by node: the pairs
+    # follow the dead node and the singletons in (p, q) order.
+    n = dfa.state_count
+    states = list(range(n))
+    first_of = [0] * (n + 1)
+    second_of = [0] * (n + 1)
+    for p in range(n):
+        first_of += [p] * (n - 1 - p)
+        second_of += states[p + 1 :]
 
-    survivors = list(range(dfa.state_count))
+    survivors = states
     witness: list[int] = []
     while len(survivors) > 1:
-        # The pair nodes of the survivors in (p, q) order, so the first
-        # smallest distance belongs to the (d, p, q)-smallest pair.
-        nodes: list[int] = []
-        for i, p in enumerate(survivors[:-1]):
-            nodes += gather(node_of[p], survivors[i + 1 :])
-        distances = gather(key, nodes)
-        distance = min(distances)
-        if distance == unmerged:
-            break
-        walk = [nodes[distances.index(distance)]]
+        alive = bytearray(n)
+        for s in survivors:
+            alive[s] = 1
+        # Scan the order for the first pair of survivors, reading no more
+        # entries than listing their pairs would.
+        listing = len(survivors) * (len(survivors) - 1) // 2
+        node = None
+        start, size = 0, len(survivors)
+        while node is None and start < min(listing, len(order)):
+            chunk = order[start : min(start + size, listing)]
+            firsts = gather(alive, gather(first_of, chunk))
+            seconds = gather(alive, gather(second_of, chunk))
+            node = next(compress(chunk, map(and_, firsts, seconds)), None)
+            start, size = start + len(chunk), 2 * size
+        if node is None:
+            if start == len(order):
+                break
+            # The pair nodes of the survivors in (p, q) order, so the first
+            # smallest distance belongs to the (d, p, q)-smallest pair.
+            nodes: list[int] = []
+            for i, p in enumerate(survivors[:-1]):
+                nodes += gather(node_of[p], survivors[i + 1 :])
+            distances = gather(dist, nodes)
+            # A pair is never at distance 0, so this drops the unmerged ones.
+            distance = min(filter(None, distances), default=None)
+            if distance is None:
+                break
+            node = nodes[distances.index(distance)]
+        distance = dist[node]
+        walk = [node]
         walk += [1 + s for s in survivors]
         for _ in range(distance):
             letter = policy[walk[0]]

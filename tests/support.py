@@ -14,6 +14,7 @@ from padfa import (
     is_strongly_connected,
     reachable_from,
 )
+from padfa.formats import serialize_automaton
 
 
 def m2() -> PartialDfa:
@@ -163,6 +164,19 @@ def random_instance(
             for _ in range(count)
         )
     )
+
+
+def serialize_instance(instance: IntersectionInstance) -> str:
+    """The instance file of ``instance``: the shared ``alphabet:`` line, then
+    one ``machine:`` block per acceptor, which is its automaton file without
+    the ``alphabet:`` line.  ``serialize_automaton`` rejects a letter name
+    containing whitespace, which would not parse back."""
+    lines = [("alphabet: " + " ".join(instance.alphabet)).rstrip()]
+    for machine in instance.machines:
+        text = serialize_automaton(machine.dfa, machine.initial, machine.accepting)
+        states, _alphabet, *body = text.split("\n")[:-1]
+        lines += ["machine:", states, *body]
+    return "\n".join(lines) + "\n"
 
 
 def _accepting_reachable(machine: Acceptor) -> bool:

@@ -33,7 +33,7 @@ from padfa import (
 )
 from padfa.bruteforce import brute_language, brute_rank, brute_saturating_word
 from padfa.cli import main
-from padfa.formats import parse_automaton, serialize_automaton, serialize_instance
+from padfa.formats import parse_automaton, serialize_automaton
 
 from support import (
     c4,
@@ -48,6 +48,7 @@ from support import (
     random_permutation_acceptor,
     random_saturation_instance,
     random_sc_dfa,
+    serialize_instance,
 )
 
 

@@ -10,11 +10,10 @@ from padfa.formats import (
     parse_automaton,
     parse_instance,
     serialize_automaton,
-    serialize_instance,
     to_dot,
 )
 
-from support import c4, m2, p2, random_instance, random_partial_dfa
+from support import c4, m2, p2, random_instance, random_partial_dfa, serialize_instance
 
 M2_TEXT = """\
 # two states funneling into 1

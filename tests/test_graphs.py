@@ -124,16 +124,16 @@ class TestPairAutomaton:
             PartialDfa(1, ("a",), ((0,),)),
             PartialDfa(1, ("a", "b"), ((None, 0),)),
         ):
-            assert pair_automaton(dfa).merge_policy() == ([None, 0], [None, None])
+            assert pair_automaton(dfa).merge_policy() == ([None, 0], [None, None], [])
 
     def test_merge_policy_of_two_states_has_one_pair(self):
         # Node 3 is the only pair; it merges under the first letter that
         # maps both states to one state or leaves exactly one defined.
         cases = {
-            m2(): ([None, 0, 0, 1], [None, None, None, 0]),
-            d2_like(): ([None, 0, 0, 1], [None, None, None, 0]),
-            PartialDfa(2, ("a", "b"), ((1, 0), (0, 0))): ([None, 0, 0, 1], [None, None, None, 1]),
-            PartialDfa(2, ("a", "b"), ((1, 1), (0, 1))): ([None, 0, 0, 1], [None, None, None, 1]),
+            m2(): ([None, 0, 0, 1], [None, None, None, 0], [3]),
+            d2_like(): ([None, 0, 0, 1], [None, None, None, 0], [3]),
+            PartialDfa(2, ("a", "b"), ((1, 0), (0, 0))): ([None, 0, 0, 1], [None, None, None, 1], [3]),
+            PartialDfa(2, ("a", "b"), ((1, 1), (0, 1))): ([None, 0, 0, 1], [None, None, None, 1], [3]),
         }
         for dfa, expected in cases.items():
             pa = pair_automaton(dfa)
@@ -143,13 +143,14 @@ class TestPairAutomaton:
     def test_merge_policy_leaves_unmerged_pairs_unassigned(self):
         # The pair of p2 never reaches a singleton, so the pull sweep ends
         # with it still unassigned.
-        assert pair_automaton(p2()).merge_policy() == ([None, 0, 0, None], [None] * 4)
+        assert pair_automaton(p2()).merge_policy() == ([None, 0, 0, None], [None] * 4, [])
         # State 2 is fixed by both letters and no other state ever reaches
         # it, so {0, 1} merges under b while {0, 2} and {1, 2} never merge.
         dfa = PartialDfa(3, ("a", "b"), ((1, 0), (0, 0), (2, 2)))
         assert pair_automaton(dfa).merge_policy() == (
             [None, 0, 0, 0, 1, None, None],
             [None, None, None, None, 1, None, None],
+            [4],
         )
 
 
@@ -218,7 +219,7 @@ def test_merge_policy_walks_to_a_singleton():
     ]
     for dfa in cases:
         pa = pair_automaton(dfa)
-        dist, policy = pa.merge_policy()
+        dist, policy, _ = pa.merge_policy()
         assert dist[PairAutomaton.DEAD] is None
         for node in range(len(pa.step)):
             if dist[node] in (None, 0):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -102,7 +103,7 @@ class TestMinRankWordSc:
         pa = pair_automaton(dfa)
         assert len(pa.step) == 2
         assert pa.step[1 + 0] == ()
-        assert pa.merge_policy() == ([None, 0], [None, None])
+        assert pa.merge_policy() == ([None, 0], [None, None], [])
         assert min_rank_word_sc(dfa) == RankResult(1, ())
 
     def test_not_strongly_connected_rejected(self):
@@ -120,7 +121,7 @@ class TestMinRankWordSc:
         for _ in range(30):
             dfa = random_sc_dfa(rng, max_states=6)
             pa = pair_automaton(dfa)
-            dist, _ = pa.merge_policy()
+            dist, _, _ = pa.merge_policy()
             finite = [d for d in dist if d is not None]
             # Every merging segment comes from a shortest path in the pair
             # automaton, so no segment exceeds the node count.
@@ -179,7 +180,7 @@ def test_prefix_extension_reaches_minimum_rank():
         if mask == 0:
             continue
         pa = pair_automaton(dfa)
-        dist, policy = pa.merge_policy()
+        dist, policy, _ = pa.merge_policy()
         while True:
             members = [s for s in range(dfa.state_count) if mask >> s & 1]
             candidates = [
@@ -263,21 +264,18 @@ def test_pair_merging_matches_the_reference():
     for dfa in cases:
         rank, witness, dist, policy = _reference_pair_merge(dfa)
         assert min_rank_word_sc(dfa) == RankResult(rank, witness)
-        pa = pair_automaton(dfa)
-        nodes = [frozenset()] + [frozenset((s,)) for s in range(dfa.state_count)]
-        nodes += map(frozenset, combinations(range(dfa.state_count), 2))
-        assert pa.merge_policy() == (
-            [dist.get(node) for node in nodes],
-            [policy.get(node) for node in nodes],
-        )
+        assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
 
 
 def _reference_lists(dfa: PartialDfa, dist: dict, policy: dict):
     """The reference ``dist`` and ``policy`` as lists in pair-automaton node
-    order: dead, the singletons, then the pairs in (p, q) order."""
+    order (dead, the singletons, then the pairs in (p, q) order), and the
+    nodes at a positive distance sorted by (distance, node)."""
     nodes = [frozenset()] + [frozenset((s,)) for s in range(dfa.state_count)]
     nodes += map(frozenset, combinations(range(dfa.state_count), 2))
-    return [dist.get(node) for node in nodes], [policy.get(node) for node in nodes]
+    dists = [dist.get(node) for node in nodes]
+    order = sorted((i for i, d in enumerate(dists) if d), key=lambda i: (dists[i], i))
+    return dists, [policy.get(node) for node in nodes], order
 
 
 def _dense_random(n: int, seed: int) -> PartialDfa:
@@ -310,6 +308,113 @@ def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, d
     _, _, dist, policy = _reference_pair_merge(dfa)
     assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
     assert len(built) == tables
+
+
+@pytest.mark.parametrize(
+    "dfa, tables",
+    # Pull only; pull then push, on one-node levels (C_10) and on levels
+    # where a node has two predecessors under one letter (b fixes all but
+    # state 4, which it sends to 1); a pair that never merges; no pair at
+    # all; and pairs with no letter to move them.
+    [
+        (_dense_random(60, 208), 0),
+        (cerny(10), 2),
+        (PartialDfa(7, ("a", "b"), tuple(((s + 1) % 7, 1 if s == 4 else s) for s in range(7))), 2),
+        (p2(), 0),
+        (PartialDfa(1, ("a",), ((0,),)), 0),
+        (PartialDfa(2, (), ((), ())), 0),
+    ],
+    ids=["random60", "cerny10", "cycle-merge7", "p2", "one-state", "no-letters"],
+)
+def test_merge_policy_order_is_the_merging_nodes_by_distance(monkeypatch, dfa, tables):
+    built = []
+    links = padfa.graphs.predecessor_links
+
+    def counting(*args):
+        built.append(args)
+        return links(*args)
+
+    monkeypatch.setattr(padfa.graphs, "predecessor_links", counting)
+    dist, _, order = pair_automaton(dfa).merge_policy()
+    assert len(built) == tables
+    merging = [node for node, d in enumerate(dist) if d is not None and d > 0]
+    assert order == sorted(merging, key=lambda node: (dist[node], node))
+
+
+def _listing_pair_merge(dfa: PartialDfa) -> tuple[RankResult, list[str]]:
+    """Greedy pair merging whose rounds list every pair of survivors and take
+    the (d, p, q)-smallest that merges, as ``min_rank_word_sc`` did before
+    it scanned the merge policy's order; the walk moves the survivors by the
+    transition table.
+
+    Also returns, per round, the way the order scan must end, with s
+    survivors: "hit" when the chosen pair is among the first s(s - 1)/2
+    entries of the order, "exhausted" when the order is no longer than that
+    (so no pair merges), and "listing" otherwise."""
+    pa = pair_automaton(dfa)
+    dist, policy, order = pa.merge_policy()
+    position = {node: i for i, node in enumerate(order)}
+    survivors = list(range(dfa.state_count))
+    witness: list[int] = []
+    branches = []
+    while len(survivors) > 1:
+        listing = len(survivors) * (len(survivors) - 1) // 2
+        nodes = [pa.node_of[p][q] for p, q in combinations(survivors, 2)]
+        merging = [node for node in nodes if dist[node] is not None]
+        node = min(merging, key=lambda node: dist[node], default=None)
+        if node is not None and position[node] < listing:
+            branches.append("hit")
+        elif len(order) <= listing:
+            branches.append("exhausted")
+        else:
+            branches.append("listing")
+        if node is None:
+            break
+        members = set(survivors)
+        while dist[node]:
+            letter = policy[node]
+            witness.append(letter)
+            node = pa.columns[letter][node]
+            members = {dfa.transitions[s][letter] for s in members} - {None}
+        survivors = sorted(members)
+    return RankResult(len(survivors), tuple(witness)), branches
+
+
+def _blocked_sc_dfa(rng: random.Random) -> PartialDfa:
+    """A strongly connected DFA of up to 30 states whose rank can be large:
+    its states fall into r blocks by index mod r, and each letter sends
+    all of block i to block i + c (mod r), so a letter defined everywhere
+    merges no two blocks.  Letter 0 is the cycle s -> s + 1 (mod n)."""
+    r = rng.randint(1, 15)
+    m = rng.randint(1, 30 // r)
+    n = r * m
+    rows = [[(s + 1) % n] for s in range(n)]
+    for _ in range(rng.randint(0, 2)):
+        shift = rng.randrange(r)
+        density = rng.uniform(0.7, 1.0)
+        for s, row in enumerate(rows):
+            target = (s + shift + r * rng.randrange(m)) % n
+            row.append(target if rng.random() < density else None)
+    letter_count = len(rows[0])
+    return PartialDfa(n, ("a", "b", "c")[:letter_count], tuple(map(tuple, rows)))
+
+
+def test_order_scan_matches_listing_every_pair():
+    rng = random.Random(209)
+    cases = [_blocked_sc_dfa(rng) for _ in range(400)]
+    cases += [random_sc_dfa(rng, max_states=12, density_range=(0.3, 1.0)) for _ in range(200)]
+    cases += [cerny(n) for n in range(2, 41)]
+    cases += [dfa for dfa in binary_automata(3) if is_strongly_connected(dfa)]
+    branches: Counter[str] = Counter()
+    ranks = set()
+    for dfa in cases:
+        expected, taken = _listing_pair_merge(dfa)
+        assert min_rank_word_sc(dfa) == expected
+        branches.update(taken)
+        ranks.add(expected.rank)
+    # Every way a round's scan can end is taken, on ranks 1 to over 10.
+    assert set(branches) == {"hit", "listing", "exhausted"}
+    assert 1 in ranks and max(ranks) > 10
 
 
 def test_pair_route_on_every_binary_automaton_up_to_three_states():
