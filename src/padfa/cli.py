@@ -16,7 +16,8 @@ machine-readable object on stdout with the same verdicts; an error then is
 the object ``{"command", "error", "message"}``, where ``error`` names the
 exception class (``ArgumentError`` for a usage error, whose ``command`` is
 ``null`` when no command was recognized).  Only the commands that search
-take ``--budget``.
+take ``--budget``, and a budget that ``SearchBudget`` refuses is a usage
+error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .birecurrent import (
     is_birecurrent_characterization,
     is_birecurrent_direct,
 )
-from .core import DEFAULT_BUDGET, BudgetExceededError, PartialDfa, StateSet, Word
+from .core import DEFAULT_BUDGET, BudgetExceededError, PartialDfa, SearchBudget, StateSet, Word
 from .formats import (
     LoadedAutomaton,
     parse_automaton,
@@ -79,6 +80,14 @@ def _parse_set(spec: str, universe: int) -> StateSet:
     if None in indices:
         raise ValueError(f"--set expects comma-separated indices, got {spec!r}")
     return StateSet.from_iterable(universe, indices)
+
+
+def _budget(text: str) -> int:
+    """``--budget N``: a usage error unless ``SearchBudget`` takes N."""
+    try:
+        return SearchBudget(int(text)).limit
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid budget {text!r}: {exc}") from None
 
 
 # What a handler returns: (exit status, plain lines, ``--json`` object).
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     searching = argparse.ArgumentParser(add_help=False, parents=[common])
     searching.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=DEFAULT_BUDGET,
         metavar="N",
         help=f"subset-search budget in visited configurations (default {DEFAULT_BUDGET})",

@@ -18,7 +18,10 @@ one ``machine:`` block per acceptor using the same keys.  Serialization is
 canonical (sorted transition lines), so parse -> serialize -> parse is the
 identity on semantic content.  A file may declare at most ``MAX_STATES``
 states (2**20); a larger ``states:`` count is a :class:`ParseError`.  The
-module imports only ``core``, so loading a file loads no gadget code.
+module itself imports only ``core``, which
+``test_core.py::test_modules_import_only_their_layers`` pins; importing it
+still runs ``padfa/__init__``, which loads every engine module (ROADMAP
+item 8).
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ def _build_automaton(
 ) -> LoadedAutomaton:
     state_count: Optional[int] = None
     initial: Optional[int] = None
+    initial_line = 0
     accepting_tokens: Optional[list[str]] = None
     accepting_line = 0
     trans: list[tuple[int, str, str, str]] = []
@@ -130,6 +134,7 @@ def _build_automaton(
             alphabet = names
         elif key == "initial":
             initial = _parse_int(rest, number, "initial state")
+            initial_line = number
         elif key == "accepting":
             accepting_tokens = rest.split()
             accepting_line = number
@@ -165,7 +170,7 @@ def _build_automaton(
 
     dfa = PartialDfa.from_map(state_count, alphabet, delta)
     if initial is not None and initial >= state_count:
-        raise ParseError(f"initial state {initial} out of range")
+        raise ParseError(f"line {initial_line}: initial state {initial} out of range")
     accepting: Optional[StateSet] = None
     if accepting_tokens is not None:
         states = [

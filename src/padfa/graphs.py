@@ -133,7 +133,9 @@ class PairAutomaton:
 
     Node 0 is the absorbing dead node, node ``1 + s`` is the singleton
     {s}, and the remaining nodes are the unordered pairs, ordered by (p, q):
-    {p, q} is node ``node_of[p][q]``.
+    {p, q} is node ``node_of[p][q]``.  The endpoint lists map back:
+    ``first[node]`` and ``second[node]`` are the smaller and the larger
+    state of a pair node, and both are s for the singleton {s}.
     The table is one column per letter: ``columns[letter][node]`` is total,
     a pair moving to the (pair or singleton) image of its two states, to
     the singleton of the surviving state when exactly one image is defined,
@@ -157,13 +159,14 @@ class PairAutomaton:
     state_count: int
     columns: tuple[list[int], ...]
     node_of: list[list[int]]
+    first: list[int]
+    second: list[int]
 
     DEAD = 0
 
     @property
     def node_count(self) -> int:
-        n = self.state_count
-        return 1 + n + n * (n - 1) // 2
+        return len(self.first)
 
     @cached_property
     def step(self) -> list[tuple[int, ...]]:
@@ -194,8 +197,8 @@ class PairAutomaton:
         not on many small ones (C_n has thousands of one-node levels).  So
         once the unassigned pairs summed over the pulled levels would pass
         ``PULL_LIMIT`` node counts, it builds one ``predecessor_links`` table
-        per letter and pushes for the remaining levels, letter by letter,
-        walking the predecessors of each node of the level.  Each level is
+        per letter and pushes from that level on, letter by letter, walking
+        the predecessors of each node of the level.  Each level is
         sorted before it joins the order; a pull level is one ascending run
         per letter, so the sort only merges runs.  ``unassigned`` is sliced
         from the rows of ``node_of``, so the pulled levels and the order
@@ -214,43 +217,40 @@ class PairAutomaton:
         for p, row in enumerate(self.node_of[:n]):
             unassigned += row[p + 1 : n]
         pulls = PULL_LIMIT * node_count
+        links = None
         distance = 0
-        while level and unassigned:
-            pulls -= len(unassigned)
-            if pulls < 0:
-                break
-            distance += 1
-            level = []
-            reached = bytearray(node_count)
-            for letter, column in enumerate(self.columns):
-                hits = gather(marks, gather(column, unassigned))
-                found = list(compress(unassigned, hits))
-                if found:
-                    unassigned = list(compress(unassigned, map(not_, hits)))
-                    for node in found:
-                        dist[node] = distance
-                        policy[node] = letter
-                        reached[node] = 1
-                    level += found
-            level.sort()
-            order += level
-            marks = reached
-        if not (level and unassigned):
-            return dist, policy, order
-
-        links = [predecessor_links(column, node_count, 1) for column in self.columns]
         while level:
             distance += 1
             farther = []
-            for letter, (head, link) in enumerate(links):
-                for node in level:
-                    pred = head[node]
-                    while pred >= 0:
-                        if dist[pred] is None:
-                            dist[pred] = distance
-                            policy[pred] = letter
-                            farther.append(pred)
-                        pred = link[pred]
+            if links is None and pulls >= len(unassigned):
+                pulls -= len(unassigned)
+                reached = bytearray(node_count)
+                for letter, column in enumerate(self.columns):
+                    hits = gather(marks, gather(column, unassigned))
+                    found = list(compress(unassigned, hits))
+                    if found:
+                        unassigned = list(compress(unassigned, map(not_, hits)))
+                        for node in found:
+                            dist[node] = distance
+                            policy[node] = letter
+                            reached[node] = 1
+                        farther += found
+                    # Free the hits before the next letter gathers its own:
+                    # both alive would set the search's memory peak.
+                    del hits
+                marks = reached
+            else:
+                # The first push level builds the predecessor tables.
+                links = links or [predecessor_links(c, node_count, 1) for c in self.columns]
+                for letter, (head, link) in enumerate(links):
+                    for node in level:
+                        pred = head[node]
+                        while pred >= 0:
+                            if dist[pred] is None:
+                                dist[pred] = distance
+                                policy[pred] = letter
+                                farther.append(pred)
+                            pred = link[pred]
             farther.sort()
             order += farther
             level = farther
@@ -262,17 +262,22 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     n = dfa.state_count
     dead = PairAutomaton.DEAD
     # Row p holds the pairs {q, p} (q < p) of the rows above, {p}, the
-    # pairs {p, q} (q > p), which are numbered consecutively, and at index
-    # n the set {p, undefined} = {p}.
+    # pairs {p, q} (q > p), which are numbered consecutively from the
+    # number of nodes so far, and at index n the set {p, undefined} = {p}.
+    # The endpoint lists grow with the numbering and share the ints of
+    # ``states``; the dead node's entries are placeholders.
+    states = list(range(n))
+    first = [0, *states]
+    second = [0, *states]
     node_of: list[list[int]] = []
-    first = 1 + n
-    for p in range(n):
+    for p in states:
         row = list(map(itemgetter(p), node_of))
         row.append(1 + p)
-        row += range(first, first + n - 1 - p)
+        row += range(len(first), len(first) + n - 1 - p)
         row.append(1 + p)
         node_of.append(row)
-        first += n - 1 - p
+        first += [p] * (n - 1 - p)
+        second += states[p + 1 :]
     node_of.append([*range(1, n + 1), dead])
     columns = []
     for letter in range(dfa.letter_count):
@@ -286,4 +291,4 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
         for p in range(n):
             column += map(node_of[successors[p]].__getitem__, successors[p + 1 :])
         columns.append(column)
-    return PairAutomaton(n, tuple(columns), node_of)
+    return PairAutomaton(n, tuple(columns), node_of, first, second)

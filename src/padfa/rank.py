@@ -110,7 +110,8 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     merging pair nodes in (d, p, q) order, so a round's pair is the first
     entry whose two states both survive.  A round scans the order for it in
     chunks that double from |S| entries; a chunk gathers the first and the
-    second states of its pairs and then their survivor marks.  The scan
+    second states of its pairs from the pair automaton's endpoint lists and
+    then their survivor marks.  The scan
     stops after |S|(|S| - 1)/2 entries, the number of pairs of S.  If that
     covered the whole order, no pair of S merges; otherwise the round falls
     back to listing: it lists the pair nodes {p, q} of survivors p < q
@@ -119,7 +120,8 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     the first smallest.  The chosen pair then leads one walk list and the
     survivors follow as their singleton nodes, so one ``gather`` per letter
     of the segment advances them all through the letter's column; the
-    survivors that reach the dead node drop out.
+    survivors that reach the dead node drop out, and the endpoint list maps
+    the others back to their states.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
@@ -128,18 +130,9 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
 
     pairs = pair_automaton(dfa)
     dist, policy, order = pairs.merge_policy()
-    node_of, columns = pairs.node_of, pairs.columns
-    # The first and the second state of each pair node, by node: the pairs
-    # follow the dead node and the singletons in (p, q) order.
+    node_of, columns, first, second = pairs.node_of, pairs.columns, pairs.first, pairs.second
     n = dfa.state_count
-    states = list(range(n))
-    first_of = [0] * (n + 1)
-    second_of = [0] * (n + 1)
-    for p in range(n):
-        first_of += [p] * (n - 1 - p)
-        second_of += states[p + 1 :]
-
-    survivors = states
+    survivors = list(range(n))
     witness: list[int] = []
     while len(survivors) > 1:
         alive = bytearray(n)
@@ -152,8 +145,8 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
         start, size = 0, len(survivors)
         while node is None and start < min(listing, len(order)):
             chunk = order[start : min(start + size, listing)]
-            firsts = gather(alive, gather(first_of, chunk))
-            seconds = gather(alive, gather(second_of, chunk))
+            firsts = gather(alive, gather(first, chunk))
+            seconds = gather(alive, gather(second, chunk))
             node = next(compress(chunk, map(and_, firsts, seconds)), None)
             start, size = start + len(chunk), 2 * size
         if node is None:
@@ -171,8 +164,7 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
                 break
             node = nodes[distances.index(distance)]
         distance = dist[node]
-        walk = [node]
-        walk += [1 + s for s in survivors]
+        walk = [node, *gather(node_of[n], survivors)]
         for _ in range(distance):
             letter = policy[walk[0]]
             if letter is None:
@@ -184,7 +176,7 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
             walk = gather(columns[letter], walk)
         # The chosen pair has merged, so at least one survivor is left and
         # at least one is gone.
-        image = [node - 1 for node in sorted(set(walk[1:]) - {pairs.DEAD})]
+        image = gather(first, sorted(set(walk[1:]) - {pairs.DEAD}))
         if not 0 < len(image) < len(survivors):
             raise RuntimeError(
                 f"a round of {distance} letters took {len(survivors)} survivors "

@@ -127,21 +127,21 @@ class TestDeterminizeReversal:
         result = determinize_reversal(p2_acceptor())
         assert len(result.nodes) == 2
         assert result.nodes[0] == StateSet.from_iterable(2, [0])
-        assert is_strongly_connected(result.as_dfa())
+        assert is_strongly_connected(result.acceptor.dfa)
 
     def test_m2_reversal_grows_then_stalls(self):
         result = determinize_reversal(m2_acceptor())
         assert result.nodes[0] == StateSet.from_iterable(2, [1])
         assert len(result.nodes) == 2
         assert result.nodes[1] == StateSet.full(2)
-        assert result.as_dfa().transitions[1][0] == 1
+        assert result.acceptor.dfa.transitions[1][0] == 1
 
     def test_reverse_language_membership(self):
         rng = random.Random(403)
         for _ in range(30):
             acc = random_acceptor(rng, max_states=5, max_letters=2)
             reversal = determinize_reversal(acc)
-            if reversal.is_empty:
+            if not reversal.nodes:
                 assert not acc.accepting
                 continue
             reversed_acc = reversal.acceptor
@@ -149,7 +149,7 @@ class TestDeterminizeReversal:
             assert brute_language(reversed_acc, 5) == expected
 
     def test_empty_accepting_set(self):
-        assert determinize_reversal(Acceptor(m2(), 0, StateSet(2))).is_empty
+        assert not determinize_reversal(Acceptor(m2(), 0, StateSet(2))).nodes
 
     # R_7 and R_15 have exactly 8 and 16 states: one and two full bytes.
     @pytest.mark.parametrize("n", [3, 6, 7, 9, 15])
@@ -251,7 +251,7 @@ class TestCombinedRoute:
                     candidate, budget
                 )
                 reversal = determinize_reversal(candidate)
-                assert fast == is_strongly_connected(reversal.as_dfa())
+                assert fast == is_strongly_connected(reversal.acceptor.dfa)
                 assert budget.limit - budget.remaining == len(reversal.nodes)
                 outcomes.append(fast)
         assert len(outcomes) >= 300

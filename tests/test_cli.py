@@ -430,6 +430,32 @@ def test_budget_only_where_a_search_spends_it(files, capsys, argv):
     assert not (files["dir"] / "out.aut").exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "p2.aut", "--method", "poly"],
+        ["rank", "p2.aut"],
+        ["sync", "p2.aut"],
+        ["saturate", "p2.aut", "--set", "all"],
+        ["birecurrent", "p2.aut"],
+        ["oracle", "common-word", "yes.inst"],
+    ],
+    ids=" ".join,
+)
+def test_a_budget_below_one_is_a_usage_error(files, capsys, argv, budget):
+    argv = [files.get(a, a) for a in argv] + ["--budget", budget]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: padfa ")
+    assert f"invalid budget '{budget}': budget must be positive" in captured.err
+    assert main(argv + ["--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == argv[0]
+    assert payload["error"] == "ArgumentError"
+
+
 def test_json_after_double_dash_is_a_file_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["validate", "--", "--json"]) == 2

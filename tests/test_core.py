@@ -1,4 +1,5 @@
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padfa
-from padfa import Acceptor, PartialDfa, StateSet
+from padfa import Acceptor, IntersectionInstance, PartialDfa, SearchBudget, StateSet
 from padfa.birecurrent import determinize_reversal
 from padfa.core import byte_image, byte_tables, union_image
 from padfa.formats import ParseError, parse_automaton, parse_instance
@@ -339,3 +340,36 @@ def test_parsers_raise_only_parse_errors(text):
             parse(text)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SearchBudget(0), "budget must be positive"),
+        (lambda: StateSet(-1), "universe must be non-negative"),
+        (lambda: StateSet(2, 0b100), "members out of range for universe 2"),
+        (lambda: StateSet(2, -1), "members out of range for universe 2"),
+        (
+            lambda: PartialDfa(2, ("a",), ((0,),)),
+            "transition table must have one row per state",
+        ),
+        (
+            lambda: PartialDfa(1, ("a",), ((0, 0),)),
+            "transition row width must match alphabet size",
+        ),
+        (lambda: PartialDfa.from_map(2, "a", {(2, "a"): 0}), "state 2 out of range"),
+        (lambda: PartialDfa.from_map(2, "a", {(0, "b"): 0}), "unknown letter 'b'"),
+        (
+            lambda: Acceptor(PartialDfa(0, ("a",), ()), 0, StateSet(0)),
+            "empty acceptor cannot have an initial state",
+        ),
+        (lambda: IntersectionInstance(()), "an instance needs at least one machine"),
+        (
+            lambda: IntersectionInstance((Acceptor.empty(("a",)),)),
+            "machine 0 has no states",
+        ),
+    ],
+)
+def test_core_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

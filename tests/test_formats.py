@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -219,3 +220,53 @@ class TestDot:
         text = "states: 1\nalphabet: a b\ntrans: 0 a 0\ntrans: 0 b 0\n"
         dot = to_dot(parse_automaton(text))
         assert '0 -> 0 [label="a, b"];' in dot
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_automaton,
+            "states: 1\nalphabet: a\ntrans: 0 a\n",
+            "line 3: expected 'trans: <src> <letter> <dst>'",
+        ),
+        (parse_automaton, "states: 1\n", "missing 'alphabet:' line"),
+        (
+            parse_automaton,
+            "states: 1\nalphabet: a\ntrans: 1 a 0\n",
+            "line 3: source state 1 out of range",
+        ),
+        (
+            parse_automaton,
+            "states: 1\nalphabet: a\naccepting: 0 1\n",
+            "line 3: accepting state 1 out of range",
+        ),
+        (
+            parse_automaton,
+            "states: 1\nalphabet: a\n# the initial state\ninitial: 5\n",
+            "line 4: initial state 5 out of range",
+        ),
+        (
+            parse_instance,
+            "alphabet: a\nmachine: x\n",
+            "line 2: 'machine:' takes no value",
+        ),
+        (
+            parse_instance,
+            "alphabet: a\n",
+            "instance files need at least one 'machine:' block",
+        ),
+    ],
+    ids=[
+        "trans-fields",
+        "no-alphabet",
+        "source",
+        "accepting",
+        "initial",
+        "machine-value",
+        "no-machine",
+    ],
+)
+def test_parsers_reject_bad_input(parse, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from itertools import product
 
 import pytest
@@ -413,3 +414,24 @@ class TestCompleteGadget:
         )
         with pytest.raises(ValueError):
             build_complete_gadget(IntersectionInstance((lopsided,)))
+
+
+def _unable_to_accept() -> IntersectionInstance:
+    """A complete machine whose state 1 never reaches its accepting state 0."""
+    dfa = PartialDfa(2, ("a",), ((1,), (1,)))
+    return IntersectionInstance((Acceptor(dfa, 0, StateSet.from_iterable(2, [0])),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: strongly_connect_gadget(m2(), 2), "hub state 2 out of range"),
+        (
+            lambda: build_complete_gadget(_unable_to_accept()),
+            "machine 0: some state cannot reach an accepting state",
+        ),
+    ],
+)
+def test_gadgets_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

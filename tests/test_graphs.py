@@ -12,7 +12,7 @@ from padfa import (
 )
 from padfa.graphs import gather
 
-from support import c4, m2, p2, random_partial_dfa
+from support import c4, cerny, m2, p2, random_partial_dfa
 
 
 class TestStrongConnectivity:
@@ -89,23 +89,23 @@ class TestScc:
 class TestPairAutomaton:
     def test_m2_pair_merges(self):
         pa = pair_automaton(m2())
-        assert pa.step[pa.node_of[0][1]][0] == 1 + 1
+        assert pa.columns[0][pa.node_of[0][1]] == 1 + 1
 
     def test_d2_exactly_one_defined(self):
         dfa = PartialDfa.from_map(2, ["a"], {(0, "a"): 1})
         pa = pair_automaton(dfa)
-        assert pa.step[pa.node_of[0][1]][0] == 1 + 1
+        assert pa.columns[0][pa.node_of[0][1]] == 1 + 1
 
     def test_p2_never_merges(self):
         pa = pair_automaton(p2())
         node = pa.node_of[0][1]
-        assert pa.step[node][0] == node
+        assert pa.columns[0][node] == node
         assert pa.merge_policy()[0][node] is None
 
     def test_dead_is_absorbing(self):
         pa = pair_automaton(d2_like())
         for letter in range(1):
-            assert pa.step[pa.DEAD][letter] == pa.DEAD
+            assert pa.columns[letter][pa.DEAD] == pa.DEAD
 
     def test_node_kinds(self):
         # Dead node first, then the singletons 1..n, then the pairs in
@@ -115,8 +115,32 @@ class TestPairAutomaton:
         assert pa.DEAD == 0
         assert [pa.node_of[s][n] for s in range(n)] == list(range(1, n + 1))
         pairs = [pa.node_of[p][q] for p in range(n) for q in range(p + 1, n)]
-        assert pairs == list(range(n + 1, len(pa.step)))
-        assert len(pa.step) == 1 + n + n * (n - 1) // 2
+        assert pairs == list(range(n + 1, pa.node_count))
+        assert pa.node_count == 1 + n + n * (n - 1) // 2
+
+    def test_endpoint_lists_map_nodes_back_to_states(self):
+        n = 4
+        pa = pair_automaton(c4())
+        assert len(pa.first) == len(pa.second) == pa.node_count
+        for p in range(n):
+            singleton = pa.node_of[p][n]
+            assert (pa.first[singleton], pa.second[singleton]) == (p, p)
+            for q in range(p + 1, n):
+                node = pa.node_of[p][q]
+                assert (pa.first[node], pa.second[node]) == (p, q)
+
+    def test_endpoint_lists_hold_one_int_per_state(self):
+        # They point at the states' ints, not at a new int per node (ints
+        # above 256 are not shared by the interpreter).
+        pa = pair_automaton(cerny(300))
+        assert len({id(state) for state in pa.first + pa.second}) == 300
+
+    @pytest.mark.parametrize("dfa", [m2(), c4(), PartialDfa(2, (), ((), ()))])
+    def test_step_is_the_columns_read_row_wise(self, dfa):
+        # The benchmark's trace counts the rows; no search reads them.
+        pa = pair_automaton(dfa)
+        rows = [tuple(column[node] for column in pa.columns) for node in range(pa.node_count)]
+        assert pa.step == rows
 
     def test_merge_policy_of_one_state(self):
         for dfa in (
@@ -221,16 +245,16 @@ def test_merge_policy_walks_to_a_singleton():
         pa = pair_automaton(dfa)
         dist, policy, _ = pa.merge_policy()
         assert dist[PairAutomaton.DEAD] is None
-        for node in range(len(pa.step)):
+        for node in range(pa.node_count):
             if dist[node] in (None, 0):
                 continue
             # The policy is the smallest letter one step closer.
             closer = [
-                a for a, target in enumerate(pa.step[node])
-                if dist[target] == dist[node] - 1
+                a for a, column in enumerate(pa.columns)
+                if dist[column[node]] == dist[node] - 1
             ]
             assert policy[node] == closer[0]
             walk = node
             for _ in range(dist[node]):
-                walk = pa.step[walk][policy[walk]]
+                walk = pa.columns[policy[walk]][walk]
             assert 1 <= walk <= dfa.state_count  # a singleton

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -101,8 +102,8 @@ class TestMinRankWordSc:
     def test_empty_alphabet(self):
         dfa = PartialDfa(1, (), ((),))
         pa = pair_automaton(dfa)
-        assert len(pa.step) == 2
-        assert pa.step[1 + 0] == ()
+        assert pa.node_count == 2
+        assert pa.columns == ()
         assert pa.merge_policy() == ([None, 0], [None, None], [])
         assert min_rank_word_sc(dfa) == RankResult(1, ())
 
@@ -125,7 +126,7 @@ class TestMinRankWordSc:
             finite = [d for d in dist if d is not None]
             # Every merging segment comes from a shortest path in the pair
             # automaton, so no segment exceeds the node count.
-            assert all(d <= len(pa.step) for d in finite)
+            assert all(d <= pa.node_count for d in finite)
 
 
 def _enumerate_shortest_rank(dfa: PartialDfa, max_len: int) -> tuple[int, int]:
@@ -196,7 +197,7 @@ def test_prefix_extension_reaches_minimum_rank():
             word = []
             while dist[node] != 0:
                 word.append(policy[node])
-                node = pa.step[node][policy[node]]
+                node = pa.columns[policy[node]][node]
             mask = dfa.image_mask(mask, tuple(word))
         assert mask.bit_count() == target
 
@@ -456,3 +457,18 @@ class TestLengthBound:
             assert result.word_length <= rank_word_length_bound(
                 dfa.state_count, result.rank
             )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: min_rank_word_sc(PartialDfa(0, ("a",), ())),
+            "rank is undefined for the empty automaton",
+        ),
+        (lambda: rank_word_length_bound(0, 1), "n must be positive"),
+    ],
+)
+def test_rank_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -147,3 +148,17 @@ def test_failed_postcondition_raises_even_without_asserts(monkeypatch):
     monkeypatch.setattr(padfa.saturate, "is_saturated_by", lambda *args: False)
     with pytest.raises(RuntimeError):
         find_saturating_min_rank_word(p2(), StateSet.from_iterable(2, [0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: is_saturated_by(m2(), StateSet(3), ()),
+        lambda: find_saturating_min_rank_word(m2(), StateSet(3)),
+    ],
+    ids=["is_saturated_by", "find_saturating_min_rank_word"],
+)
+def test_saturation_rejects_a_set_of_another_universe(build):
+    message = "state set universe does not match automaton"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
