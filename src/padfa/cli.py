@@ -17,7 +17,8 @@ the object ``{"command", "error", "message"}``, where ``error`` names the
 exception class (``ArgumentError`` for a usage error, whose ``command`` is
 ``null`` when no command was recognized).  Only the commands that search
 take ``--budget``, and a budget that ``SearchBudget`` refuses is a usage
-error.
+error, as is any budget given to ``rank --method poly``, which runs no
+search.
 """
 
 from __future__ import annotations
@@ -288,6 +289,14 @@ class _Parser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        # ``--budget`` is None until this check has seen whether it was
+        # given: ``rank --method poly`` runs no search and refuses one, and
+        # the searches get the default.  The innermost parser runs it first.
+        if getattr(namespace, "method", None) == "poly":
+            if namespace.budget is not None:
+                self.error("--budget does not apply to --method poly, which runs no search")
+        elif getattr(namespace, "budget", DEFAULT_BUDGET) is None:
+            namespace.budget = DEFAULT_BUDGET
         return namespace, extras
 
 
@@ -301,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     searching.add_argument(
         "--budget",
         type=_budget,
-        default=DEFAULT_BUDGET,
         metavar="N",
-        help=f"subset-search budget in visited configurations (default {DEFAULT_BUDGET})",
+        help=f"subset-search budget in visited configurations (default {DEFAULT_BUDGET}); "
+        "a usage error with rank --method poly, which runs no search",
     )
 
     parser = _Parser(

@@ -8,6 +8,14 @@ of the automaton; the search node is just the pair of images
 saturation and the rank of a word depend on nothing else.  A node whose
 inside image lost a member is dead and never expanded: no extension of its
 word can saturate S.
+
+A node whose two images meet is dropped too.  A node is expanded under a
+letter only if every state of its inside image has that letter, so a state
+in both images keeps a defined image, and that image lies in both new
+images: an overlap never goes away, and no saturating word passes through
+one.  Overlapping nodes lead only to overlapping nodes, so the kept nodes
+keep their discovery order and their parents, and every word and every
+"none" is the one the unpruned search would give, for no more budget.
 """
 
 from __future__ import annotations
@@ -48,9 +56,11 @@ def find_saturating_min_rank_word(
     Computes the automaton rank r first, then breadth-first searches config
     space from (S, Q \\ S): a config accepts when it is alive, its two
     images are disjoint, and their union has exactly r states.  Configs
-    whose inside image lost a member are dead and pruned.  The rank
-    computation and the config search draw on one shared budget and read
-    one compiled copy of the letter tables.
+    whose inside image lost a member are dead and pruned, and so are
+    configs whose two images meet, since an overlap never goes away; every
+    kept config is therefore disjoint, and it accepts when it holds r
+    states.  The rank computation and the config search draw on one shared
+    budget and read one compiled copy of the letter tables.
     """
     if states.universe != dfa.state_count:
         raise ValueError("state set universe does not match automaton")
@@ -69,11 +79,15 @@ def find_saturating_min_rank_word(
         if inside & ~domains[letter]:
             return None
         chunks = tables[letter]
-        return byte_image(chunks, inside) | byte_image(chunks, config >> n) << n
+        inside = byte_image(chunks, inside)
+        outside = byte_image(chunks, config >> n)
+        if inside & outside:
+            return None
+        return inside | outside << n
 
     def accepts(config: int) -> bool:
-        inside, outside = config & full, config >> n
-        return inside & outside == 0 and (inside | outside).bit_count() == target_rank
+        # Every kept config has disjoint images, so its size is |I ∪ O|.
+        return config.bit_count() == target_rank
 
     start = states.mask | (full & ~states.mask) << n
     found, parents = breadth_first(start, dfa.letter_count, step, accepts, shared)

@@ -1,4 +1,5 @@
-"""Shared fixtures-by-hand: tiny named automata and seeded random generators."""
+"""Shared fixtures-by-hand: tiny named automata, seeded random generators and
+the unpruned saturation search that the pruned one is checked against."""
 
 from __future__ import annotations
 
@@ -9,11 +10,14 @@ from padfa import (
     Acceptor,
     IntersectionInstance,
     PartialDfa,
+    SearchBudget,
     StateSet,
     coreachable_to,
+    exact_rank,
     is_strongly_connected,
     reachable_from,
 )
+from padfa.core import breadth_first, union_image, word_to
 from padfa.formats import serialize_automaton
 
 
@@ -279,3 +283,33 @@ def parity_instance() -> IntersectionInstance:
     even = Acceptor(flip, 0, StateSet.from_iterable(2, [0]))
     odd = Acceptor(flip, 0, StateSet.from_iterable(2, [1]))
     return IntersectionInstance((even, odd))
+
+
+def unpruned_saturating_word(
+    dfa: PartialDfa, states: StateSet, budget: SearchBudget
+) -> tuple[int, ...] | None:
+    """The saturation search without its overlap prune, as a reference.
+
+    It breadth-first searches every config (I, O) whose inside image I
+    survives, overlapping or not, and accepts the first one whose images
+    are disjoint and whose union has the automaton's rank.  It spends
+    ``budget`` as ``find_saturating_min_rank_word`` does: the rank search,
+    then one unit per config."""
+    n = dfa.state_count
+    full = (1 << n) - 1
+    target_rank = exact_rank(dfa, budget).rank
+
+    def step(config: int, letter: int) -> int | None:
+        inside = config & full
+        if inside & ~dfa.letter_domains[letter]:
+            return None
+        images = dfa.letter_images[letter]
+        return union_image(images, inside) | union_image(images, config >> n) << n
+
+    def accepts(config: int) -> bool:
+        inside, outside = config & full, config >> n
+        return inside & outside == 0 and (inside | outside).bit_count() == target_rank
+
+    start = states.mask | (full & ~states.mask) << n
+    found, parents = breadth_first(start, dfa.letter_count, step, accepts, budget)
+    return None if found is None else word_to(parents, found)

@@ -430,6 +430,33 @@ def test_budget_only_where_a_search_spends_it(files, capsys, argv):
     assert not (files["dir"] / "out.aut").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "c4.aut", "--method", "poly", "--budget", "1"],
+        ["rank", "c4.aut", "--budget", "1048576", "--method", "poly"],
+    ],
+    ids=["budget-after", "default-budget-before"],
+)
+def test_polynomial_rank_refuses_a_budget(files, capsys, argv):
+    # min_rank_word_sc spends no budget, so a given one, even the default
+    # value, is a usage error rather than silently ignored.
+    argv = [files.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: padfa rank ")
+    assert "--budget does not apply to --method poly" in captured.err
+    assert main(argv + ["--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == "rank"
+    assert payload["error"] == "ArgumentError"
+    # Without --budget the polynomial route answers as before.
+    assert main(["rank", files["c4.aut"], "--method", "poly", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"command": "rank", "method": "poly", "rank": 1, "witness_length": 10}
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",

@@ -18,6 +18,7 @@ from itertools import permutations
 
 from padfa import (
     Acceptor,
+    SearchBudget,
     StateSet,
     exact_rank,
     find_saturating_min_rank_word,
@@ -32,7 +33,7 @@ from padfa.bruteforce import (
 )
 from padfa.formats import parse_automaton, serialize_automaton
 
-from support import binary_automata
+from support import binary_automata, unpruned_saturating_word
 
 
 def _relabelled(dfa, perm):
@@ -102,7 +103,8 @@ def test_saturating_word_matches_brute_force():
     # finds no word longer than 5 here, so each word it finds is checked
     # both ways at horizon 6; where it finds none, the check is one-sided:
     # no word of at most 6 letters saturates the set with minimum rank.
-    # Horizon 6 also gives brute_rank the exact rank (see above).
+    # The unpruned search of the next test closes that gap.  Horizon 6 also
+    # gives brute_rank the exact rank (see above).
     classes = _classes()[1]
     assert len(classes) == 5010
     assert sum(size for _, _, size in classes) == 28919
@@ -113,6 +115,26 @@ def test_saturating_word_matches_brute_force():
         assert word == brute_saturating_word(dfa, states, 6)
         found += word is not None
     assert found == 1662
+
+
+def test_overlap_prune_keeps_every_answer_and_spends_less():
+    # The unpruned search expands every config whose inside image survives,
+    # so its answer is exact at any length, "none" included.  The pruned
+    # search must give the same answer and spend no more budget; the totals
+    # pin how much the prune saves.
+    spent = {"pruned": 0, "unpruned": 0}
+    saved = 0
+    for dfa, mask, _ in _classes()[1]:
+        states = StateSet(dfa.state_count, mask)
+        pruned, unpruned = SearchBudget(), SearchBudget()
+        word = find_saturating_min_rank_word(dfa, states, pruned)
+        assert word == unpruned_saturating_word(dfa, states, unpruned)
+        assert pruned.remaining >= unpruned.remaining
+        saved += pruned.remaining > unpruned.remaining
+        spent["pruned"] += pruned.limit - pruned.remaining
+        spent["unpruned"] += unpruned.limit - unpruned.remaining
+    assert spent == {"pruned": 24609, "unpruned": 30287}
+    assert saved == 2160
 
 
 def test_minimize_keeps_the_language_and_leaves_a_minimal_trim_acceptor():

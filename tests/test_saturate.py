@@ -5,7 +5,9 @@ import pytest
 
 import padfa.saturate
 from padfa import (
+    BudgetExceededError,
     PartialDfa,
+    SearchBudget,
     StateSet,
     exact_rank,
     find_saturating_min_rank_word,
@@ -13,7 +15,14 @@ from padfa import (
 )
 from padfa.bruteforce import brute_saturating_word
 
-from support import d2, m2, p2, random_partial_dfa, random_word
+from support import (
+    d2,
+    m2,
+    p2,
+    random_partial_dfa,
+    random_word,
+    unpruned_saturating_word,
+)
 
 
 class TestIsSaturatedBy:
@@ -100,6 +109,42 @@ def test_search_matches_brute_enumeration_on_small_automata():
             assert brute is None
         else:
             assert brute == found
+
+
+def test_overlap_prune_matches_the_unpruned_search_on_random_inputs():
+    rng = random.Random(305)
+    saved = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        dfa = random_partial_dfa(rng, n, rng.randint(1, 3), rng.uniform(0.4, 1.0))
+        states = StateSet.from_iterable(n, [s for s in range(n) if rng.random() < 0.5])
+        pruned, unpruned = SearchBudget(), SearchBudget()
+        word = find_saturating_min_rank_word(dfa, states, pruned)
+        assert word == unpruned_saturating_word(dfa, states, unpruned)
+        assert pruned.remaining >= unpruned.remaining
+        saved += pruned.remaining > unpruned.remaining
+    assert saved > 0
+
+
+def test_budget_that_only_the_pruned_search_fits():
+    # States 2, 4 and 6 are saturated by a 10-letter word.  The pruned
+    # search spends 101 units on it (rank search included), the unpruned
+    # one 270, so a budget of 101 answers with the prune and runs out
+    # without it.
+    dfa = PartialDfa(
+        7,
+        ("a", "b"),
+        ((4, 1), (5, 6), (4, 0), (None, 3), (0, 2), (0, 3), (6, 4)),
+    )
+    states = StateSet.from_iterable(7, [2, 4, 6])
+    word = find_saturating_min_rank_word(dfa, states)
+    assert word is not None and len(word) == 10
+    assert find_saturating_min_rank_word(dfa, states, SearchBudget(101)) == word
+    with pytest.raises(BudgetExceededError):
+        find_saturating_min_rank_word(dfa, states, SearchBudget(100))
+    with pytest.raises(BudgetExceededError):
+        unpruned_saturating_word(dfa, states, SearchBudget(101))
+    assert unpruned_saturating_word(dfa, states, SearchBudget(270)) == word
 
 
 def test_dead_config_is_absorbing():
