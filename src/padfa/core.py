@@ -9,7 +9,8 @@ drops the states whose path hits an undefined entry.
 
 The searches of the package share two primitives defined here: the image
 of a state set under a per-letter table of masks (``union_image``) and
-breadth-first search with a parent map (``breadth_first`` and ``word_to``).
+breadth-first search for a node of a target size that returns the node and
+its word (``breadth_first``).
 The oracles the tests check them against (``bruteforce`` and
 ``gadgets.has_common_word``) deliberately keep their own code.
 
@@ -58,6 +59,8 @@ class SearchBudget:
     __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
+        if type(limit) is not int:
+            raise ValueError(f"budget must be an int, not {limit!r}")
         if limit < 1:
             raise ValueError("budget must be positive")
         self.limit = limit
@@ -129,66 +132,70 @@ def byte_image(chunks: Sequence[Sequence[int]], mask: int) -> int:
     return image
 
 
-# parents[node] is (parent, letter), or None for the start node.
-Parents = dict[int, Optional[tuple[int, int]]]
-
-
 def breadth_first(
     start: int,
     letter_count: int,
     step: Callable[[int, int], Optional[int]],
-    goal: Callable[[int], bool],
+    target: int,
     budget: SearchBudget,
-) -> tuple[Optional[int], Parents]:
-    """Breadth-first search from ``start`` over int-encoded nodes.
+) -> tuple[int, Word]:
+    """Breadth-first search from ``start`` over int-encoded nodes for a node
+    with ``target`` set bits.
 
     ``step(node, letter)`` gives the successor, or ``None`` to prune it.
-    Letters are expanded in declaration order, so ``word_to`` of any visited
-    node is its length-then-lexicographically first word.  Every newly seen
-    node, the start included, spends one unit of ``budget`` and is then
-    tested against ``goal``.  Returns the first node meeting the goal (or
-    ``None`` when the reachable nodes are exhausted) and the parent map,
-    whose keys are the visited nodes in discovery order.
+    Every newly seen node, the start included, spends one unit of
+    ``budget``.  Returns the first node with ``target`` set bits or, when
+    none is reachable, the first node with the fewest set bits, together
+    with its word.  Letters are expanded in declaration order, so the node's
+    word is its length-then-lexicographically first one, and the first node
+    of a size in discovery order is the first of that size in that order of
+    words.
+
+    Each visited node keeps only its parent.  A word letter is recovered as
+    the first letter under which the parent steps to the child, since an
+    earlier one would have found the child first; so ``step`` must give the
+    same successor each time it is asked.
     """
     budget.spend()
-    parents: Parents = {start: None}
-    if goal(start):
-        return start, parents
+    parents: dict[int, Optional[int]] = {start: None}
+    found = start if start.bit_count() == target else None
     queue = deque([start])
-    while queue:
+    while queue and found is None:
         node = queue.popleft()
         for letter in range(letter_count):
             new = step(node, letter)
             if new is None or new in parents:
                 continue
             budget.spend()
-            parents[new] = (node, letter)
-            if goal(new):
-                return new, parents
+            parents[new] = node
+            if new.bit_count() == target:
+                found = new
+                break
             queue.append(new)
-    return None, parents
-
-
-def word_to(parents: Parents, node: int) -> Word:
-    """The word labelling the search-tree path from the start to ``node``."""
+    if found is None:
+        found = min(parents, key=int.bit_count)
     letters: list[int] = []
-    link = parents[node]
-    while link is not None:
-        node, letter = link
-        letters.append(letter)
-        link = parents[node]
-    return tuple(reversed(letters))
+    node = found
+    while (parent := parents[node]) is not None:
+        letters.append(next(a for a in range(letter_count) if step(parent, a) == node))
+        node = parent
+    return found, tuple(reversed(letters))
 
 
 @dataclass(frozen=True)
 class StateSet:
     """Subset of ``range(universe)`` backed by a bitmask: ``mask`` bit ``i``
-    set means state ``i`` is a member.  Set algebra works on the masks."""
+    set means state ``i`` is a member.  Set algebra works on the masks.  The
+    universe, the mask and the members are plain ``int``, never ``bool``."""
 
     universe: int
     mask: int = 0
 
     def __post_init__(self):
+        if type(self.universe) is not int or type(self.mask) is not int:
+            raise ValueError(
+                f"universe and mask must be ints, not {self.universe!r} and {self.mask!r}"
+            )
         if self.universe < 0:
             raise ValueError("universe must be non-negative")
         if self.mask < 0 or self.mask >> self.universe:
@@ -198,7 +205,7 @@ class StateSet:
     def from_iterable(cls, universe: int, members: Iterable[int]) -> "StateSet":
         mask = 0
         for m in members:
-            if not 0 <= m < universe:
+            if type(m) is not int or not 0 <= m < universe:
                 raise ValueError(f"state {m} out of range for universe {universe}")
             mask |= 1 << m
         return cls(universe, mask)

@@ -27,7 +27,6 @@ from .core import (
     breadth_first,
     byte_image,
     byte_tables,
-    word_to,
 )
 from .graphs import gather, is_strongly_connected, pair_automaton
 
@@ -72,17 +71,10 @@ def exact_rank_on_tables(
         # absorbing, so there is nothing to explore beyond it.
         return byte_image(tables[letter], mask) or None
 
-    found, parents = breadth_first(
-        (1 << state_count) - 1,
-        len(tables),
-        step,
-        lambda mask: mask.bit_count() == 1,
-        SearchBudget.ensure(budget),
+    best, witness = breadth_first(
+        (1 << state_count) - 1, len(tables), step, 1, SearchBudget.ensure(budget)
     )
-    # Without a singleton, the first minimum in discovery order is the first
-    # minimum-rank subset in length-then-lexicographic order of its word.
-    best = found if found is not None else min(parents, key=int.bit_count)
-    return RankResult(best.bit_count(), word_to(parents, best))
+    return RankResult(best.bit_count(), witness)
 
 
 def is_synchronizing(

@@ -29,7 +29,6 @@ from .core import (
     breadth_first,
     byte_image,
     byte_tables,
-    word_to,
 )
 from .rank import exact_rank_on_tables
 
@@ -85,15 +84,11 @@ def find_saturating_min_rank_word(
             return None
         return inside | outside << n
 
-    def accepts(config: int) -> bool:
-        # Every kept config has disjoint images, so its size is |I ∪ O|.
-        return config.bit_count() == target_rank
-
     start = states.mask | (full & ~states.mask) << n
-    found, parents = breadth_first(start, dfa.letter_count, step, accepts, shared)
-    if found is None:
+    found, word = breadth_first(start, dfa.letter_count, step, target_rank, shared)
+    # Every kept config has disjoint images, so its size is |I ∪ O|.
+    if found.bit_count() != target_rank:
         return None
-    word = word_to(parents, found)
     if not is_saturated_by(dfa, states, word):
         raise RuntimeError(f"search returned {word}, which does not saturate the set")
     if dfa.image_mask(full, word).bit_count() != target_rank:

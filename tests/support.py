@@ -4,6 +4,7 @@ the unpruned saturation search that the pruned one is checked against."""
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import product
 
 from padfa import (
@@ -17,7 +18,7 @@ from padfa import (
     is_strongly_connected,
     reachable_from,
 )
-from padfa.core import breadth_first, union_image, word_to
+from padfa.core import union_image
 from padfa.formats import serialize_automaton
 
 
@@ -294,22 +295,42 @@ def unpruned_saturating_word(
     survives, overlapping or not, and accepts the first one whose images
     are disjoint and whose union has the automaton's rank.  It spends
     ``budget`` as ``find_saturating_min_rank_word`` does: the rank search,
-    then one unit per config."""
+    then one unit per config.  It runs its own loop, which links each
+    config to its parent and letter, so that it shares no witness code with
+    ``core.breadth_first``."""
     n = dfa.state_count
     full = (1 << n) - 1
     target_rank = exact_rank(dfa, budget).rank
-
-    def step(config: int, letter: int) -> int | None:
-        inside = config & full
-        if inside & ~dfa.letter_domains[letter]:
-            return None
-        images = dfa.letter_images[letter]
-        return union_image(images, inside) | union_image(images, config >> n) << n
 
     def accepts(config: int) -> bool:
         inside, outside = config & full, config >> n
         return inside & outside == 0 and (inside | outside).bit_count() == target_rank
 
     start = states.mask | (full & ~states.mask) << n
-    found, parents = breadth_first(start, dfa.letter_count, step, accepts, budget)
-    return None if found is None else word_to(parents, found)
+    links: dict[int, tuple[int, int] | None] = {start: None}
+    budget.spend()
+    found = start if accepts(start) else None
+    queue = deque([start])
+    while queue and found is None:
+        config = queue.popleft()
+        inside = config & full
+        for letter, images in enumerate(dfa.letter_images):
+            if inside & ~dfa.letter_domains[letter]:
+                continue
+            new = union_image(images, inside) | union_image(images, config >> n) << n
+            if new in links:
+                continue
+            budget.spend()
+            links[new] = (config, letter)
+            if accepts(new):
+                found = new
+                break
+            queue.append(new)
+    if found is None:
+        return None
+    word: list[int] = []
+    config = found
+    while (link := links[config]) is not None:
+        config, letter = link
+        word.append(letter)
+    return tuple(reversed(word))

@@ -8,14 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padfa
-from padfa import Acceptor, IntersectionInstance, PartialDfa, SearchBudget, StateSet
+from padfa import (
+    Acceptor,
+    BudgetExceededError,
+    IntersectionInstance,
+    PartialDfa,
+    SearchBudget,
+    StateSet,
+)
 from padfa.birecurrent import determinize_reversal
-from padfa.core import byte_image, byte_tables, union_image
+from padfa.core import breadth_first, byte_image, byte_tables, union_image
 from padfa.formats import ParseError, parse_automaton, parse_instance
 from padfa.rank import exact_rank
 from padfa.saturate import find_saturating_min_rank_word
 
-from support import cerny, d2, letters, m2, p2
+from support import c4, cerny, d2, letters, m2, p2
 
 
 @st.composite
@@ -213,6 +220,57 @@ def test_byte_image_equals_union_image(data):
     assert byte_image(byte_tables(table), mask) == union_image(table, mask)
 
 
+# Hand-built searches: the successor row of each node (``None`` prunes), the
+# start, the target size, the answer and the number of nodes visited.
+SEARCHES = {
+    # 0b011 is reached under letters 1 and 2; its word has letter 1.
+    "first-letter-to-a-child": (
+        {0b111: (None, 0b011, 0b011), 0b011: (0b001, None, None)},
+        0b111, 1, (0b001, (1, 0)), 3,
+    ),
+    # 0b0011 is reached from 0b0111 and then from 0b1110; its parent is 0b0111.
+    "first-parent-of-a-child": (
+        {
+            0b1111: (0b0111, 0b1110),
+            0b0111: (None, 0b0011),
+            0b1110: (0b0011, None),
+            0b0011: (0b0001, None),
+        },
+        0b1111, 1, (0b0001, (0, 1, 0)), 5,
+    ),
+    # No node is empty; 0b100 and 0b001 have the fewest bits, 0b100 first.
+    "first-fewest-without-target": (
+        {
+            0b111: (0b110, 0b011),
+            0b110: (None, 0b100),
+            0b011: (0b001, None),
+            0b100: (None, None),
+            0b001: (None, None),
+        },
+        0b111, 0, (0b100, (0, 1)), 5,
+    ),
+    "start-has-target": ({0b11: (0b01,)}, 0b11, 2, (0b11, ()), 1),
+    "target-after-a-smaller-node": ({0b111: (0b001, 0b011)}, 0b111, 2, (0b011, (1,)), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, start, target, answer, visited", SEARCHES.values(), ids=SEARCHES.keys()
+)
+def test_breadth_first(rows, start, target, answer, visited):
+    def step(node, letter):
+        return rows[node][letter]
+
+    letter_count = len(rows[start])
+    budget = SearchBudget(visited)
+    assert breadth_first(start, letter_count, step, target, budget) == answer
+    assert budget.remaining == 0
+    short = SearchBudget(visited)
+    short.spend()
+    with pytest.raises(BudgetExceededError):
+        breadth_first(start, letter_count, step, target, short)
+
+
 def test_searches_cache_nothing_on_the_automaton():
     # The compiled byte tables belong to one search; cached on the automaton
     # they would stay alive as long as the automaton does.
@@ -346,6 +404,13 @@ def test_parsers_raise_only_parse_errors(text):
     "build, message",
     [
         (lambda: SearchBudget(0), "budget must be positive"),
+        (lambda: SearchBudget(True), "budget must be an int, not True"),
+        (lambda: exact_rank(c4(), 7.5), "budget must be an int, not 7.5"),
+        (lambda: StateSet(2, True), "universe and mask must be ints, not 2 and True"),
+        (lambda: StateSet(True, 1), "universe and mask must be ints, not True and 1"),
+        (lambda: StateSet(1.0), "universe and mask must be ints, not 1.0 and 0"),
+        (lambda: StateSet.from_iterable(3, [True]), "state True out of range"),
+        (lambda: StateSet.from_iterable(3, [1.0]), "state 1.0 out of range"),
         (lambda: StateSet(-1), "universe must be non-negative"),
         (lambda: StateSet(2, 0b100), "members out of range for universe 2"),
         (lambda: StateSet(2, -1), "members out of range for universe 2"),
