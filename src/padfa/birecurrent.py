@@ -6,11 +6,13 @@ deciders are provided and cross-checked (Dolce, Perrin, Reutenauer and
 Rindone, "Birecurrent sets", IJAC 2017):
 
 * the direct route minimizes the acceptor and tests strong connectivity of
-  it and of the determinization of its reversal.  The reversal is tested
-  on its row table alone: the subset construction only builds subsets
-  reachable from its start (the accepting set), so it is strongly
-  connected exactly when every subset reaches the start again, which one
-  backward pass over the rows decides;
+  it and of the determinization of its reversal (by Brzozowski, the
+  minimal DFA of the reversed language).  ``determinize_reversal`` builds
+  it as subset masks and one flat row table, and makes an ``Acceptor`` of
+  it only when that is read, which the decider never does: the
+  construction only builds subsets reachable from its start (the accepting
+  set), so it is strongly connected exactly when every subset reaches the
+  start again, which one backward pass over the rows decides;
 * the characterization route minimizes, then asks whether the accepting set
   is saturated by a word of minimum rank.
 
@@ -32,6 +34,7 @@ strongly connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -106,45 +109,67 @@ def minimize(acceptor: Acceptor) -> Acceptor:
 
 @dataclass(frozen=True)
 class SubsetAutomaton:
-    """Determinization of the reversal of an acceptor.
+    """Determinization of the reversal of ``source``, as its subset loop
+    leaves it.
 
-    ``acceptor`` recognizes the reversed language.  Its state i stands for
-    ``nodes[i]``, a nonempty set of original states reachable from the
-    accepting set, which is state 0; a letter whose preimage is empty is
-    undefined.  A state accepts when its set holds the original initial
-    state.  An empty accepting set gives the empty acceptor and no nodes.
+    ``nodes`` are the reachable nonempty subsets of the source's states as
+    masks, in discovery order, the accepting set first.  ``rows`` lays
+    their rows end to end: entry ``node * letter_count + letter`` is the
+    index of the subset's preimage under ``letter``, or ``None`` where it
+    is empty.  Both are the loop's own lists, so the construction keeps no
+    container per subset, which would set off garbage collections in
+    proportion to the subset count.  An empty accepting set gives no nodes.
     """
 
-    acceptor: Acceptor
-    nodes: tuple[StateSet, ...]
+    source: Acceptor
+    nodes: list[int]
+    rows: list[Optional[int]]
 
     @property
     def is_empty(self) -> bool:
         return not self.nodes
 
+    @cached_property
+    def acceptor(self) -> Acceptor:
+        """The reversal as a plain acceptor, built on first read.  State i
+        is node i, state 0 is initial, and a state accepts when its subset
+        holds the source's initial state; with no nodes it is empty."""
+        alphabet = self.source.dfa.alphabet
+        if not self.nodes:
+            return Acceptor.empty(alphabet)
+        k, count, initial = len(alphabet), len(self.nodes), self.source.initial
+        transitions = tuple(tuple(self.rows[i * k : i * k + k]) for i in range(count))
+        held = (i for i, mask in enumerate(self.nodes) if mask >> initial & 1)
+        accepting = StateSet.from_iterable(count, held)
+        return Acceptor(PartialDfa(count, alphabet, transitions), 0, accepting)
+
     def as_dfa(self) -> PartialDfa:
         return self.acceptor.dfa
 
+    def is_strongly_connected(self) -> bool:
+        """Decided on ``rows`` alone: every node is reachable from node 0,
+        so it is enough that node 0 is reachable from every node."""
+        if not self.nodes:
+            raise ValueError("strong connectivity is undefined for the empty automaton")
+        k = self.source.dfa.letter_count
+        return all(backward_closure(self.rows, len(self.nodes), k, [0]))
 
-def _reversal_rows(
-    acceptor: Acceptor, budget: int | SearchBudget
-) -> tuple[list[int], list[Optional[int]]]:
-    """The subset loop of :func:`determinize_reversal`.
 
-    Returns the reachable nonempty subsets as masks in discovery order, the
-    accepting set first, and their rows of node indices laid end to end:
-    entry ``node * letter_count + letter`` is the index of the subset's
-    preimage under ``letter``, or ``None`` where it is empty.  The table
-    is one flat list so that the loop keeps no container per subset, which
-    would set off garbage collections in proportion to the subset count.
-    Spends one unit of ``budget`` per subset.  The accepting set must be
-    nonempty.
+def determinize_reversal(
+    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
+) -> SubsetAutomaton:
+    """Subset construction on the reversed transition relation.
+
+    Starts from the accepting set and expands only reachable nonempty
+    subsets, spending one unit of ``budget`` per new subset.  An empty
+    accepting set yields the empty subset automaton.
     """
+    if not acceptor.accepting:
+        return SubsetAutomaton(acceptor, [], [])
     budget = SearchBudget.ensure(budget)
     dfa = acceptor.dfa
-    preimage = [
-        [0] * dfa.state_count for _ in range(dfa.letter_count)
-    ]  # [letter][target] -> mask of sources
+    # preimage[letter][target] is the mask of the sources letter sends to target
+    preimage = [[0] * dfa.state_count for _ in range(dfa.letter_count)]
     for source, row in enumerate(dfa.transitions):
         for letter, target in enumerate(row):
             if target is not None:
@@ -168,41 +193,7 @@ def _reversal_rows(
                 node = index[new] = len(order)
                 order.append(new)
             rows.append(node)
-    return order, rows
-
-
-def determinize_reversal(
-    acceptor: Acceptor, budget: int | SearchBudget = DEFAULT_BUDGET
-) -> SubsetAutomaton:
-    """Subset construction on the reversed transition relation.
-
-    Starts from the accepting set and expands only reachable nonempty
-    subsets, spending one unit of ``budget`` per new subset.  An empty
-    accepting set yields the empty subset automaton.
-    """
-    dfa = acceptor.dfa
-    if acceptor.is_empty or not acceptor.accepting:
-        return SubsetAutomaton(Acceptor.empty(dfa.alphabet), ())
-    order, rows = _reversal_rows(acceptor, budget)
-    k, count = dfa.letter_count, len(order)
-    transitions = tuple(tuple(rows[i * k : i * k + k]) for i in range(count))
-    accepting = StateSet.from_iterable(
-        count, (i for i, mask in enumerate(order) if mask >> acceptor.initial & 1)
-    )
-    reversal = Acceptor(PartialDfa(count, dfa.alphabet, transitions), 0, accepting)
-    nodes = tuple(StateSet(dfa.state_count, mask) for mask in order)
-    return SubsetAutomaton(reversal, nodes)
-
-
-def _reversal_is_strongly_connected(
-    acceptor: Acceptor, budget: int | SearchBudget
-) -> bool:
-    """Whether ``determinize_reversal(acceptor)`` is strongly connected,
-    decided on its row table: every subset is reachable from the start, so
-    it is enough that the start is reachable from every subset.  The
-    accepting set must be nonempty."""
-    order, rows = _reversal_rows(acceptor, budget)
-    return all(backward_closure(rows, len(order), acceptor.dfa.letter_count, [0]))
+    return SubsetAutomaton(acceptor, order, rows)
 
 
 def _strongly_connected_minimal(acceptor: Acceptor) -> Optional[Acceptor]:
@@ -223,7 +214,7 @@ def is_birecurrent_direct(
     reversal to both be strongly connected.  Only the subset construction
     spends ``budget``."""
     minimal = _strongly_connected_minimal(acceptor)
-    return minimal is not None and _reversal_is_strongly_connected(minimal, budget)
+    return minimal is not None and determinize_reversal(minimal, budget).is_strongly_connected()
 
 
 def is_birecurrent_characterization(
@@ -250,7 +241,7 @@ def is_birecurrent(
     minimal = _strongly_connected_minimal(acceptor)
     if minimal is None:
         return False
-    direct = _reversal_is_strongly_connected(minimal, shared)
+    direct = determinize_reversal(minimal, shared).is_strongly_connected()
     word = find_saturating_min_rank_word(minimal.dfa, minimal.accepting, shared)
     characterized = word is not None
     if direct != characterized:

@@ -281,7 +281,7 @@ class PartialDfa:
         index = {name: i for i, name in enumerate(letters)}
         rows: dict[int, list[Optional[int]]] = {}
         for (state, name), target in delta.items():
-            if not 0 <= state < state_count:
+            if type(state) is not int or not 0 <= state < state_count:
                 raise ValueError(f"state {state} out of range")
             if name not in index:
                 raise ValueError(f"unknown letter {name!r}")
@@ -312,7 +312,7 @@ class PartialDfa:
     def run(self, state: int, word: Word) -> Optional[int]:
         """Apply a word to one state, ``None`` as soon as a step is undefined."""
         current: Optional[int] = state
-        if not 0 <= state < self.state_count:
+        if type(state) is not int or not 0 <= state < self.state_count:
             raise ValueError(f"state {state} out of range")
         for letter in word:
             if not 0 <= letter < len(self.alphabet):

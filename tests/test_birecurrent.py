@@ -12,6 +12,7 @@ from padfa import (
     PartialDfa,
     SearchBudget,
     StateSet,
+    SubsetAutomaton,
     binarize,
     binarize_with_selfloop,
     build_complete_gadget,
@@ -26,6 +27,8 @@ from padfa import (
     minimize,
 )
 from padfa.bruteforce import brute_language
+from padfa.cli import main
+from padfa.formats import serialize_automaton
 
 from support import (
     binary_automata,
@@ -125,15 +128,16 @@ class TestMinimize:
 class TestDeterminizeReversal:
     def test_p2_reversal_is_the_swap(self):
         result = determinize_reversal(p2_acceptor())
-        assert len(result.nodes) == 2
-        assert result.nodes[0] == StateSet.from_iterable(2, [0])
+        assert result.nodes == [0b01, 0b10]
+        assert not result.is_empty
+        assert result.as_dfa() is result.acceptor.dfa
+        assert result.acceptor == Acceptor(p2(), 0, StateSet.from_iterable(2, [0]))
+        assert result.is_strongly_connected()
         assert is_strongly_connected(result.acceptor.dfa)
 
     def test_m2_reversal_grows_then_stalls(self):
         result = determinize_reversal(m2_acceptor())
-        assert result.nodes[0] == StateSet.from_iterable(2, [1])
-        assert len(result.nodes) == 2
-        assert result.nodes[1] == StateSet.full(2)
+        assert result.nodes == [0b10, 0b11]
         assert result.acceptor.dfa.transitions[1][0] == 1
 
     def test_reverse_language_membership(self):
@@ -149,7 +153,33 @@ class TestDeterminizeReversal:
             assert brute_language(reversed_acc, 5) == expected
 
     def test_empty_accepting_set(self):
-        assert not determinize_reversal(Acceptor(m2(), 0, StateSet(2))).nodes
+        for acceptor in (Acceptor(m2(), 0, StateSet(2)), Acceptor.empty(("a",))):
+            result = determinize_reversal(acceptor)
+            assert result.nodes == result.rows == []
+            assert result.is_empty
+            assert result.acceptor == Acceptor.empty(("a",))
+            assert result.as_dfa() is result.acceptor.dfa
+            with pytest.raises(ValueError, match="undefined for the empty automaton"):
+                result.is_strongly_connected()
+
+    def test_deciders_and_cli_never_build_the_reversal_acceptor(self, monkeypatch, tmp_path):
+        def unbuilt(self):
+            pytest.fail("the reversal's Acceptor was built")
+
+        monkeypatch.setattr(SubsetAutomaton, "acceptor", property(unbuilt))
+        rng = random.Random(409)
+        acceptors = [reversal_blowup(6), p2_acceptor()]
+        acceptors += [random_acceptor(rng, max_states=6) for _ in range(50)]
+        verdicts = []
+        for i, acc in enumerate(acceptors):
+            verdict = is_birecurrent(acc)
+            assert is_birecurrent_direct(acc) == verdict
+            path = tmp_path / f"{i}.aut"
+            path.write_text(serialize_automaton(acc.dfa, acc.initial, acc.accepting), "utf-8")
+            for method in ("direct", "both"):
+                assert main(["birecurrent", str(path), "--method", method]) == 1 - verdict
+            verdicts.append(verdict)
+        assert verdicts[:2] == [True, True] and False in verdicts
 
     # R_7 and R_15 have exactly 8 and 16 states: one and two full bytes.
     @pytest.mark.parametrize("n", [3, 6, 7, 9, 15])
@@ -195,23 +225,7 @@ class TestBirecurrenceDeciders:
         assert is_birecurrent(acc)
 
     def test_saturation_gadget_of_no_instance_with_all_states_accepting(self):
-        from padfa import IntersectionInstance
-
-        ends_a = Acceptor(
-            PartialDfa.from_map(
-                2, ["a", "b"], {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 0}
-            ),
-            0,
-            StateSet.from_iterable(2, [1]),
-        )
-        ends_b = Acceptor(
-            PartialDfa.from_map(
-                2, ["a", "b"], {(0, "a"): 0, (0, "b"): 1, (1, "a"): 0, (1, "b"): 1}
-            ),
-            0,
-            StateSet.from_iterable(2, [1]),
-        )
-        gadget, _ = build_saturation_gadget(IntersectionInstance((ends_a, ends_b)))
+        gadget, _ = build_saturation_gadget(disjoint_instance())
         acc = Acceptor(gadget, 0, StateSet.full(gadget.state_count))
         assert not is_birecurrent_characterization(acc)
         assert not is_birecurrent(acc)
@@ -247,10 +261,8 @@ class TestCombinedRoute:
                 if candidate.is_empty or not candidate.accepting:
                     continue
                 budget = SearchBudget(1 << 20)
-                fast = padfa.birecurrent._reversal_is_strongly_connected(
-                    candidate, budget
-                )
-                reversal = determinize_reversal(candidate)
+                reversal = determinize_reversal(candidate, budget)
+                fast = reversal.is_strongly_connected()
                 assert fast == is_strongly_connected(reversal.acceptor.dfa)
                 assert budget.limit - budget.remaining == len(reversal.nodes)
                 outcomes.append(fast)

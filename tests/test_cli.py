@@ -598,7 +598,7 @@ class TestJsonErrors:
 
     def test_method_disagreement(self, files, capsys, monkeypatch):
         monkeypatch.setattr(
-            padfa.birecurrent, "_reversal_is_strongly_connected", lambda *a: False
+            padfa.birecurrent.SubsetAutomaton, "is_strongly_connected", lambda self: False
         )
         payload = self._error(capsys, ["birecurrent", files["p2.aut"]])
         assert payload["command"] == "birecurrent"
@@ -663,7 +663,7 @@ class TestJsonErrors:
         assert captured.out == ""
         assert captured.err == "error: search budget of 2 visited nodes exhausted\n"
         monkeypatch.setattr(
-            padfa.birecurrent, "_reversal_is_strongly_connected", lambda *a: False
+            padfa.birecurrent.SubsetAutomaton, "is_strongly_connected", lambda self: False
         )
         assert main(["birecurrent", files["p2.aut"]]) == 2
         captured = capsys.readouterr()

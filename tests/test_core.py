@@ -424,6 +424,28 @@ def test_parsers_raise_only_parse_errors(text):
         ),
         (lambda: PartialDfa.from_map(2, "a", {(2, "a"): 0}), "state 2 out of range"),
         (lambda: PartialDfa.from_map(2, "a", {(0, "b"): 0}), "unknown letter 'b'"),
+        # These four share their messages with StateSet.from_iterable's, so
+        # they carry their own ids.
+        pytest.param(
+            lambda: PartialDfa.from_map(2, "a", {(True, "a"): 0}),
+            "state True out of range",
+            id="from_map-bool-state",
+        ),
+        pytest.param(
+            lambda: PartialDfa.from_map(2, "a", {(1.0, "a"): 0}),
+            "state 1.0 out of range",
+            id="from_map-float-state",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).run(True, (0,)),
+            "state True out of range",
+            id="run-bool-state",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).run(1.0, (0,)),
+            "state 1.0 out of range",
+            id="run-float-state",
+        ),
         (
             lambda: Acceptor(PartialDfa(0, ("a",), ()), 0, StateSet(0)),
             "empty acceptor cannot have an initial state",

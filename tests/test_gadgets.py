@@ -29,6 +29,8 @@ from padfa import (
 )
 
 from support import (
+    disjoint_instance,
+    ends_with_letter,
     m2,
     p2,
     random_complete_gadget_instance,
@@ -45,17 +47,6 @@ def one_state_universal() -> Acceptor:
     )
 
 
-def ends_with(letter: str) -> Acceptor:
-    other = "b" if letter == "a" else "a"
-    return Acceptor(
-        PartialDfa.from_map(
-            2, ["a", "b"], {(0, letter): 1, (0, other): 0, (1, letter): 1, (1, other): 0}
-        ),
-        0,
-        StateSet.from_iterable(2, [1]),
-    )
-
-
 def yes_instance() -> IntersectionInstance:
     contains_b = Acceptor(
         PartialDfa.from_map(
@@ -64,11 +55,7 @@ def yes_instance() -> IntersectionInstance:
         0,
         StateSet.from_iterable(2, [1]),
     )
-    return IntersectionInstance((ends_with("a"), contains_b))
-
-
-def no_instance() -> IntersectionInstance:
-    return IntersectionInstance((ends_with("a"), ends_with("b")))
+    return IntersectionInstance((ends_with_letter("a"), contains_b))
 
 
 class TestHasCommonWord:
@@ -76,7 +63,7 @@ class TestHasCommonWord:
         assert has_common_word(IntersectionInstance((one_state_universal(),))) == ()
 
     def test_disjoint_languages(self):
-        assert has_common_word(no_instance()) is None
+        assert has_common_word(disjoint_instance()) is None
 
     def test_shortest_common_word(self):
         word = has_common_word(yes_instance())
@@ -145,7 +132,7 @@ class TestSyncGadget:
         assert ok
 
     def test_no_instance_not_synchronizing(self):
-        gadget, _ = build_sync_gadget(no_instance())
+        gadget, _ = build_sync_gadget(disjoint_instance())
         ok, witness = is_synchronizing(gadget)
         assert not ok and witness is None
 
@@ -199,7 +186,7 @@ class TestSaturationGadget:
         assert gadget.image_mask(full.mask, staged).bit_count() == 1
 
     def test_no_instance_never_saturates(self):
-        gadget, _ = build_saturation_gadget(no_instance())
+        gadget, _ = build_saturation_gadget(disjoint_instance())
         assert find_saturating_min_rank_word(gadget, StateSet.full(gadget.state_count)) is None
 
     def test_unreachable_accepting_state_rejected(self):
@@ -216,7 +203,7 @@ class TestSaturationGadget:
     def test_reduction_soundness_on_random_instances(self):
         rng = random.Random(504)
         verdicts = set()
-        instances = [no_instance()] + [
+        instances = [disjoint_instance()] + [
             random_saturation_instance(rng) for _ in range(30)
         ]
         for instance in instances:
@@ -389,7 +376,7 @@ class TestCompleteGadget:
     def test_reduction_soundness_on_random_instances(self):
         rng = random.Random(511)
         verdicts = set()
-        instances = [no_instance()] + [
+        instances = [disjoint_instance()] + [
             random_complete_gadget_instance(rng) for _ in range(15)
         ]
         for instance in instances:
