@@ -8,11 +8,12 @@ Rindone, "Birecurrent sets", IJAC 2017):
 * the direct route minimizes the acceptor and tests strong connectivity of
   it and of the determinization of its reversal (by Brzozowski, the
   minimal DFA of the reversed language).  ``determinize_reversal`` builds
-  it as subset masks and one flat row table, and makes an ``Acceptor`` of
-  it only when that is read, which the decider never does: the
-  construction only builds subsets reachable from its start (the accepting
-  set), so it is strongly connected exactly when every subset reaches the
-  start again, which one backward pass over the rows decides;
+  it from one packed preimage table for all letters, as subset masks and
+  one flat row table, and makes an ``Acceptor`` of it only when that is
+  read, which the decider never does: the construction only builds
+  subsets reachable from its start (the accepting set), so it is strongly
+  connected exactly when every subset reaches the start again, which one
+  backward pass over the rows decides;
 * the characterization route minimizes, then asks whether the accepting set
   is saturated by a word of minimum rank.
 
@@ -163,18 +164,26 @@ def determinize_reversal(
     Starts from the accepting set and expands only reachable nonempty
     subsets, spending one unit of ``budget`` per new subset.  An empty
     accepting set yields the empty subset automaton.
+
+    The preimages of all letters share one compiled table: bits
+    ``letter * n`` to ``letter * n + n - 1`` of ``preimages[target]`` hold
+    the sources that ``letter`` sends to ``target``, so one ``byte_image``
+    per subset gives every letter's preimage, each cut out by a shift and
+    a mask.
     """
     if not acceptor.accepting:
         return SubsetAutomaton(acceptor, [], [])
     budget = SearchBudget.ensure(budget)
     dfa = acceptor.dfa
-    # preimage[letter][target] is the mask of the sources letter sends to target
-    preimage = [[0] * dfa.state_count for _ in range(dfa.letter_count)]
+    n = dfa.state_count
+    full = (1 << n) - 1
+    shifts = range(0, dfa.letter_count * n, n)
+    preimages = [0] * n
     for source, row in enumerate(dfa.transitions):
-        for letter, target in enumerate(row):
+        for shift, target in zip(shifts, row):
             if target is not None:
-                preimage[letter][target] |= 1 << source
-    tables = [byte_tables(table) for table in preimage]
+                preimages[target] |= 1 << source + shift
+    chunks = byte_tables(preimages)
 
     start = acceptor.accepting.mask
     budget.spend()
@@ -182,8 +191,9 @@ def determinize_reversal(
     order = [start]
     rows: list[Optional[int]] = []
     for mask in order:  # order doubles as the queue: it only grows at the end
-        for chunks in tables:
-            new = byte_image(chunks, mask)
+        images = byte_image(chunks, mask)
+        for shift in shifts:
+            new = images >> shift & full
             if not new:
                 rows.append(None)
                 continue

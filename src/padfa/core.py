@@ -18,8 +18,11 @@ The exponential searches (``rank.exact_rank``, the saturation search and
 ``birecurrent.determinize_reversal``) take tens of thousands of images per
 call, so each compiles its tables once with ``byte_tables`` and reads the
 state set a byte at a time with ``byte_image``: one lookup per 8 states
-instead of one per member.  The saturation search hands its tables to the
-rank search it starts with (``rank.exact_rank_on_tables``).  The compiled
+instead of one per member.  Rank and saturation compile one table per
+letter, and the saturation search hands its tables to the rank search it
+starts with (``rank.exact_rank_on_tables``).  The reversal compiles one
+packed table for all letters, whose entries hold every letter's preimage
+side by side, so one image per subset serves every letter.  The compiled
 form lives only as long as its search and is not cached on the automaton,
 which would keep 256 entries per 8 states and letter alive for every
 automaton a caller holds.  One-off images (``step_mask``, ``image_mask``)

@@ -1,5 +1,6 @@
-"""Shared fixtures-by-hand: tiny named automata, seeded random generators and
-the unpruned saturation search that the pruned one is checked against."""
+"""Shared fixtures-by-hand: tiny named automata, seeded random generators,
+the unpruned saturation search that the pruned one is checked against and
+the per-letter reversal loop that the packed one is checked against."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from padfa import (
     is_strongly_connected,
     reachable_from,
 )
-from padfa.core import union_image
+from padfa.core import byte_image, byte_tables, union_image
 from padfa.formats import serialize_automaton
 
 
@@ -334,3 +335,41 @@ def unpruned_saturating_word(
         config, letter = link
         word.append(letter)
     return tuple(reversed(word))
+
+
+def per_letter_reversal(
+    acceptor: Acceptor, budget: SearchBudget
+) -> tuple[list[int], list[int | None]]:
+    """The nodes and rows of ``determinize_reversal``, built with one
+    compiled table and one image per letter, as a reference.
+
+    It numbers the subsets in the same order and spends ``budget`` in the
+    same way, one unit per subset, but it keeps one preimage table per
+    letter and shares no packing code with the construction it checks."""
+    if not acceptor.accepting:
+        return [], []
+    dfa = acceptor.dfa
+    preimage = [[0] * dfa.state_count for _ in range(dfa.letter_count)]
+    for source, row in enumerate(dfa.transitions):
+        for letter, target in enumerate(row):
+            if target is not None:
+                preimage[letter][target] |= 1 << source
+    tables = [byte_tables(table) for table in preimage]
+    start = acceptor.accepting.mask
+    budget.spend()
+    index = {start: 0}
+    order = [start]
+    rows: list[int | None] = []
+    for mask in order:
+        for chunks in tables:
+            new = byte_image(chunks, mask)
+            if not new:
+                rows.append(None)
+                continue
+            node = index.get(new)
+            if node is None:
+                budget.spend()
+                node = index[new] = len(order)
+                order.append(new)
+            rows.append(node)
+    return order, rows

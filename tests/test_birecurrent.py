@@ -35,10 +35,12 @@ from support import (
     disjoint_instance,
     m2,
     parity_instance,
+    per_letter_reversal,
     reversal_blowup,
     p2,
     random_acceptor,
     random_complete_gadget_instance,
+    random_partial_dfa,
     random_permutation_acceptor,
 )
 
@@ -203,6 +205,79 @@ class TestDeterminizeReversal:
         assert spent[2] == spent[0] + spent[1]
 
 
+def _same_as_per_letter_loop(acceptor: Acceptor) -> int:
+    """Check the packed construction against the per-letter reference and
+    return the number of subsets."""
+    packed, reference = SearchBudget(1 << 20), SearchBudget(1 << 20)
+    result = determinize_reversal(acceptor, packed)
+    nodes, rows = per_letter_reversal(acceptor, reference)
+    assert result.nodes == nodes
+    assert result.rows == rows
+    assert packed.remaining == reference.remaining == packed.limit - len(nodes)
+    return len(nodes)
+
+
+class TestPackedReversal:
+    """One packed preimage table for all letters gives the nodes, rows and
+    budget units of one table per letter."""
+
+    def test_every_binary_acceptor_up_to_three_states(self):
+        # The reversal never reads the initial state.
+        acceptors = subsets = 0
+        for dfa in binary_automata(3):
+            for mask in range(1, 1 << dfa.state_count):
+                subsets += _same_as_per_letter_loop(
+                    Acceptor(dfa, 0, StateSet(dfa.state_count, mask))
+                )
+                acceptors += 1
+        assert acceptors == 28_919
+        assert subsets == 85_327
+
+    def test_reversal_blowup_family(self):
+        for n in range(1, 13):
+            assert _same_as_per_letter_loop(reversal_blowup(n)) == 2**n
+
+    # 7 to 9 and 16 to 17 states sit on either side of a byte boundary of
+    # the table; 4 letters of 20 states make 80-bit table entries.
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_acceptors(self, n, k):
+        rng = random.Random(1000 * n + k)
+        subsets = []
+        for _ in range(6):
+            dfa = random_partial_dfa(rng, n, k, rng.uniform(0.5, 1.0))
+            held = [s for s in range(n) if rng.random() < 0.45] or [n - 1]
+            acceptor = Acceptor(dfa, 0, StateSet.from_iterable(n, held))
+            subsets.append(_same_as_per_letter_loop(acceptor))
+        assert max(subsets) > 1 or n == 1
+
+    def test_budget_runs_out_at_the_same_subset(self):
+        rng = random.Random(421)
+        acceptors = [reversal_blowup(n) for n in (1, 5, 9)]
+        acceptors += [random_acceptor(rng, max_states=9, max_letters=4) for _ in range(20)]
+        for acceptor in acceptors:
+            if not acceptor.accepting:
+                continue
+            subsets = len(determinize_reversal(acceptor).nodes)
+            if subsets > 1:
+                for build in (determinize_reversal, per_letter_reversal):
+                    with pytest.raises(BudgetExceededError):
+                        build(acceptor, SearchBudget(subsets - 1))
+            for build in (determinize_reversal, per_letter_reversal):
+                budget = SearchBudget(subsets)
+                build(acceptor, budget)
+                assert budget.remaining == 0
+
+    def test_acceptor_without_letters(self):
+        dfa = PartialDfa(3, (), ((), (), ()))
+        acceptor = Acceptor(dfa, 0, StateSet.from_iterable(3, [0, 2]))
+        result = determinize_reversal(acceptor)
+        assert result.nodes == [0b101]
+        assert result.rows == []
+        assert result.is_strongly_connected()
+        assert _same_as_per_letter_loop(acceptor) == 1
+
+
 class TestBirecurrenceDeciders:
     def test_permutation_acceptor_is_birecurrent(self):
         assert is_birecurrent_direct(p2_acceptor())
@@ -284,6 +359,7 @@ class TestCombinedRoute:
             and getattr(module, "byte_tables", None) is compile_tables
         ]
         assert padfa.rank in users and padfa.saturate in users
+        assert padfa.birecurrent in users
         for module in users:
             monkeypatch.setattr(module, "byte_tables", counting)
         for acc in (p2_acceptor(), reversal_blowup(6)):
@@ -292,10 +368,14 @@ class TestCombinedRoute:
             assert is_birecurrent_characterization(acc)
             assert len(calls) == k
             assert len(set(calls)) == k
-            # The direct route adds one preimage table per letter.
+            # The direct route compiles one packed preimage table for all
+            # letters.
+            calls.clear()
+            assert is_birecurrent_direct(acc)
+            assert len(calls) == 1
             calls.clear()
             assert is_birecurrent(acc)
-            assert len(calls) == 2 * k
+            assert len(calls) == k + 1
 
 
 def test_methods_agree_on_random_acceptors():
