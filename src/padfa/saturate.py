@@ -16,6 +16,13 @@ images: an overlap never goes away, and no saturating word passes through
 one.  Overlapping nodes lead only to overlapping nodes, so the kept nodes
 keep their discovery order and their parents, and every word and every
 "none" is the one the unpruned search would give, for no more budget.
+
+The config search is skipped when the rank search's witness already
+saturates S.  That witness is the length-then-lexicographically first word
+of minimum rank, and every word the config search accepts has minimum rank
+(its two disjoint images make up the image of Q), so a witness that
+saturates S is the first saturating word of minimum rank: the config
+search's own answer.  A miss costs one ``is_saturated_by`` call.
 """
 
 from __future__ import annotations
@@ -60,6 +67,11 @@ def find_saturating_min_rank_word(
     kept config is therefore disjoint, and it accepts when it holds r
     states.  The rank computation and the config search draw on one shared
     budget and read one compiled copy of the letter tables.
+
+    When the rank witness saturates ``states`` it is returned without the
+    config search.  It is the length-then-lexicographically first word of
+    minimum rank, and every word the config search accepts has minimum
+    rank, so it is also the first one that search would accept.
     """
     if states.universe != dfa.state_count:
         raise ValueError("state set universe does not match automaton")
@@ -68,7 +80,10 @@ def find_saturating_min_rank_word(
     shared = SearchBudget.ensure(budget)
     n = dfa.state_count
     tables = [byte_tables(images) for images in dfa.letter_images]
-    target_rank = exact_rank_on_tables(tables, n, shared).rank
+    ranked = exact_rank_on_tables(tables, n, shared)
+    if is_saturated_by(dfa, states, ranked.witness):
+        return ranked.witness
+    target_rank = ranked.rank
 
     full = (1 << n) - 1
     domains = dfa.letter_domains

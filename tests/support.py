@@ -1,12 +1,14 @@
 """Shared fixtures-by-hand: tiny named automata, seeded random generators,
-the unpruned saturation search that the pruned one is checked against and
-the per-letter reversal loop that the packed one is checked against."""
+the classes of small binary automata under relabelling, the unpruned
+saturation search that the pruned one is checked against and the
+per-letter reversal loop that the packed one is checked against."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 
 from padfa import (
     Acceptor,
@@ -67,6 +69,44 @@ def binary_automata(max_states: int):
     for n in range(1, max_states + 1):
         for flat in product([None, *range(n)], repeat=2 * n):
             yield PartialDfa(n, ("a", "b"), tuple(zip(flat[::2], flat[1::2])))
+
+
+def _relabelled(dfa, perm):
+    """The table with state s renamed ``perm[s]`` and undefined written as
+    n, so that tables compare."""
+    n = dfa.state_count
+    rows = [()] * n
+    for state, row in enumerate(dfa.transitions):
+        rows[perm[state]] = tuple(n if t is None else perm[t] for t in row)
+    return tuple(rows)
+
+
+def _keep(kept, dfa, mask, keys):
+    """Keep the input whose own key, ``keys[0]``, is the least of its class,
+    with the number of inputs in the class."""
+    if keys[0] == min(keys):
+        kept.append((dfa, mask, len(set(keys))))
+
+
+@cache
+def binary_classes():
+    """One ``(dfa, mask, size)`` per class of binary DFAs with at most three
+    states, per class of such DFAs paired with a nonempty accepting mask,
+    and per class of those pairs under relabelling of the states other than
+    0 alone."""
+    dfas, pairs, acceptors = [], [], []
+    for dfa in binary_automata(3):
+        perms = list(permutations(range(dfa.state_count)))  # identity first
+        tables = [_relabelled(dfa, perm) for perm in perms]
+        _keep(dfas, dfa, 0, tables)
+        for mask in range(1, 1 << dfa.state_count):
+            keys = [
+                (table, sum(1 << perm[s] for s in StateSet(len(perm), mask)))
+                for perm, table in zip(perms, tables)
+            ]
+            _keep(pairs, dfa, mask, keys)
+            _keep(acceptors, dfa, mask, [k for p, k in zip(perms, keys) if p[0] == 0])
+    return dfas, pairs, acceptors
 
 
 def letters(count: int) -> list[str]:

@@ -13,9 +13,6 @@ The oracles list words up to a horizon.  Each test says why its horizon is
 long enough, or which comparison stays one-sided.
 """
 
-from functools import cache
-from itertools import permutations
-
 from padfa import (
     Acceptor,
     SearchBudget,
@@ -33,49 +30,11 @@ from padfa.bruteforce import (
 )
 from padfa.formats import parse_automaton, serialize_automaton
 
-from support import binary_automata, unpruned_saturating_word
-
-
-def _relabelled(dfa, perm):
-    """The table with state s renamed ``perm[s]`` and undefined written as
-    n, so that tables compare."""
-    n = dfa.state_count
-    rows = [()] * n
-    for state, row in enumerate(dfa.transitions):
-        rows[perm[state]] = tuple(n if t is None else perm[t] for t in row)
-    return tuple(rows)
-
-
-def _keep(kept, dfa, mask, keys):
-    """Keep the input whose own key, ``keys[0]``, is the least of its class,
-    with the number of inputs in the class."""
-    if keys[0] == min(keys):
-        kept.append((dfa, mask, len(set(keys))))
-
-
-@cache
-def _classes():
-    """One ``(dfa, mask, size)`` per class of binary DFAs with at most three
-    states, per class of such DFAs paired with a nonempty accepting mask,
-    and per class of those pairs under relabelling of the states other than
-    0 alone."""
-    dfas, pairs, acceptors = [], [], []
-    for dfa in binary_automata(3):
-        perms = list(permutations(range(dfa.state_count)))  # identity first
-        tables = [_relabelled(dfa, perm) for perm in perms]
-        _keep(dfas, dfa, 0, tables)
-        for mask in range(1, 1 << dfa.state_count):
-            keys = [
-                (table, sum(1 << perm[s] for s in StateSet(len(perm), mask)))
-                for perm, table in zip(perms, tables)
-            ]
-            _keep(pairs, dfa, mask, keys)
-            _keep(acceptors, dfa, mask, [k for p, k in zip(perms, keys) if p[0] == 0])
-    return dfas, pairs, acceptors
+from support import binary_automata, binary_classes, unpruned_saturating_word
 
 
 def _acceptors():
-    classes = _classes()[2]
+    classes = binary_classes()[2]
     assert len(classes) == 14679
     assert sum(size for _, _, size in classes) == 28919
     return [Acceptor(dfa, 0, StateSet(dfa.state_count, mask)) for dfa, mask, _ in classes]
@@ -86,7 +45,7 @@ def test_exact_rank_and_its_witness_match_brute_force():
     # subsets from the full set on, so it has at most 2^n - 2 letters, and
     # brute_rank's first word of minimum rank is the length-then-
     # lexicographically first one, as exact_rank's witness must be.
-    classes = _classes()[0]
+    classes = binary_classes()[0]
     assert len(classes) == 769
     assert sum(size for _, _, size in classes) == 4181
     for dfa, _, _ in classes:
@@ -105,7 +64,7 @@ def test_saturating_word_matches_brute_force():
     # no word of at most 6 letters saturates the set with minimum rank.
     # The unpruned search of the next test closes that gap.  Horizon 6 also
     # gives brute_rank the exact rank (see above).
-    classes = _classes()[1]
+    classes = binary_classes()[1]
     assert len(classes) == 5010
     assert sum(size for _, _, size in classes) == 28919
     found = 0
@@ -121,10 +80,11 @@ def test_overlap_prune_keeps_every_answer_and_spends_less():
     # The unpruned search expands every config whose inside image survives,
     # so its answer is exact at any length, "none" included.  The pruned
     # search must give the same answer and spend no more budget; the totals
-    # pin how much the prune saves.
+    # pin how much the prune, and the rank witness that already saturates,
+    # save.
     spent = {"pruned": 0, "unpruned": 0}
     saved = 0
-    for dfa, mask, _ in _classes()[1]:
+    for dfa, mask, _ in binary_classes()[1]:
         states = StateSet(dfa.state_count, mask)
         pruned, unpruned = SearchBudget(), SearchBudget()
         word = find_saturating_min_rank_word(dfa, states, pruned)
@@ -133,8 +93,8 @@ def test_overlap_prune_keeps_every_answer_and_spends_less():
         saved += pruned.remaining > unpruned.remaining
         spent["pruned"] += pruned.limit - pruned.remaining
         spent["unpruned"] += unpruned.limit - unpruned.remaining
-    assert spent == {"pruned": 24609, "unpruned": 30287}
-    assert saved == 2160
+    assert spent == {"pruned": 22319, "unpruned": 30287}
+    assert saved == 3018
 
 
 def test_minimize_keeps_the_language_and_leaves_a_minimal_trim_acceptor():
