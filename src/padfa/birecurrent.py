@@ -170,6 +170,11 @@ def determinize_reversal(
     the sources that ``letter`` sends to ``target``, so one ``byte_image``
     per subset gives every letter's preimage, each cut out by a shift and
     a mask.
+
+    The budget is counted in a local and written back on every exit, as in
+    ``core.breadth_first``.  An exhausted construction still raises from
+    ``budget.spend()``, at the first subset past the budget, and leaves
+    ``budget.remaining == -1``.
     """
     if not acceptor.accepting:
         return SubsetAutomaton(acceptor, [], [])
@@ -190,19 +195,26 @@ def determinize_reversal(
     index = {start: 0}
     order = [start]
     rows: list[Optional[int]] = []
-    for mask in order:  # order doubles as the queue: it only grows at the end
-        images = byte_image(chunks, mask)
-        for shift in shifts:
-            new = images >> shift & full
-            if not new:
-                rows.append(None)
-                continue
-            node = index.get(new)
-            if node is None:
-                budget.spend()
-                node = index[new] = len(order)
-                order.append(new)
-            rows.append(node)
+    remaining = budget.remaining
+    try:
+        for mask in order:  # order doubles as the queue: it only grows at the end
+            images = byte_image(chunks, mask)
+            for shift in shifts:
+                new = images >> shift & full
+                if not new:
+                    rows.append(None)
+                    continue
+                node = index.get(new)
+                if node is None:
+                    remaining -= 1
+                    if remaining < 0:
+                        budget.remaining = 0
+                        budget.spend()
+                    node = index[new] = len(order)
+                    order.append(new)
+                rows.append(node)
+    finally:
+        budget.remaining = remaining
     return SubsetAutomaton(acceptor, order, rows)
 
 

@@ -38,7 +38,6 @@ concurrent readers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -158,29 +157,46 @@ def breadth_first(
     the first letter under which the parent steps to the child, since an
     earlier one would have found the child first; so ``step`` must give the
     same successor each time it is asked.
+
+    The budget is counted in a local and written back on every exit, also
+    when ``step`` raises.  An exhausted search still raises from
+    ``budget.spend()``, at the first node past the budget, and leaves
+    ``budget.remaining == -1``, as a spend per node would.  The queue is a
+    plain list walked while it grows, so it holds every visited node until
+    the search returns.
     """
     budget.spend()
     parents: dict[int, Optional[int]] = {start: None}
     found = start if start.bit_count() == target else None
-    queue = deque([start])
-    while queue and found is None:
-        node = queue.popleft()
-        for letter in range(letter_count):
-            new = step(node, letter)
-            if new is None or new in parents:
-                continue
-            budget.spend()
-            parents[new] = node
-            if new.bit_count() == target:
-                found = new
+    queue = [start]
+    append = queue.append
+    alphabet = range(letter_count)
+    remaining = budget.remaining
+    try:
+        for node in queue:  # the queue only grows at the end
+            if found is not None:
                 break
-            queue.append(new)
+            for letter in alphabet:
+                new = step(node, letter)
+                if new is None or new in parents:
+                    continue
+                remaining -= 1
+                if remaining < 0:
+                    budget.remaining = 0
+                    budget.spend()
+                parents[new] = node
+                if new.bit_count() == target:
+                    found = new
+                    break
+                append(new)
+    finally:
+        budget.remaining = remaining
     if found is None:
         found = min(parents, key=int.bit_count)
     letters: list[int] = []
     node = found
     while (parent := parents[node]) is not None:
-        letters.append(next(a for a in range(letter_count) if step(parent, a) == node))
+        letters.append(next(a for a in alphabet if step(parent, a) == node))
         node = parent
     return found, tuple(reversed(letters))
 
@@ -240,8 +256,8 @@ class PartialDfa:
     ``transitions[s][a]`` is the target of state ``s`` under letter index
     ``a``, or ``None`` when undefined.  Letter order is the declaration
     order and is semantically significant (binarization enumerates the
-    alphabet in this order).  States are plain ``int`` indices, never
-    ``bool``.  ``state_count`` may be 0 only for the canonical empty
+    alphabet in this order).  States and letters are plain ``int`` indices,
+    never ``bool``.  ``state_count`` may be 0 only for the canonical empty
     acceptor; analyses that need a nonempty state set reject it.
     """
 
@@ -318,7 +334,7 @@ class PartialDfa:
         if type(state) is not int or not 0 <= state < self.state_count:
             raise ValueError(f"state {state} out of range")
         for letter in word:
-            if not 0 <= letter < len(self.alphabet):
+            if type(letter) is not int or not 0 <= letter < len(self.alphabet):
                 raise ValueError(f"letter index {letter} out of range")
             current = self.transitions[current][letter]
             if current is None:
@@ -333,7 +349,7 @@ class PartialDfa:
 
     def step_mask(self, mask: int, letter: int) -> int:
         """Image of a bitmask of states under one letter."""
-        if not 0 <= letter < len(self.alphabet):
+        if type(letter) is not int or not 0 <= letter < len(self.alphabet):
             raise ValueError(f"letter index {letter} out of range")
         return union_image(self.letter_images[letter], mask)
 

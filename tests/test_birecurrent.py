@@ -19,6 +19,7 @@ from padfa import (
     build_saturation_gadget,
     build_sc_gadget,
     determinize_reversal,
+    find_saturating_min_rank_word,
     has_common_word,
     is_birecurrent,
     is_birecurrent_characterization,
@@ -267,6 +268,85 @@ class TestPackedReversal:
                 budget = SearchBudget(subsets)
                 build(acceptor, budget)
                 assert budget.remaining == 0
+
+    def test_budget_runs_out_at_the_subset_past_it(self, monkeypatch):
+        # The construction counts the budget in a local.  Spent a unit per
+        # subset, as the per-letter reference does, the budget runs out at
+        # the first subset past it: it is found while its parent, the first
+        # subset whose row holds it, is expanded.
+        acceptor, k = reversal_blowup(5), 3
+        rows = determinize_reversal(acceptor).rows
+        expanded = []
+
+        def counting(chunks, mask):
+            expanded.append(mask)
+            return padfa.core.byte_image(chunks, mask)
+
+        monkeypatch.setattr(padfa.birecurrent, "byte_image", counting)
+        for limit in range(1, 32):
+            expanded.clear()
+            message = f"^search budget of {limit} visited nodes exhausted$"
+            budgets = SearchBudget(limit), SearchBudget(limit)
+            for build, budget in zip((determinize_reversal, per_letter_reversal), budgets):
+                with pytest.raises(BudgetExceededError, match=message):
+                    build(acceptor, budget)
+                assert budget.remaining == -1
+            assert len(expanded) == rows.index(limit) // k + 1
+
+    @pytest.mark.parametrize("expansions", [0, 1, 2, 7, 20])
+    def test_budget_is_written_back_when_the_construction_raises(
+        self, monkeypatch, expansions
+    ):
+        class Stop(Exception):
+            pass
+
+        acceptor, k = reversal_blowup(5), 3
+        rows = determinize_reversal(acceptor).rows
+        expanded = []
+
+        def failing(chunks, mask):
+            if len(expanded) == expansions:
+                raise Stop
+            expanded.append(mask)
+            return padfa.core.byte_image(chunks, mask)
+
+        monkeypatch.setattr(padfa.birecurrent, "byte_image", failing)
+        budget = SearchBudget(1000)
+        with pytest.raises(Stop):
+            determinize_reversal(acceptor, budget)
+        seen = 1 + max((node for node in rows[: expansions * k] if node is not None), default=0)
+        assert budget.limit - budget.remaining == seen
+
+    # (transitions, initial, accepting, subsets of the reversal, units of
+    # the saturation search, verdict).  The config search runs in both: the
+    # rank witness saturates neither accepting set.
+    @pytest.mark.parametrize(
+        "transitions, initial, accepting, subsets, saturation_units, verdict",
+        [
+            (((2, 0), (0, None), (3, 2), (1, 2)), 0, [1, 3], 12, 14, True),
+            (((1, 2), (3, 1), (1, 4), (0, 4), (3, 0)), 0, [0, 1, 2, 4], 11, 41, False),
+        ],
+    )
+    def test_reversal_and_saturation_add_up_on_one_budget(
+        self, transitions, initial, accepting, subsets, saturation_units, verdict
+    ):
+        n = len(transitions)
+        dfa = PartialDfa(n, ("a", "b"), transitions)
+        acceptor = Acceptor(dfa, initial, StateSet.from_iterable(n, accepting))
+        minimal = minimize(acceptor)
+        assert len(determinize_reversal(minimal).nodes) == subsets
+        alone = SearchBudget(1 << 20)
+        find_saturating_min_rank_word(minimal.dfa, minimal.accepting, alone)
+        assert alone.limit - alone.remaining == saturation_units
+        units = subsets + saturation_units
+        budget = SearchBudget(units)
+        assert is_birecurrent(acceptor, budget) == verdict
+        assert budget.remaining == 0
+        for limit in (subsets - 1, subsets, units - 1):
+            short = SearchBudget(limit)
+            with pytest.raises(BudgetExceededError, match=f"^search budget of {limit} "):
+                is_birecurrent(acceptor, short)
+            assert short.remaining == -1
 
     def test_acceptor_without_letters(self):
         dfa = PartialDfa(3, (), ((), (), ()))

@@ -854,3 +854,60 @@ def test_exact_output(files, capsys, case, mode):
     # Each written file is pinned by the SHA-256 of its bytes.
     for name, pinned in written.items():
         assert hashlib.sha256((files["dir"] / name).read_bytes()).hexdigest() == pinned
+
+
+# Runs in a fresh interpreter with its own PYTHONHASHSEED.  It writes one
+# seeded FAI instance, runs the commands below in process and prints every
+# command's exit code and stdout and every file written, as one JSON object.
+_HASH_ORDER_SCRIPT = """\
+import contextlib, io, json, random
+from pathlib import Path
+from padfa.cli import main
+from support import random_complete_gadget_instance, serialize_instance
+
+instance = random_complete_gadget_instance(random.Random(3))
+Path("fai.inst").write_text(serialize_instance(instance), encoding="utf-8")
+kinds = ["sync", "saturation", "sc", "complete"]
+runs = [["reduce", kind, "fai.inst", "-o", kind + ".aut"] for kind in kinds]
+runs += [
+    ["binarize", "sc.aut", "--add-selfloop", "-o", "binary.aut"],
+    ["dot", "sc.aut"],
+    ["rank", "sc.aut", "--witness", "--json"],
+    ["saturate", "saturation.aut", "--set", "all", "--json"],
+]
+results = []
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([argv, code, out.getvalue()])
+written = {p.name: p.read_text(encoding="utf-8") for p in sorted(Path().iterdir())}
+print(json.dumps({"runs": results, "files": written}))
+"""
+
+
+def test_outputs_do_not_depend_on_hash_order(tmp_path):
+    # Every answer and every written file is a function of the input alone:
+    # nothing may follow the iteration order of a set or dict of str, which
+    # changes with PYTHONHASHSEED.
+    tests = Path(__file__).resolve().parent
+    src = Path(padfa.cli.__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("1", "2"):
+        work = tmp_path / seed
+        work.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=f"{src}{os.pathsep}{tests}")
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_ORDER_SCRIPT],
+            cwd=work,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert [code for _, code, _ in report["runs"]] == [0] * 8
+    assert all(out for _, _, out in report["runs"])
+    assert len(report["files"]) == 10

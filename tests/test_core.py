@@ -271,6 +271,98 @@ def test_breadth_first(rows, start, target, answer, visited):
         breadth_first(start, letter_count, step, target, short)
 
 
+def _recorded_rank_step(dfa):
+    """The rank search's step on ``dfa`` and the list of every successor it
+    has given, in order."""
+    tables = [byte_tables(images) for images in dfa.letter_images]
+    given = []
+
+    def step(node, letter):
+        new = byte_image(tables[letter], node) or None
+        given.append(new)
+        return new
+
+    return step, given
+
+
+def test_breadth_first_runs_out_at_the_node_past_the_budget():
+    # breadth_first counts the budget in a local.  Spent a unit per node,
+    # the budget runs out at the first node past it: the search raises as
+    # soon as a step gives that node, and leaves remaining at -1.
+    dfa = cerny(6)
+    start = (1 << 6) - 1
+    step, given = _recorded_rank_step(dfa)
+    breadth_first(start, 2, step, 1, SearchBudget(1 << 20))
+    # calls_to[i] is the number of step calls that discover the i-th node.
+    calls_to, seen = [0], {start}
+    for calls, new in enumerate(given, 1):
+        if new is not None and new not in seen:
+            seen.add(new)
+            calls_to.append(calls)
+    assert len(calls_to) == 58
+    for limit in range(1, 58):
+        given.clear()
+        budget = SearchBudget(limit)
+        message = f"search budget of {limit} visited nodes exhausted"
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            breadth_first(start, 2, step, 1, budget)
+        assert len(given) == calls_to[limit]
+        assert budget.remaining == -1
+
+
+@pytest.mark.parametrize("calls", [1, 2, 3, 10, 57, 100])
+def test_breadth_first_writes_the_budget_back_when_step_raises(calls):
+    class Stop(Exception):
+        pass
+
+    start = (1 << 6) - 1
+    step, given = _recorded_rank_step(cerny(6))
+
+    def failing(node, letter):
+        if len(given) == calls:
+            raise Stop
+        return step(node, letter)
+
+    budget = SearchBudget(1000)
+    with pytest.raises(Stop):
+        breadth_first(start, 2, failing, 1, budget)
+    seen = {start} | {new for new in given if new is not None}
+    assert budget.limit - budget.remaining == len(seen)
+
+
+# (automaton, set, units of the rank search alone, units of the rank and
+# the config search on one budget, the answer).  The rank witness saturates
+# C_8's full set, so no config search runs there.
+SHARED_SEARCHES = {
+    "cerny-8-full-set": (cerny(8), 0xFF, 248, 248, exact_rank(cerny(8)).witness),
+    "cerny-6-none": (cerny(6), 0b111, 58, 454, None),
+    "config-search-word": (
+        PartialDfa(5, ("a", "b"), ((2, 2), (1, 2), (0, 3), (1, 4), (3, None))),
+        0b1, 11, 30, (0, 0, 0, 1, 0, 0, 1, 1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "dfa, mask, rank_units, units, answer",
+    SHARED_SEARCHES.values(),
+    ids=SHARED_SEARCHES.keys(),
+)
+def test_rank_and_config_search_add_up_on_one_budget(dfa, mask, rank_units, units, answer):
+    states = StateSet(dfa.state_count, mask)
+    alone = SearchBudget(1 << 20)
+    exact_rank(dfa, alone)
+    assert alone.limit - alone.remaining == rank_units
+    budget = SearchBudget(units)
+    assert find_saturating_min_rank_word(dfa, states, budget) == answer
+    assert budget.remaining == 0
+    for limit in {rank_units - 1, rank_units, units - 1} - {units}:
+        short = SearchBudget(limit)
+        with pytest.raises(BudgetExceededError, match=f"^search budget of {limit} "):
+            find_saturating_min_rank_word(dfa, states, short)
+        assert short.remaining == -1
+
+
 def test_searches_cache_nothing_on_the_automaton():
     # The compiled byte tables belong to one search; cached on the automaton
     # they would stay alive as long as the automaton does.
@@ -445,6 +537,32 @@ def test_parsers_raise_only_parse_errors(text):
             lambda: PartialDfa(2, ("a",), ((None,), (0,))).run(1.0, (0,)),
             "state 1.0 out of range",
             id="run-float-state",
+        ),
+        # With two letters, True and 1.0 would read as letter 1.
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).run(0, (True,)),
+            "letter index True out of range",
+            id="run-bool-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).run(0, (1.0,)),
+            "letter index 1.0 out of range",
+            id="run-float-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).step_mask(0b11, True),
+            "letter index True out of range",
+            id="step_mask-bool-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).step_mask(0b11, 1.0),
+            "letter index 1.0 out of range",
+            id="step_mask-float-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).image_mask(0b11, (True,)),
+            "letter index True out of range",
+            id="image_mask-bool-letter",
         ),
         (
             lambda: Acceptor(PartialDfa(0, ("a",), ()), 0, StateSet(0)),

@@ -111,6 +111,18 @@ class TestMinRankWordSc:
         with pytest.raises(ValueError):
             min_rank_word_sc(m2())
 
+    def test_partial_automaton_that_is_not_strongly_connected_rejected(self):
+        # Without the precondition the greedy merge reads rank 2 here: it
+        # merges {0, 1} by a, which kills state 0, and then no pair of
+        # {1, 2} merges; yet b alone kills 1 and 2 and has rank 1.  The
+        # precondition may be relaxed for complete automata, which keep
+        # every state alive, but not for partial ones like this.
+        dfa = PartialDfa(3, ("a", "b"), ((None, 0), (1, None), (2, None)))
+        assert not dfa.is_complete()
+        assert exact_rank(dfa).rank == 1
+        with pytest.raises(ValueError, match="requires a strongly connected automaton"):
+            min_rank_word_sc(dfa)
+
     def test_agrees_with_exact_rank(self):
         rng = random.Random(202)
         for _ in range(60):
