@@ -8,92 +8,61 @@ of state sets, recognizes birecurrent languages, and builds the gadget
 automata that tie all of these questions to finite-automata intersection.
 """
 
-from .birecurrent import (
-    MethodDisagreement,
-    SubsetAutomaton,
-    determinize_reversal,
-    is_birecurrent,
-    is_birecurrent_characterization,
-    is_birecurrent_direct,
-    minimize,
-)
-from .core import (
-    DEFAULT_BUDGET,
-    Acceptor,
-    BudgetExceededError,
-    IntersectionInstance,
-    PartialDfa,
-    SearchBudget,
-    StateSet,
-    Word,
-)
-from .gadgets import (
-    GadgetLayout,
-    binarize,
-    binarize_with_selfloop,
-    build_complete_gadget,
-    build_saturation_gadget,
-    build_sc_gadget,
-    build_sync_gadget,
-    has_common_word,
-    strongly_connect_gadget,
-)
-from .graphs import (
-    PairAutomaton,
-    coreachable_to,
-    is_strongly_connected,
-    pair_automaton,
-    reachable_from,
-)
-from .rank import (
-    RankResult,
-    exact_rank,
-    is_synchronizing,
-    min_rank_word_sc,
-    rank_word_length_bound,
-)
-from .saturate import (
-    find_saturating_min_rank_word,
-    is_saturated_by,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Acceptor",
-    "BudgetExceededError",
-    "DEFAULT_BUDGET",
-    "GadgetLayout",
-    "IntersectionInstance",
-    "MethodDisagreement",
-    "PairAutomaton",
-    "PartialDfa",
-    "RankResult",
-    "SearchBudget",
-    "StateSet",
-    "SubsetAutomaton",
-    "Word",
-    "binarize",
-    "binarize_with_selfloop",
-    "build_complete_gadget",
-    "build_saturation_gadget",
-    "build_sc_gadget",
-    "build_sync_gadget",
-    "coreachable_to",
-    "determinize_reversal",
-    "exact_rank",
-    "find_saturating_min_rank_word",
-    "has_common_word",
-    "is_birecurrent",
-    "is_birecurrent_characterization",
-    "is_birecurrent_direct",
-    "is_saturated_by",
-    "is_strongly_connected",
-    "is_synchronizing",
-    "min_rank_word_sc",
-    "minimize",
-    "pair_automaton",
-    "rank_word_length_bound",
-    "reachable_from",
-    "strongly_connect_gadget",
-]
+# Each public name and the module that defines it.  Importing the package
+# loads none of them: ``__getattr__`` imports a name's module the first time
+# the name is read, so a process loads only the modules it uses.
+_HOMES = {
+    "Acceptor": "core",
+    "BudgetExceededError": "core",
+    "DEFAULT_BUDGET": "core",
+    "GadgetLayout": "gadgets",
+    "IntersectionInstance": "core",
+    "MethodDisagreement": "birecurrent",
+    "PairAutomaton": "graphs",
+    "PartialDfa": "core",
+    "RankResult": "rank",
+    "SearchBudget": "core",
+    "StateSet": "core",
+    "SubsetAutomaton": "birecurrent",
+    "Word": "core",
+    "binarize": "gadgets",
+    "binarize_with_selfloop": "gadgets",
+    "build_complete_gadget": "gadgets",
+    "build_saturation_gadget": "gadgets",
+    "build_sc_gadget": "gadgets",
+    "build_sync_gadget": "gadgets",
+    "coreachable_to": "graphs",
+    "determinize_reversal": "birecurrent",
+    "exact_rank": "rank",
+    "find_saturating_min_rank_word": "saturate",
+    "has_common_word": "gadgets",
+    "is_birecurrent": "birecurrent",
+    "is_birecurrent_characterization": "birecurrent",
+    "is_birecurrent_direct": "birecurrent",
+    "is_saturated_by": "saturate",
+    "is_strongly_connected": "graphs",
+    "is_synchronizing": "rank",
+    "min_rank_word_sc": "rank",
+    "minimize": "birecurrent",
+    "pair_automaton": "graphs",
+    "rank_word_length_bound": "rank",
+    "reachable_from": "graphs",
+    "strongly_connect_gadget": "gadgets",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -29,11 +29,9 @@ import os
 import sys
 from pathlib import Path
 
-from .birecurrent import (
-    is_birecurrent,
-    is_birecurrent_characterization,
-    is_birecurrent_direct,
-)
+# Only what every command needs to load its file is imported here; each
+# ``cmd_*`` handler imports the modules it runs, so a process loads no
+# module its command does not use.
 from .core import DEFAULT_BUDGET, BudgetExceededError, PartialDfa, SearchBudget, StateSet, Word
 from .formats import (
     LoadedAutomaton,
@@ -43,19 +41,6 @@ from .formats import (
     serialize_automaton,
     to_dot,
 )
-from .gadgets import (
-    GadgetLayout,
-    binarize,
-    binarize_with_selfloop,
-    build_complete_gadget,
-    build_saturation_gadget,
-    build_sc_gadget,
-    build_sync_gadget,
-    has_common_word,
-)
-from .graphs import is_strongly_connected
-from .rank import exact_rank, is_synchronizing, min_rank_word_sc
-from .saturate import find_saturating_min_rank_word
 
 
 def _load_automaton(path: str) -> LoadedAutomaton:
@@ -111,6 +96,8 @@ def cmd_validate(args) -> Answer:
 
 
 def cmd_info(args) -> Answer:
+    from .graphs import is_strongly_connected
+
     loaded = _load_automaton(args.file)
     dfa = loaded.dfa
     payload = {
@@ -128,6 +115,8 @@ def cmd_info(args) -> Answer:
 
 
 def cmd_rank(args) -> Answer:
+    from .rank import exact_rank, min_rank_word_sc
+
     loaded = _load_automaton(args.file)
     if args.method == "poly":
         result = min_rank_word_sc(loaded.dfa)
@@ -146,6 +135,8 @@ def cmd_rank(args) -> Answer:
 
 
 def cmd_sync(args) -> Answer:
+    from .rank import is_synchronizing
+
     loaded = _load_automaton(args.file)
     synchronizing, witness = is_synchronizing(loaded.dfa, args.budget)
     payload = {"synchronizing": synchronizing}
@@ -157,23 +148,28 @@ def cmd_sync(args) -> Answer:
 
 
 def cmd_saturate(args) -> Answer:
+    from .saturate import find_saturating_min_rank_word
+
     loaded = _load_automaton(args.file)
     states = _parse_set(args.set, loaded.dfa.state_count)
     word = find_saturating_min_rank_word(loaded.dfa, states, args.budget)
     return _found(loaded.dfa, "saturating word", word)
 
 
-# ``--method`` of ``birecurrent``: its choices and their deciders.
+# ``--method`` of ``birecurrent``: its choices and the names of their
+# deciders in ``birecurrent``, which the handler imports.
 _DECIDERS = {
-    "direct": is_birecurrent_direct,
-    "char": is_birecurrent_characterization,
-    "both": is_birecurrent,
+    "direct": "is_birecurrent_direct",
+    "char": "is_birecurrent_characterization",
+    "both": "is_birecurrent",
 }
 
 
 def cmd_birecurrent(args) -> Answer:
+    from . import birecurrent
+
     acceptor = _load_automaton(args.file).require_acceptor()
-    verdict = _DECIDERS[args.method](acceptor, args.budget)
+    verdict = getattr(birecurrent, _DECIDERS[args.method])(acceptor, args.budget)
     return (
         0 if verdict else 1,
         [f"birecurrent: {'yes' if verdict else 'no'}"],
@@ -181,7 +177,7 @@ def cmd_birecurrent(args) -> Answer:
     )
 
 
-def _layout_payload(kind: str, layout: GadgetLayout) -> dict:
+def _layout_payload(kind: str, layout) -> dict:
     meta = {}
     for key, value in layout.meta.items():
         if isinstance(value, dict):
@@ -197,19 +193,22 @@ def _layout_payload(kind: str, layout: GadgetLayout) -> dict:
     }
 
 
-# ``KIND`` of ``reduce``: its choices and their gadget builders.
+# ``KIND`` of ``reduce``: its choices and the names of their gadget builders
+# in ``gadgets``, which the handler imports.
 _GADGETS = {
-    "sync": build_sync_gadget,
-    "saturation": build_saturation_gadget,
-    "sc": build_sc_gadget,
-    "complete": build_complete_gadget,
+    "sync": "build_sync_gadget",
+    "saturation": "build_saturation_gadget",
+    "sc": "build_sc_gadget",
+    "complete": "build_complete_gadget",
 }
 
 
 def cmd_reduce(args) -> Answer:
+    from . import gadgets
+
     instance = _load_instance(args.instance)
     # Only ``build_complete_gadget`` returns a third value, its distinguished set.
-    gadget, layout, *distinguished = _GADGETS[args.kind](instance)
+    gadget, layout, *distinguished = getattr(gadgets, _GADGETS[args.kind])(instance)
     layout_payload = _layout_payload(args.kind, layout)
     if distinguished:
         layout_payload["target_set"] = sorted(distinguished[0])
@@ -234,6 +233,8 @@ def cmd_reduce(args) -> Answer:
 
 
 def cmd_binarize(args) -> Answer:
+    from .gadgets import binarize, binarize_with_selfloop
+
     loaded = _load_automaton(args.file)
     if args.add_selfloop:
         gadget, _ = binarize_with_selfloop(loaded.dfa)
@@ -249,6 +250,8 @@ def cmd_binarize(args) -> Answer:
 
 
 def cmd_oracle(args) -> Answer:
+    from .gadgets import has_common_word
+
     instance = _load_instance(args.instance)
     word = has_common_word(instance, args.budget)
     return _found(instance.machines[0].dfa, "common word", word)

@@ -11,7 +11,7 @@ The searches of the package share two primitives defined here: the image
 of a state set under a per-letter table of masks (``union_image``) and
 breadth-first search for a node of a target size that returns the node and
 its word (``breadth_first``).
-The oracles the tests check them against (``bruteforce`` and
+The oracles the tests check them against (``tests/bruteforce.py`` and
 ``gadgets.has_common_word``) deliberately keep their own code.
 
 The exponential searches (``rank.exact_rank``, the saturation search and
@@ -325,17 +325,26 @@ class PartialDfa:
         except ValueError:
             raise ValueError(f"unknown letter {name!r}") from None
 
+    def _letters(self, word: Word) -> Word:
+        """``word`` as a tuple if each of its letters is a letter index of
+        this automaton: an ``int``, never a ``bool``, in range.  A tuple is
+        returned as it is; an iterator is read once, here."""
+        word = tuple(word)
+        k = len(self.alphabet)
+        for letter in word:
+            if type(letter) is not int or not 0 <= letter < k:
+                raise ValueError(f"letter index {letter} out of range")
+        return word
+
     def word_names(self, word: Word) -> tuple[str, ...]:
-        return tuple(self.alphabet[a] for a in word)
+        return tuple(self.alphabet[a] for a in self._letters(word))
 
     def run(self, state: int, word: Word) -> Optional[int]:
         """Apply a word to one state, ``None`` as soon as a step is undefined."""
         current: Optional[int] = state
         if type(state) is not int or not 0 <= state < self.state_count:
             raise ValueError(f"state {state} out of range")
-        for letter in word:
-            if type(letter) is not int or not 0 <= letter < len(self.alphabet):
-                raise ValueError(f"letter index {letter} out of range")
+        for letter in self._letters(word):
             current = self.transitions[current][letter]
             if current is None:
                 return None
@@ -343,15 +352,14 @@ class PartialDfa:
 
     def image_mask(self, mask: int, word: Word) -> int:
         """Image of a bitmask of states under a word (undefined images drop)."""
-        for letter in word:
-            mask = self.step_mask(mask, letter)
+        images = self.letter_images
+        for letter in self._letters(word):
+            mask = union_image(images[letter], mask)
         return mask
 
     def step_mask(self, mask: int, letter: int) -> int:
         """Image of a bitmask of states under one letter."""
-        if type(letter) is not int or not 0 <= letter < len(self.alphabet):
-            raise ValueError(f"letter index {letter} out of range")
-        return union_image(self.letter_images[letter], mask)
+        return self.image_mask(mask, (letter,))
 
     @cached_property
     def letter_images(self) -> tuple[tuple[int, ...], ...]:

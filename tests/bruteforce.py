@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import (
+from padfa.core import (
     DEFAULT_BUDGET,
     Acceptor,
     BudgetExceededError,

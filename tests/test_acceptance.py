@@ -31,10 +31,10 @@ from padfa import (
     pair_automaton,
     rank_word_length_bound,
 )
-from padfa.bruteforce import brute_language, brute_rank, brute_saturating_word
 from padfa.cli import main
 from padfa.formats import parse_automaton, serialize_automaton
 
+from bruteforce import brute_language, brute_rank, brute_saturating_word
 from support import (
     c4,
     disjoint_instance,

@@ -27,10 +27,10 @@ from padfa import (
     is_strongly_connected,
     minimize,
 )
-from padfa.bruteforce import brute_language
 from padfa.cli import main
 from padfa.formats import serialize_automaton
 
+from bruteforce import brute_language
 from support import (
     binary_automata,
     disjoint_instance,

@@ -1,8 +1,8 @@
 import pytest
 
 from padfa import Acceptor, BudgetExceededError, StateSet
-from padfa.bruteforce import brute_language, brute_rank, brute_saturating_word
 
+from bruteforce import brute_language, brute_rank, brute_saturating_word
 from support import c4, m2, p2
 
 

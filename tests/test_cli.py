@@ -9,6 +9,7 @@ import pytest
 
 import padfa.birecurrent
 import padfa.cli
+import padfa.saturate
 from padfa import PartialDfa
 from padfa.cli import main
 from padfa.formats import parse_automaton, serialize_automaton
@@ -620,7 +621,7 @@ class TestJsonErrors:
         def broken(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(padfa.cli, "find_saturating_min_rank_word", broken)
+        monkeypatch.setattr(padfa.saturate, "find_saturating_min_rank_word", broken)
         argv = ["saturate", files["m2.aut"], "--set", "all"]
         payload = self._error(capsys, argv)
         assert payload["command"] == "saturate"
@@ -854,6 +855,65 @@ def test_exact_output(files, capsys, case, mode):
     # Each written file is pinned by the SHA-256 of its bytes.
     for name, pinned in written.items():
         assert hashlib.sha256((files["dir"] / name).read_bytes()).hexdigest() == pinned
+
+
+# Runs ``main`` on the arguments it is given, in a fresh interpreter, and
+# prints the padfa modules loaded by then as the last line of stdout.
+_LOADED_SCRIPT = """\
+import sys
+from padfa.cli import main
+status = main(sys.argv[1:])
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "padfa"))
+sys.exit(status)
+"""
+
+_LOADS_FILE = ["padfa", "padfa.cli", "padfa.core", "padfa.formats"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        pytest.param(["validate", "m2.aut"], [], id="validate"),
+        pytest.param(["dot", "m2.aut"], [], id="dot"),
+        pytest.param(["info", "m2.aut"], ["graphs"], id="info"),
+        pytest.param(["rank", "c4.aut"], ["graphs", "rank"], id="rank"),
+        pytest.param(["sync", "c4.aut"], ["graphs", "rank"], id="sync"),
+        pytest.param(
+            ["saturate", "m2.aut", "--set", "all"], ["graphs", "rank", "saturate"], id="saturate"
+        ),
+        pytest.param(
+            ["birecurrent", "p2.aut"],
+            ["birecurrent", "graphs", "rank", "saturate"],
+            id="birecurrent",
+        ),
+        pytest.param(
+            ["reduce", "sync", "yes.inst", "-o", "{dir}/out.aut"],
+            ["gadgets", "graphs"],
+            id="reduce-sync",
+        ),
+        pytest.param(
+            ["binarize", "m2.aut", "--add-selfloop", "-o", "{dir}/out.aut"],
+            ["gadgets", "graphs"],
+            id="binarize",
+        ),
+        pytest.param(
+            ["oracle", "common-word", "yes.inst"], ["gadgets", "graphs"], id="oracle-common-word"
+        ),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(files, argv, extra):
+    env = dict(os.environ, PYTHONPATH=str(Path(padfa.cli.__file__).resolve().parents[1]))
+    argv = [files.get(a, a.replace("{dir}", str(files["dir"]))) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == sorted(_LOADS_FILE + [f"padfa.{name}" for name in extra])
 
 
 # Runs in a fresh interpreter with its own PYTHONHASHSEED.  It writes one

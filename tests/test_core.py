@@ -1,5 +1,9 @@
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -83,6 +87,14 @@ class TestImage:
     def test_undefined_drops_state(self):
         dfa = d2()
         assert dfa.image_mask(0b10, (0,)) == 0
+
+    def test_a_word_may_be_an_iterator(self):
+        # The letters are checked before the word is applied, so an iterator
+        # must not be used up by the check.
+        dfa, word = c4(), (1, 0, 0, 1)
+        assert dfa.run(0, iter(word)) == dfa.run(0, word) == 3
+        assert dfa.image_mask(0b1111, iter(word)) == dfa.image_mask(0b1111, word)
+        assert dfa.word_names(iter(word)) == dfa.word_names(word)
 
     def test_step_mask_rejects_out_of_range_letter(self):
         dfa = m2()
@@ -375,22 +387,33 @@ def test_searches_cache_nothing_on_the_automaton():
 
 
 def test_all_is_the_package_namespace():
-    # Every public name that padfa/__init__ binds is in __all__ and nothing
-    # else is, so a name removed from the package cannot linger there.
-    source = Path(padfa.__file__).read_text(encoding="utf-8")
-    bound = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ImportFrom):
-            bound.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    public = sorted(name for name in bound if not name.startswith("_"))
-    assert sorted(padfa.__all__) == public
+    # ``__all__`` is the table of public names and their home modules, and
+    # each name is the object its home module defines, so a name removed
+    # from a module cannot linger in the package.
+    assert padfa.__all__ == list(padfa._HOMES)
+    for name, home in padfa._HOMES.items():
+        assert getattr(padfa, name) is getattr(importlib.import_module(f"padfa.{home}"), name)
     namespace = {}
     exec("from padfa import *", namespace)
-    assert {name: namespace[name] for name in public} == {
-        name: getattr(padfa, name) for name in public
-    }
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(padfa, name) for name in padfa.__all__}
+    assert set(padfa.__all__) <= set(dir(padfa))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        padfa.no_such_name
+
+
+def test_importing_the_package_loads_no_module():
+    # A name's module is loaded when the name is first read, not before.
+    script = (
+        "import sys, padfa\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'padfa'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(padfa.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["padfa"]
 
 
 def test_no_assert_statements_in_the_package():
@@ -427,7 +450,6 @@ _MAY_IMPORT = {
     "birecurrent": {"core", "graphs", "saturate"},
     "gadgets": {"core", "graphs"},
     "formats": {"core"},
-    "bruteforce": {"core"},
     "cli": None,
     "__init__": None,
     "__main__": None,
@@ -563,6 +585,27 @@ def test_parsers_raise_only_parse_errors(text):
             lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).image_mask(0b11, (True,)),
             "letter index True out of range",
             id="image_mask-bool-letter",
+        ),
+        # word_names renders every word the command line prints.
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).word_names((True,)),
+            "letter index True out of range",
+            id="word_names-bool-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).word_names((-1, True, 0)),
+            "letter index -1 out of range",
+            id="word_names-negative-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).word_names((1.0,)),
+            "letter index 1.0 out of range",
+            id="word_names-float-letter",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).word_names((2,)),
+            "letter index 2 out of range",
+            id="word_names-out-of-range-letter",
         ),
         (
             lambda: Acceptor(PartialDfa(0, ("a",), ()), 0, StateSet(0)),

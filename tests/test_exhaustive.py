@@ -22,14 +22,14 @@ from padfa import (
     is_birecurrent,
     minimize,
 )
-from padfa.bruteforce import (
+from padfa.formats import parse_automaton, serialize_automaton
+
+from bruteforce import (
     brute_is_birecurrent,
     brute_language,
     brute_rank,
     brute_saturating_word,
 )
-from padfa.formats import parse_automaton, serialize_automaton
-
 from support import binary_automata, binary_classes, unpruned_saturating_word
 
 

@@ -13,8 +13,8 @@ from padfa import (
     find_saturating_min_rank_word,
     is_saturated_by,
 )
-from padfa.bruteforce import brute_saturating_word
 
+from bruteforce import brute_saturating_word
 from support import (
     binary_classes,
     cerny,
