@@ -22,7 +22,7 @@ _HOMES = {
     "GadgetLayout": "gadgets",
     "IntersectionInstance": "core",
     "MethodDisagreement": "birecurrent",
-    "PairAutomaton": "graphs",
+    "PairAutomaton": "rank",
     "PartialDfa": "core",
     "RankResult": "rank",
     "SearchBudget": "core",
@@ -48,7 +48,7 @@ _HOMES = {
     "is_synchronizing": "rank",
     "min_rank_word_sc": "rank",
     "minimize": "birecurrent",
-    "pair_automaton": "graphs",
+    "pair_automaton": "rank",
     "rank_word_length_bound": "rank",
     "reachable_from": "graphs",
     "strongly_connect_gadget": "gadgets",

@@ -172,8 +172,8 @@ def determinize_reversal(
     a mask.
 
     The budget is counted in a local and written back on every exit, as in
-    ``core.breadth_first``.  An exhausted construction still raises from
-    ``budget.spend()``, at the first subset past the budget, and leaves
+    ``core.breadth_first``.  An exhausted construction raises
+    ``budget.exhausted()`` at the first subset past the budget and leaves
     ``budget.remaining == -1``.
     """
     if not acceptor.accepting:
@@ -208,8 +208,7 @@ def determinize_reversal(
                 if node is None:
                     remaining -= 1
                     if remaining < 0:
-                        budget.remaining = 0
-                        budget.spend()
+                        raise budget.exhausted()
                     node = index[new] = len(order)
                     order.append(new)
                 rows.append(node)

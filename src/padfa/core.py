@@ -71,9 +71,11 @@ class SearchBudget:
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
-            raise BudgetExceededError(
-                f"search budget of {self.limit} visited nodes exhausted"
-            )
+            raise self.exhausted()
+
+    def exhausted(self) -> BudgetExceededError:
+        """The error that a search past this budget raises."""
+        return BudgetExceededError(f"search budget of {self.limit} visited nodes exhausted")
 
     @classmethod
     def ensure(cls, value: "int | SearchBudget") -> "SearchBudget":
@@ -111,14 +113,18 @@ def byte_tables(table: Sequence[int]) -> tuple[list[int], ...]:
     of ``b``.  Each run of 8 states is built by doubling, so the last run,
     when shorter, has ``2 ** len(run)`` entries.  A zero image (an undefined
     transition) only repeats the entries so far, which a list copy does
-    faster than the OR loop.
+    faster than the OR loop.  The runs whose images are all zero share one
+    chunk of 256 zeros, so a letter undefined on most states costs a
+    reference per run rather than 256 entries.
     """
     chunks = []
+    zero = [0] * 256
     for start in range(0, len(table), 8):
         chunk = [0]
         for image in table[start : start + 8]:
             chunk += [x | image for x in chunk] if image else chunk
-        chunks.append(chunk)
+        # The last entry is the union of the run's images.
+        chunks.append(chunk if chunk[-1] else zero)
     return tuple(chunks)
 
 
@@ -159,11 +165,10 @@ def breadth_first(
     same successor each time it is asked.
 
     The budget is counted in a local and written back on every exit, also
-    when ``step`` raises.  An exhausted search still raises from
-    ``budget.spend()``, at the first node past the budget, and leaves
-    ``budget.remaining == -1``, as a spend per node would.  The queue is a
-    plain list walked while it grows, so it holds every visited node until
-    the search returns.
+    when ``step`` raises.  An exhausted search raises ``budget.exhausted()``
+    at the first node past the budget and leaves ``budget.remaining == -1``,
+    as a spend per node would.  The queue is a plain list walked while it
+    grows, so it holds every visited node until the search returns.
     """
     budget.spend()
     parents: dict[int, Optional[int]] = {start: None}
@@ -182,8 +187,7 @@ def breadth_first(
                     continue
                 remaining -= 1
                 if remaining < 0:
-                    budget.remaining = 0
-                    budget.spend()
+                    raise budget.exhausted()
                 parents[new] = node
                 if new.bit_count() == target:
                     found = new
@@ -336,6 +340,13 @@ class PartialDfa:
                 raise ValueError(f"letter index {letter} out of range")
         return word
 
+    def _check_mask(self, mask: int) -> None:
+        """Raise unless ``mask`` is a set of states of this automaton: a
+        non-negative ``int``, never a ``bool``, with no bit at or above
+        ``state_count``."""
+        if type(mask) is not int or mask < 0 or mask >> self.state_count:
+            raise ValueError(f"state mask {mask!r} out of range")
+
     def word_names(self, word: Word) -> tuple[str, ...]:
         return tuple(self.alphabet[a] for a in self._letters(word))
 
@@ -352,6 +363,7 @@ class PartialDfa:
 
     def image_mask(self, mask: int, word: Word) -> int:
         """Image of a bitmask of states under a word (undefined images drop)."""
+        self._check_mask(mask)
         images = self.letter_images
         for letter in self._letters(word):
             mask = union_image(images[letter], mask)

@@ -19,9 +19,7 @@ canonical (sorted transition lines), so parse -> serialize -> parse is the
 identity on semantic content.  A file may declare at most ``MAX_STATES``
 states (2**20); a larger ``states:`` count is a :class:`ParseError`.  The
 module itself imports only ``core``, which
-``test_core.py::test_modules_import_only_their_layers`` pins; importing it
-still runs ``padfa/__init__``, which loads every engine module (ROADMAP
-item 8).
+``test_core.py::test_modules_import_only_their_layers`` pins.
 """
 
 from __future__ import annotations

@@ -787,6 +787,14 @@ GOLDEN = {
         '{"command": "saturate", "found": true, "word": []}\n',
         {},
     ),
+    # Every word saturates the empty set, so the answer is the rank witness.
+    "saturate-empty-set": (
+        ["saturate", "c4.aut", "--set", ""],
+        0,
+        "saturating word: b a a a b a a a b\n",
+        f'{{"command": "saturate", "found": true, "word": {_C4_WITNESS}}}\n',
+        {},
+    ),
     "birecurrent": (
         ["birecurrent", "p2.aut"],
         0,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -230,6 +231,26 @@ def tables_and_masks(draw):
 def test_byte_image_equals_union_image(data):
     table, mask = data
     assert byte_image(byte_tables(table), mask) == union_image(table, mask)
+
+
+def test_byte_tables_share_one_chunk_for_undefined_runs():
+    # A letter undefined on all 2^16 states: a chunk of 256 zeros per run of
+    # 8 states would take 16 MiB.
+    undefined = (0,) * (1 << 16)
+    tracemalloc.start()
+    try:
+        chunks = byte_tables(undefined)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # Two defined states among the undefined runs.
+    partial = list(undefined)
+    partial[5], partial[-1] = 1 << 7, 1 << 3
+    for table in undefined, partial:
+        chunks = byte_tables(table)
+        for mask in (1 << 64) - 1, 1 << 5, 0xFF << 30000, 1 << 65535 | 0b1011:
+            assert byte_image(chunks, mask) == union_image(table, mask)
 
 
 # Hand-built searches: the successor row of each node (``None`` prunes), the
@@ -585,6 +606,48 @@ def test_parsers_raise_only_parse_errors(text):
             lambda: PartialDfa(2, ("a", "b"), ((None, 1), (0, None))).image_mask(0b11, (True,)),
             "letter index True out of range",
             id="image_mask-bool-letter",
+        ),
+        # A mask is checked as a state is: True would read as {0} and 1.5
+        # as no set at all.
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).image_mask(True, (0,)),
+            "state mask True out of range",
+            id="image_mask-bool-mask",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).image_mask(1.5, (0,)),
+            "state mask 1.5 out of range",
+            id="image_mask-float-mask",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).image_mask(-1, (0,)),
+            "state mask -1 out of range",
+            id="image_mask-negative-mask",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).image_mask(1 << 5, (0,)),
+            "state mask 32 out of range",
+            id="image_mask-mask-past-the-states",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).image_mask(0b100, ()),
+            "state mask 4 out of range",
+            id="image_mask-mask-past-the-states-empty-word",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).step_mask(True, 0),
+            "state mask True out of range",
+            id="step_mask-bool-mask",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).step_mask(-1, 0),
+            "state mask -1 out of range",
+            id="step_mask-negative-mask",
+        ),
+        pytest.param(
+            lambda: PartialDfa(2, ("a",), ((None,), (0,))).step_mask(0b100, 0),
+            "state mask 4 out of range",
+            id="step_mask-mask-past-the-states",
         ),
         # word_names renders every word the command line prints.
         pytest.param(

@@ -10,7 +10,7 @@ from padfa import (
     pair_automaton,
     reachable_from,
 )
-from padfa.graphs import gather
+from padfa.rank import gather
 
 from support import c4, cerny, m2, p2, random_partial_dfa
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-import padfa.graphs
+import padfa.rank
 from padfa import (
     BudgetExceededError,
     PartialDfa,
@@ -311,13 +311,13 @@ def _dense_random(n: int, seed: int) -> PartialDfa:
 )
 def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, dfa, tables):
     built = []
-    links = padfa.graphs.predecessor_links
+    links = padfa.rank.predecessor_links
 
     def counting(*args):
         built.append(args)
         return links(*args)
 
-    monkeypatch.setattr(padfa.graphs, "predecessor_links", counting)
+    monkeypatch.setattr(padfa.rank, "predecessor_links", counting)
     _, _, dist, policy = _reference_pair_merge(dfa)
     assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
     assert len(built) == tables
@@ -341,13 +341,13 @@ def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, d
 )
 def test_merge_policy_order_is_the_merging_nodes_by_distance(monkeypatch, dfa, tables):
     built = []
-    links = padfa.graphs.predecessor_links
+    links = padfa.rank.predecessor_links
 
     def counting(*args):
         built.append(args)
         return links(*args)
 
-    monkeypatch.setattr(padfa.graphs, "predecessor_links", counting)
+    monkeypatch.setattr(padfa.rank, "predecessor_links", counting)
     dist, _, order = pair_automaton(dfa).merge_policy()
     assert len(built) == tables
     merging = [node for node, d in enumerate(dist) if d is not None and d > 0]
