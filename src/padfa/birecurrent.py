@@ -34,7 +34,6 @@ strongly connected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -46,6 +45,7 @@ from .core import (
     StateSet,
     byte_image,
     byte_tables,
+    record,
 )
 from .graphs import (
     backward_closure,
@@ -108,7 +108,7 @@ def minimize(acceptor: Acceptor) -> Acceptor:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SubsetAutomaton:
     """Determinization of the reversal of ``source``, as its subset loop
     leaves it.

@@ -33,16 +33,24 @@ them with ``int.bit_count``, and ``StateSet`` only carries a mask across
 the API.
 
 All values here are immutable after construction and safe to share between
-concurrent readers.
+concurrent readers.  The value types of the package are records: plain
+frozen classes that the ``record`` decorator below gives an ``__init__``,
+equality, hashing, a ``repr`` and read-only fields.  The standard
+library's ``@dataclass`` would do the same, but its module imports
+``inspect`` and it compiles each class's methods with ``exec``, which cost
+every ``padfa`` process about 7 ms, a third of its time above a bare
+interpreter's start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 Word = tuple[int, ...]
+
+T = TypeVar("T")
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -205,7 +213,106 @@ def breadth_first(
     return found, tuple(reversed(letters))
 
 
-@dataclass(frozen=True)
+class Fresh:
+    """A record field default that ``make()`` builds anew for each instance,
+    so no two instances share a mutable default."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Any]):
+        self.make = make
+
+
+def record(cls: type[T]) -> type[T]:
+    """Make ``cls`` a frozen record whose fields are its annotated class
+    attributes, in order.  An annotated attribute's value is the field's
+    default; a :class:`Fresh` default is built for each instance.
+
+    ``__init__`` takes the fields by position or keyword and then calls
+    ``__post_init__`` when the class has one.  ``__eq__`` is true for an
+    instance of the same class with equal fields, ``__hash__`` hashes the
+    fields, ``__repr__`` lists them (unless the class defines its own), and
+    assigning or deleting any attribute raises ``AttributeError``.
+    ``__match_args__`` names the fields.
+
+    ``__init__`` sets each field with ``object.__setattr__``, as a frozen
+    dataclass does.  Writing to ``self.__dict__`` instead would turn
+    CPython's compact attribute storage into a full dict, which makes
+    every attribute read slower and every instance larger.  Instances still
+    have a ``__dict__``, so ``functools.cached_property``, ``copy`` and
+    ``pickle`` work on them.
+    """
+    class_name = cls.__name__
+    names = tuple(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    post_init = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(
+                f"{class_name}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in defaults:
+                value = defaults[name]
+                if type(value) is Fresh:
+                    value = value.make()
+            else:
+                raise TypeError(f"{class_name}() missing argument {name!r}")
+            set_field(self, name, value)
+        if kwargs:
+            raise TypeError(
+                f"{class_name}() got an unexpected or repeated argument {next(iter(kwargs))!r}"
+            )
+        if post_init:
+            self.__post_init__()
+
+    # The field values, compared and hashed as one tuple (a bare value for
+    # a one-field record).
+    fields = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        listed = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({listed})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {class_name} is a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {class_name} is a frozen record")
+
+    methods = [__init__, __eq__, __hash__, __setattr__, __delattr__]
+    if "__repr__" not in vars(cls):
+        methods.append(__repr__)
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+def replace(obj: T, **changes: Any) -> T:
+    """A copy of the record ``obj`` with the fields named in ``changes``
+    changed, built by ``__init__`` so that the class's checks run."""
+    values = {name: getattr(obj, name) for name in obj.__match_args__}
+    values.update(changes)
+    return type(obj)(**values)
+
+
+@record
 class StateSet:
     """Subset of ``range(universe)`` backed by a bitmask: ``mask`` bit ``i``
     set means state ``i`` is a member.  Set algebra works on the masks.  The
@@ -253,7 +360,7 @@ class StateSet:
         return f"StateSet({self.universe}, {{{', '.join(map(str, self))}}})"
 
 
-@dataclass(frozen=True)
+@record
 class PartialDfa:
     """A partial deterministic finite automaton without initial/accepting data.
 
@@ -404,7 +511,7 @@ class PartialDfa:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class Acceptor:
     """A partial DFA with an initial state and a set of accepting states.
 
@@ -435,7 +542,7 @@ class Acceptor:
         return self.dfa.state_count == 0
 
 
-@dataclass(frozen=True)
+@record
 class IntersectionInstance:
     """A finite-automata intersection instance: complete acceptors sharing
     one alphabet."""

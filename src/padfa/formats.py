@@ -24,17 +24,16 @@ module itself imports only ``core``, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import Acceptor, IntersectionInstance, PartialDfa, StateSet
+from .core import Acceptor, IntersectionInstance, PartialDfa, StateSet, record
 
 
 class ParseError(ValueError):
     """A malformed automaton or instance file."""
 
 
-@dataclass(frozen=True)
+@record
 class LoadedAutomaton:
     """Parsed automaton file: a partial DFA plus optional acceptor data."""
 
@@ -175,11 +174,17 @@ def _build_automaton(
             _parse_int(token, accepting_line, "accepting state")
             for token in accepting_tokens
         ]
+        seen_states: set[int] = set()
         for state in states:
             if state >= state_count:
                 raise ParseError(
                     f"line {accepting_line}: accepting state {state} out of range"
                 )
+            if state in seen_states:
+                raise ParseError(
+                    f"line {accepting_line}: duplicate accepting state {state}"
+                )
+            seen_states.add(state)
         accepting = StateSet.from_iterable(state_count, states)
     return LoadedAutomaton(dfa, initial, accepting)
 

@@ -23,22 +23,24 @@ state numbering depend only on the instance.  The instance type,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from .core import (
     DEFAULT_BUDGET,
     Acceptor,
+    Fresh,
     IntersectionInstance,
     PartialDfa,
     SearchBudget,
     StateSet,
     Word,
+    record,
+    replace,
 )
 from .graphs import coreachable_to, reachable_from
 
 
-@dataclass(frozen=True)
+@record
 class GadgetLayout:
     """Bookkeeping for a constructed gadget.
 
@@ -50,10 +52,10 @@ class GadgetLayout:
     twin pairings or binarization letter order.
     """
 
-    state_map: dict[tuple[int, int], int] = field(default_factory=dict)
-    special_states: dict[str, int] = field(default_factory=dict)
-    letter_map: dict[str, int] = field(default_factory=dict)
-    meta: dict[str, Any] = field(default_factory=dict)
+    state_map: dict[tuple[int, int], int] = Fresh(dict)
+    special_states: dict[str, int] = Fresh(dict)
+    letter_map: dict[str, int] = Fresh(dict)
+    meta: dict[str, Any] = Fresh(dict)
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:

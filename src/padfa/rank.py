@@ -28,7 +28,6 @@ order or hash seeds, only on the automaton and the declared letter order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import and_, itemgetter, not_
@@ -42,6 +41,7 @@ from .core import (
     breadth_first,
     byte_image,
     byte_tables,
+    record,
 )
 from .graphs import is_strongly_connected, predecessor_links
 
@@ -58,7 +58,7 @@ T = TypeVar("T")
 PULL_LIMIT = 4
 
 
-@dataclass(frozen=True)
+@record
 class RankResult:
     """Minimum nonzero image size together with a word achieving it."""
 
@@ -125,7 +125,7 @@ def gather(seq: Sequence[T], indices: Sequence[int]) -> tuple[T, ...]:
     return tuple(seq[i] for i in indices)
 
 
-@dataclass(frozen=True)
+@record
 class PairAutomaton:
     """Power automaton restricted to subsets of size at most two.
 

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -403,7 +402,7 @@ def test_searches_cache_nothing_on_the_automaton():
     exact_rank(dfa)
     find_saturating_min_rank_word(dfa, StateSet.full(12))
     determinize_reversal(Acceptor(dfa, 0, StateSet.from_iterable(12, [0])))
-    cached = set(vars(dfa)) - {field.name for field in fields(PartialDfa)}
+    cached = set(vars(dfa)) - set(PartialDfa.__match_args__)
     assert cached <= {"letter_images", "letter_domains"}
 
 
@@ -435,6 +434,26 @@ def test_importing_the_package_loads_no_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["padfa"]
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # Importing ``dataclasses`` (which imports ``inspect``) would add about
+    # 5 ms to every padfa process; the records are built by ``core.record``.
+    # A module that a bare interpreter already loads costs nothing.
+    env = dict(os.environ, PYTHONPATH=str(Path(padfa.__file__).resolve().parents[1]))
+    package = Path(padfa.__file__).parent
+    modules = [f"padfa.{source.stem}" for source in sorted(package.glob("[!_]*.py"))]
+    assert len(modules) == 8  # cli and the seven home modules
+
+    def heavy_modules_after(imports: str) -> set[str]:
+        script = f"import sys\n{imports}\nprint(*['dataclasses', 'inspect'] & sys.modules.keys())"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    assert heavy_modules_after(f"import {', '.join(modules)}") <= heavy_modules_after("pass")
 
 
 def test_no_assert_statements_in_the_package():

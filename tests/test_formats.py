@@ -247,6 +247,17 @@ class TestDot:
             "line 4: initial state 5 out of range",
         ),
         (
+            parse_automaton,
+            "states: 3\nalphabet: a\naccepting: 2 0 2\n",
+            "line 3: duplicate accepting state 2",
+        ),
+        (
+            parse_instance,
+            "alphabet: a\nmachine:\nstates: 2\ninitial: 0\naccepting: 1 1\n"
+            "trans: 0 a 1\ntrans: 1 a 1\n",
+            "line 5: duplicate accepting state 1",
+        ),
+        (
             parse_instance,
             "alphabet: a\nmachine: x\n",
             "line 2: 'machine:' takes no value",
@@ -263,6 +274,8 @@ class TestDot:
         "source",
         "accepting",
         "initial",
+        "accepting-twice",
+        "machine-accepting-twice",
         "machine-value",
         "no-machine",
     ],
