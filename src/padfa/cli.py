@@ -65,6 +65,12 @@ def _parse_set(spec: str, universe: int) -> StateSet:
     indices = [parse_index(token.strip()) for token in spec.split(",")]
     if None in indices:
         raise ValueError(f"--set expects comma-separated indices, got {spec!r}")
+    seen = set()
+    for index in indices:
+        # A file's ``accepting:`` line rejects a repeat too.
+        if index in seen:
+            raise ValueError(f"--set names state {index} more than once")
+        seen.add(index)
     return StateSet.from_iterable(universe, indices)
 
 

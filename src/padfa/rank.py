@@ -17,10 +17,12 @@ the merge rounds of ``min_rank_word_sc``, read many entries at once by
 ``gather``, one C-level ``itemgetter`` call per list of indices.  The merge
 policy also returns the merging pairs in the order its search found them,
 level by level and sorted within each level, which is (distance, p, q)
-order; each merge round takes its pair from that order.  The columns are
-also the only image the pair automaton offers: a set of states moves as
-its singleton nodes, which drop into the dead node where a transition is
-undefined.
+order; each merge round takes its pair from that order.  The columns move
+only the chosen pair: the survivors of a round move as states, through one
+successor table per letter in which index n again stands for "undefined"
+and maps to itself.  While n <= 255 the tables are bytes and one
+``bytes.translate`` per letter moves all the survivors; past that they are
+lists, read by ``gather``.
 
 Both produce deterministic witnesses: results do not depend on execution
 order or hash seeds, only on the automaton and the declared letter order.
@@ -131,16 +133,12 @@ class PairAutomaton:
 
     Node 0 is the absorbing dead node, node ``1 + s`` is the singleton
     {s}, and the remaining nodes are the unordered pairs, ordered by (p, q):
-    {p, q} is node ``node_of[p][q]``.  The endpoint lists map back:
-    ``first[node]`` and ``second[node]`` are the smaller and the larger
-    state of a pair node, and both are s for the singleton {s}.
+    {p, q} is node ``node_of[p][q]``.  ``endpoints`` maps back.
     The table is one column per letter: ``columns[letter][node]`` is total,
     a pair moving to the (pair or singleton) image of its two states, to
     the singleton of the surviving state when exactly one image is defined,
     and to dead when neither is.  ``step[node][letter]`` reads the same
-    entry row-wise.  A singleton column entry is the image of one state, so
-    the columns also carry the image of any state set: gather its singleton
-    nodes and drop the dead node.
+    entry row-wise.
 
     State index n stands for "undefined".
     ``node_of`` is the (n+1) x (n+1) matrix of image nodes, so
@@ -157,14 +155,37 @@ class PairAutomaton:
     state_count: int
     columns: tuple[list[int], ...]
     node_of: list[list[int]]
-    first: list[int]
-    second: list[int]
 
     DEAD = 0
 
     @property
     def node_count(self) -> int:
-        return len(self.first)
+        n = self.state_count
+        return 1 + n + n * (n - 1) // 2
+
+    @cached_property
+    def endpoints(self) -> tuple[list[int], list[int]]:
+        """``(first, second)``, built on first read: ``first[node]`` and
+        ``second[node]`` are the smaller and the larger state of a pair node,
+        both s for the singleton {s}, and placeholders for the dead node.
+        Both lists hold the ints of one list of the states.
+
+        ``min_rank_word_sc`` reads them after ``merge_policy`` has freed its
+        temporaries, and each list is allocated once at its full size, so it
+        can take the memory of one of them: at n = 800 that takes 5.4 of
+        the answer's 42.9 MB peak (tracemalloc, CPython 3.11)."""
+        n = self.state_count
+        states = list(range(n))
+        first = [0] * self.node_count
+        second = first.copy()
+        first[1 : n + 1] = second[1 : n + 1] = states
+        start = n + 1
+        for p in states:
+            end = start + n - 1 - p
+            first[start:end] = [p] * (n - 1 - p)
+            second[start:end] = states[p + 1 :]
+            start = end
+        return first, second
 
     @cached_property
     def step(self) -> list[tuple[int, ...]]:
@@ -255,6 +276,16 @@ class PairAutomaton:
         return dist, policy, order
 
 
+def _successors(dfa: PartialDfa) -> list[list[int]]:
+    """One list per letter: the successor of each state, or the state count
+    n where the transition is undefined."""
+    n = dfa.state_count
+    return [
+        [n if row[letter] is None else row[letter] for row in dfa.transitions]
+        for letter in range(dfa.letter_count)
+    ]
+
+
 def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     """Build the size-at-most-two power automaton of ``dfa``."""
     n = dfa.state_count
@@ -262,34 +293,25 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     # Row p holds the pairs {q, p} (q < p) of the rows above, {p}, the
     # pairs {p, q} (q > p), which are numbered consecutively from the
     # number of nodes so far, and at index n the set {p, undefined} = {p}.
-    # The endpoint lists grow with the numbering and share the ints of
-    # ``states``; the dead node's entries are placeholders.
-    states = list(range(n))
-    first = [0, *states]
-    second = [0, *states]
     node_of: list[list[int]] = []
-    for p in states:
+    count = 1 + n
+    for p in range(n):
         row = list(map(itemgetter(p), node_of))
         row.append(1 + p)
-        row += range(len(first), len(first) + n - 1 - p)
+        row += range(count, count + n - 1 - p)
         row.append(1 + p)
         node_of.append(row)
-        first += [p] * (n - 1 - p)
-        second += states[p + 1 :]
+        count += n - 1 - p
     node_of.append([*range(1, n + 1), dead])
     columns = []
-    for letter in range(dfa.letter_count):
-        # successors[s] is the successor of state s, or n where undefined.
-        successors = [
-            n if row[letter] is None else row[letter] for row in dfa.transitions
-        ]
+    for successors in _successors(dfa):
         column = [dead]
         # The singleton {s} moves to {t(s)}, which row n holds.
         column += map(node_of[n].__getitem__, successors)
         for p in range(n):
             column += map(node_of[successors[p]].__getitem__, successors[p + 1 :])
         columns.append(column)
-    return PairAutomaton(n, tuple(columns), node_of, first, second)
+    return PairAutomaton(n, tuple(columns), node_of)
 
 
 def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
@@ -314,11 +336,14 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     back to listing: it lists the pair nodes {p, q} of survivors p < q
     in (p, q) order, one ``gather`` from row p of the pair automaton's
     ``node_of`` matrix per p, gathers their distances in one call and takes
-    the first smallest.  The chosen pair then leads one walk list and the
-    survivors follow as their singleton nodes, so one ``gather`` per letter
-    of the segment advances them all through the letter's column; the
-    survivors that reach the dead node drop out, and the endpoint list maps
-    the others back to their states.
+    the first smallest.  The chosen pair then walks as one node through the
+    letter columns, and the survivors follow as states through one
+    successor table per letter, where an undefined transition goes to the
+    sentinel n and n stays at n.  With n <= 255 every state and the sentinel
+    fit in a byte, so a table is 256 bytes and one ``bytes.translate`` per
+    letter advances all the survivors; otherwise a table is a list and one
+    ``gather`` per letter does.  The round's image is the set of the moved
+    survivors without the sentinel.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
@@ -327,8 +352,18 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
 
     pairs = pair_automaton(dfa)
     dist, policy, order = pairs.merge_policy()
-    node_of, columns, first, second = pairs.node_of, pairs.columns, pairs.first, pairs.second
+    node_of, columns = pairs.node_of, pairs.columns
+    first, second = pairs.endpoints
     n = dfa.state_count
+    # steps[letter][s] is the successor of state s, or the sentinel n where
+    # it is undefined, and n maps to itself.  While every state and the
+    # sentinel fit in a byte, a table is the 256 bytes of ``bytes.translate``.
+    if n < 256:
+        pack, move = bytes, bytes.translate
+        steps = [bytes(step + [n] * (256 - n)) for step in _successors(dfa)]
+    else:
+        pack, move = tuple, lambda moved, step: gather(step, moved)
+        steps = [step + [n] for step in _successors(dfa)]
     survivors = list(range(n))
     witness: list[int] = []
     while len(survivors) > 1:
@@ -361,19 +396,20 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
                 break
             node = nodes[distances.index(distance)]
         distance = dist[node]
-        walk = [node, *gather(node_of[n], survivors)]
+        moved = pack(survivors)
         for _ in range(distance):
-            letter = policy[walk[0]]
+            letter = policy[node]
             if letter is None:
                 raise RuntimeError(
-                    f"pair node {walk[0]} is {dist[walk[0]]} letters from a "
+                    f"pair node {node} is {dist[node]} letters from a "
                     "singleton but has no merging letter"
                 )
             witness.append(letter)
-            walk = gather(columns[letter], walk)
+            node = columns[letter][node]
+            moved = move(moved, steps[letter])
         # The chosen pair has merged, so at least one survivor is left and
         # at least one is gone.
-        image = gather(first, sorted(set(walk[1:]) - {pairs.DEAD}))
+        image = sorted(set(moved) - {n})
         if not 0 < len(image) < len(survivors):
             raise RuntimeError(
                 f"a round of {distance} letters took {len(survivors)} survivors "

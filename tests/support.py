@@ -1,14 +1,16 @@
 """Shared fixtures-by-hand: tiny named automata, seeded random generators,
-the classes of small binary automata under relabelling, the unpruned
-saturation search that the pruned one is checked against and the
-per-letter reversal loop that the packed one is checked against."""
+the classes of small binary automata under relabelling, the P × Z_r family
+of known rank with its rank certificate, the unpruned saturation search
+that the pruned one is checked against and the per-letter reversal loop
+that the packed one is checked against."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from typing import Optional
 
 from padfa import (
     Acceptor,
@@ -140,6 +142,63 @@ def random_sc_dfa(
         dfa = random_partial_dfa(rng, n, k, density)
         if is_strongly_connected(dfa):
             return dfa
+
+
+def cycle_sc_dfa(
+    rng: random.Random, n: int, letter_count: int, density: float
+) -> PartialDfa:
+    """A strongly connected partial DFA at any n, with no rejection: letter 0
+    is the cycle s -> s + 1 (mod n), and the other letters are random maps
+    defined with probability ``density``."""
+    others = range(letter_count - 1)
+    rows = tuple(
+        ((s + 1) % n, *(rng.randrange(n) if rng.random() < density else None for _ in others))
+        for s in range(n)
+    )
+    return PartialDfa(n, tuple(letters(letter_count)), rows)
+
+
+def cyclic_product(dfa: PartialDfa, r: int) -> PartialDfa:
+    """P × Z_r for P = ``dfa`` with m states: state (i, p) is i·m + p, and
+    every letter a sends it to (i + 1 mod r, p·a), undefined where p·a is.
+    A word w maps the states onto (P·w) × Z_r, so the rank is r·rank(P)."""
+    m = dfa.state_count
+    rows = tuple(
+        tuple(None if t is None else (i + 1) % r * m + t for t in row)
+        for i in range(r)
+        for row in dfa.transitions
+    )
+    return PartialDfa(r * m, dfa.alphabet, rows)
+
+
+def certified_rank(dfa: PartialDfa, witness: tuple[int, ...]) -> Optional[int]:
+    """|S| for S = Q·w and w = ``witness``, if S is not empty and no two
+    states of S can ever merge or lose exactly one of them; else None.
+
+    On a strongly connected automaton this proves that the rank is |S|.  w
+    attains |S|.  For a word v of minimum rank, some word y sends a state of
+    S into the domain of v, so S·yv is not empty; no pair of S merges or
+    loses one state, so |S·yv| = |S|; and S·yv lies in Q·v.  (On a complete
+    automaton y is empty.)  The pairs are searched breadth-first in O(n²k),
+    with no code shared with ``padfa.rank``."""
+    n = dfa.state_count
+    image = sorted({dfa.run(s, witness) for s in range(n)} - {None})
+    seen = bytearray(n * n)
+    queue = [p * n + q for p, q in combinations(image, 2)]
+    for pair in queue:
+        seen[pair] = 1
+    for pair in queue:
+        p, q = divmod(pair, n)
+        for s, t in zip(dfa.transitions[p], dfa.transitions[q]):
+            if s is None and t is None:
+                continue  # both die: the pair merges nothing
+            if s is None or t is None or s == t:
+                return None
+            target = min(s, t) * n + max(s, t)
+            if not seen[target]:
+                seen[target] = 1
+                queue.append(target)
+    return len(image) or None
 
 
 def random_acceptor(

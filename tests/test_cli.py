@@ -194,6 +194,14 @@ class TestSaturate:
         assert main(["saturate", files["m2.aut"], "--set", spec]) == 2
         assert "--set expects comma-separated indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["1,1", "0,1, 1", "1,0,1"])
+    def test_repeated_set_index(self, files, capsys, spec):
+        # As a file's ``accepting: 1 1`` is, and not read as ``--set 1``.
+        assert main(["saturate", files["m2.aut"], "--set", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --set names state 1 more than once\n"
+
     def test_set_indices_may_be_spaced(self, files, capsys):
         assert main(["saturate", files["m2.aut"], "--set", "0, 1"]) == 0
 
@@ -586,6 +594,14 @@ class TestJsonErrors:
         payload = self._error(capsys, ["saturate", files["m2.aut"], "--set", "0,x"])
         assert payload["command"] == "saturate"
         assert payload["error"] == "ValueError"
+
+    def test_repeated_set_index(self, files, capsys):
+        payload = self._error(capsys, ["saturate", files["m2.aut"], "--set", "1,1"])
+        assert payload == {
+            "command": "saturate",
+            "error": "ValueError",
+            "message": "--set names state 1 more than once",
+        }
 
     def test_os_error(self, tmp_path, capsys):
         payload = self._error(capsys, ["info", str(tmp_path / "nope.aut")])

@@ -121,19 +121,23 @@ class TestPairAutomaton:
     def test_endpoint_lists_map_nodes_back_to_states(self):
         n = 4
         pa = pair_automaton(c4())
-        assert len(pa.first) == len(pa.second) == pa.node_count
+        # Built on first read, so the merge policy runs without them.
+        pa.merge_policy()
+        assert "endpoints" not in vars(pa)
+        first, second = pa.endpoints
+        assert len(first) == len(second) == pa.node_count
         for p in range(n):
             singleton = pa.node_of[p][n]
-            assert (pa.first[singleton], pa.second[singleton]) == (p, p)
+            assert (first[singleton], second[singleton]) == (p, p)
             for q in range(p + 1, n):
                 node = pa.node_of[p][q]
-                assert (pa.first[node], pa.second[node]) == (p, q)
+                assert (first[node], second[node]) == (p, q)
 
     def test_endpoint_lists_hold_one_int_per_state(self):
         # They point at the states' ints, not at a new int per node (ints
         # above 256 are not shared by the interpreter).
-        pa = pair_automaton(cerny(300))
-        assert len({id(state) for state in pa.first + pa.second}) == 300
+        first, second = pair_automaton(cerny(300)).endpoints
+        assert len({id(state) for state in first + second}) == 300
 
     @pytest.mark.parametrize("dfa", [m2(), c4(), PartialDfa(2, (), ((), ()))])
     def test_step_is_the_columns_read_row_wise(self, dfa):

@@ -20,7 +20,17 @@ from padfa import (
     rank_word_length_bound,
 )
 
-from support import binary_automata, c4, cerny, m2, p2, random_sc_dfa
+from support import (
+    binary_automata,
+    c4,
+    certified_rank,
+    cerny,
+    cycle_sc_dfa,
+    cyclic_product,
+    m2,
+    p2,
+    random_sc_dfa,
+)
 
 
 class TestExactRank:
@@ -98,6 +108,30 @@ class TestMinRankWordSc:
         )
         assert min_rank_word_sc(dfa).rank == 1
         assert exact_rank(dfa).rank == 1
+
+    def test_survivor_dies_on_the_last_letter_of_a_long_round(self):
+        # a: 0 -> 0, 1 -> 0, 2 -> 2; b: 0 -> 2, 2 -> 1, undefined on 1.  The
+        # first round merges {0, 1} by a.  The second merges {0, 2} by bb:
+        # 0 -> 2 -> 1, while 2 -> 1 dies on the second b, and state 0 is not
+        # in the image {1}.  A survivor walk that sent an undefined
+        # transition to state 0 would keep 0 and could not shrink.  (No
+        # survivor can die before its round's last letter: it would make a
+        # pair with the chosen one that merges sooner.)
+        dfa = PartialDfa(3, ("a", "b"), ((0, 2), (0, None), (2, 1)))
+        assert is_strongly_connected(dfa)
+        assert min_rank_word_sc(dfa) == RankResult(1, (0, 1, 1))
+        assert dfa.image_mask(0b101, (1, 1)) == 0b010
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("seed", [211, 212])
+    def test_witnesses_on_both_sides_of_the_byte_tables(self, n, seed):
+        # Up to n = 255 the survivors move through byte tables whose
+        # sentinel is n; from n = 256 on through lists.
+        dfa = cycle_sc_dfa(random.Random(seed), n, 3, 0.9)
+        result = min_rank_word_sc(dfa)
+        assert result == _listing_pair_merge(dfa)[0]
+        full = (1 << n) - 1
+        assert dfa.image_mask(full, result.witness).bit_count() == result.rank
 
     def test_empty_alphabet(self):
         dfa = PartialDfa(1, (), ((),))
@@ -273,6 +307,11 @@ def test_pair_merging_matches_the_reference():
         random_sc_dfa(rng, max_states=9, density_range=(0.3, 1.0))
         for _ in range(300)
     ]
+    # Sparse partial automata, where survivors die on rounds' last letters.
+    cases += [
+        random_sc_dfa(rng, max_states=12, density_range=(0.2, 0.6))
+        for _ in range(100)
+    ]
     cases += [cerny(n) for n in range(2, 31)]
     for dfa in cases:
         rank, witness, dist, policy = _reference_pair_merge(dfa)
@@ -291,22 +330,11 @@ def _reference_lists(dfa: PartialDfa, dist: dict, policy: dict):
     return dists, [policy.get(node) for node in nodes], order
 
 
-def _dense_random(n: int, seed: int) -> PartialDfa:
-    """A cycle letter (so strongly connected) and two random letters, each
-    entry defined with probability 0.9."""
-    rng = random.Random(seed)
-    rows = tuple(
-        ((s + 1) % n, *(rng.randrange(n) if rng.random() < 0.9 else None for _ in range(2)))
-        for s in range(n)
-    )
-    return PartialDfa(n, ("a", "b", "c"), rows)
-
-
 @pytest.mark.parametrize(
     "dfa, tables",
     # A few large levels: the pull sweep finishes and builds no table.
     # Hundreds of one-pair levels: it switches to pushing, one table per letter.
-    [(_dense_random(60, 208), 0), (cerny(10), 2), (cerny(30), 2)],
+    [(cycle_sc_dfa(random.Random(208), 60, 3, 0.9), 0), (cerny(10), 2), (cerny(30), 2)],
     ids=["random60", "cerny10", "cerny30"],
 )
 def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, dfa, tables):
@@ -330,7 +358,7 @@ def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, d
     # state 4, which it sends to 1); a pair that never merges; no pair at
     # all; and pairs with no letter to move them.
     [
-        (_dense_random(60, 208), 0),
+        (cycle_sc_dfa(random.Random(208), 60, 3, 0.9), 0),
         (cerny(10), 2),
         (PartialDfa(7, ("a", "b"), tuple(((s + 1) % 7, 1 if s == 4 else s) for s in range(7))), 2),
         (p2(), 0),
@@ -441,6 +469,39 @@ def test_pair_route_on_every_binary_automaton_up_to_three_states():
         assert result == RankResult(rank, witness)
         assert result.rank == exact_rank(dfa).rank
         assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_cyclic_products_have_r_times_the_rank_at_scale(r):
+    # P × Z_r with about 200 states: its rank is r·rank(P), and both ranks
+    # are certified without the subset search.  r = 1 is the rank-1 control.
+    rng = random.Random(213 + r)
+    dfa = None
+    while dfa is None or not is_strongly_connected(dfa):
+        base = cycle_sc_dfa(rng, 200 // r, 3, 0.9)
+        dfa = cyclic_product(base, r)
+    inner = min_rank_word_sc(base)
+    assert certified_rank(base, inner.witness) == inner.rank == 1
+    result = min_rank_word_sc(dfa)
+    assert certified_rank(dfa, result.witness) == result.rank == r
+    # The empty word leaves pairs that merge, so it certifies nothing.
+    assert certified_rank(dfa, ()) is None
+
+
+def test_cyclic_products_agree_with_exact_rank():
+    rng = random.Random(217)
+    checked = 0
+    while checked < 60:
+        base = random_sc_dfa(rng, max_states=5, density_range=(0.5, 1.0))
+        r = rng.choice((2, 3))
+        dfa = cyclic_product(base, r)
+        if not is_strongly_connected(dfa):
+            continue
+        rank = r * exact_rank(base).rank
+        result = min_rank_word_sc(dfa)
+        assert exact_rank(dfa).rank == result.rank == rank
+        assert certified_rank(dfa, result.witness) == rank
+        checked += 1
 
 
 class TestLengthBound:

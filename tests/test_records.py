@@ -39,7 +39,7 @@ CASES = {
     LoadedAutomaton: ({"dfa": _DFA, "initial": None, "accepting": None}, ("initial", 0)),
     RankResult: ({"rank": 1, "witness": (0, 1)}, ("witness", (1, 0))),
     PairAutomaton: (
-        {name: getattr(_PAIRS, name) for name in ("state_count", "columns", "node_of", "first", "second")},
+        {name: getattr(_PAIRS, name) for name in ("state_count", "columns", "node_of")},
         ("state_count", 3),
     ),
     SubsetAutomaton: (
@@ -203,7 +203,7 @@ def test_copies_and_pickles_are_equal(cls, cached):
     record = _make(cls)
     if cached:
         # Fill each cached property, which lives in the instance's __dict__.
-        for name in ("letter_images", "letter_domains", "acceptor", "step"):
+        for name in ("letter_images", "letter_domains", "acceptor", "step", "endpoints"):
             if hasattr(cls, name):
                 getattr(record, name)
         for field in CASES[cls][0].values():
@@ -216,7 +216,7 @@ def test_copies_and_pickles_are_equal(cls, cached):
     ):
         assert type(clone) is cls
         assert clone == record
-        for name in ("letter_images", "acceptor", "step"):
+        for name in ("letter_images", "acceptor", "step", "endpoints"):
             if hasattr(cls, name):
                 assert getattr(clone, name) == getattr(record, name)
         with pytest.raises(AttributeError):
@@ -232,6 +232,7 @@ def test_cached_properties_fill_the_instance_dict():
     assert reversal.acceptor is reversal.acceptor is vars(reversal)["acceptor"]
     pairs = PairAutomaton(**CASES[PairAutomaton][0])
     assert pairs.step is pairs.step is vars(pairs)["step"]
+    assert pairs.endpoints is pairs.endpoints is vars(pairs)["endpoints"]
 
 
 def test_replace_rebuilds_through_the_checks():
