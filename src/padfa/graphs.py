@@ -5,7 +5,7 @@ Every backward walk reads the predecessor table of ``predecessor_links``:
 coreachability (so strong connectivity and the useful states of
 ``birecurrent.minimize``), the direct birecurrence test on the reversal,
 and the merge policy of ``rank.PairAutomaton`` (one table per letter
-column) once it stops pulling.
+column), built on its first push level and kept for every later one.
 """
 
 from __future__ import annotations

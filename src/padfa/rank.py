@@ -17,7 +17,8 @@ the merge rounds of ``min_rank_word_sc``, read many entries at once by
 ``gather``, one C-level ``itemgetter`` call per list of indices.  The merge
 policy also returns the merging pairs in the order its search found them,
 level by level and sorted within each level, which is (distance, p, q)
-order; each merge round takes its pair from that order.  The columns move
+order; each merge round takes its pair from that order, whose endpoints
+are gathered once per answer.  The columns move
 only the chosen pair: the survivors of a round move as states, through one
 successor table per letter in which index n again stands for "undefined"
 and maps to itself.  While n <= 255 the tables are bytes and one
@@ -31,7 +32,7 @@ order or hash seeds, only on the automaton and the declared letter order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from operator import and_, itemgetter, not_
 from typing import Optional, Sequence, TypeVar
 
@@ -49,15 +50,22 @@ from .graphs import is_strongly_connected, predecessor_links
 
 T = TypeVar("T")
 
-# The merge policy pulls until the unassigned pairs, summed over its pull
-# levels, would pass PULL_LIMIT node counts, and then pushes for good: a
-# ski-rental rule, which pays for the predecessor links only once the pulls
-# have cost a few times as much.  Random questions finish after pulling about
-# 2.3 node counts, in 0.55-0.75 of the time that pushing takes; C_n, with its
-# thousands of one-node levels, switches after four levels and takes 1.25-1.7
-# times as long as pushing throughout (CPython 3.11: n = 200 and 800, C_64
-# and C_128).
-PULL_LIMIT = 4
+# The merge policy's direction switch, the β of Beamer, Asanović and
+# Patterson.  It pulls at distance 1, whenever the level just found holds at
+# least 1/SWITCH_RATIO of the pairs still unassigned, and, while it has built
+# no predecessor table, whenever fewer than 1/SWITCH_RATIO of all nodes are
+# unassigned.  It pushes every other level, so it can switch either way, and
+# more than once.  A pull by the level rule reads at most SWITCH_RATIO times
+# the level before it, so those pulls read at most SWITCH_RATIO node counts
+# in all.  8 is the smallest power of two at which the partial random
+# automata of the benchmark almost never push: 1 of 400 seeded n = 200
+# draws pushes, against 112 at 4, where the n = 200 policy takes 1.4 times
+# as long.  At 16 and 32, complete random automata (n = 200 and 400, k = 2
+# and 3) give back part of the gain: their policy takes 0.60-0.74 and
+# 0.59-0.83 of the time of the former one-way switch, against 0.52-0.65 at
+# 8.  At every ratio tried, C_n pushes from distance 2 until only a few of
+# its one-pair levels are left (CPython 3.11).
+SWITCH_RATIO = 8
 
 
 @record
@@ -146,10 +154,10 @@ class PairAutomaton:
     ``node_of[x][n]`` is the singleton x and ``node_of[n][n]`` is dead.
 
     ``merge_policy`` is a breadth-first search from the singletons that
-    pulls while its levels are few and large and pushes once they are not
-    (Beamer, Asanović and Patterson, "Direction-optimizing breadth-first
-    search", SC 2012), switching one way only, after ``PULL_LIMIT`` node
-    counts of pulls.
+    pulls a level when it is large against the pairs left to assign and
+    pushes it when it is small (Beamer, Asanović and Patterson,
+    "Direction-optimizing breadth-first search", SC 2012), switching either
+    way at every level by the ratio ``SWITCH_RATIO``.
     """
 
     state_count: int
@@ -214,10 +222,14 @@ class PairAutomaton:
         node is its smallest letter into the level below.  A pull level
         reads every unassigned pair, which pays on a few large levels but
         not on many small ones (C_n has thousands of one-node levels).  So
-        once the unassigned pairs summed over the pulled levels would pass
-        ``PULL_LIMIT`` node counts, it builds one ``predecessor_links`` table
-        per letter and pushes from that level on, letter by letter, walking
-        the predecessors of each node of the level.  Each level is
+        past distance 1 a level is pushed when level d - 1 holds fewer than
+        1/``SWITCH_RATIO`` of the unassigned pairs, unless no table is built
+        yet and the unassigned pairs are fewer than 1/``SWITCH_RATIO`` of
+        the nodes.  A push walks, letter by letter, the predecessors of each
+        node of level d - 1 in one ``predecessor_links`` table per letter,
+        built by the first push and kept.  A pull after a push first marks
+        level d - 1 and drops the pairs the pushes assigned from
+        ``unassigned``; the counts that decide need neither.  Each level is
         sorted before it joins the order; a pull level is one ascending run
         per letter, so the sort only merges runs.  ``unassigned`` is sliced
         from the rows of ``node_of``, so the pulled levels and the order
@@ -230,19 +242,29 @@ class PairAutomaton:
         order: list[int] = []
         level = list(range(1, n + 1))
         dist[1 : n + 1] = [0] * n
-        marks = bytearray(node_count)
+        marks: Optional[bytearray] = bytearray(node_count)
         marks[1 : n + 1] = b"\x01" * n
         unassigned = []
         for p, row in enumerate(self.node_of[:n]):
             unassigned += row[p + 1 : n]
-        pulls = PULL_LIMIT * node_count
+        left = len(unassigned)
         links = None
         distance = 0
         while level:
             distance += 1
             farther = []
-            if links is None and pulls >= len(unassigned):
-                pulls -= len(unassigned)
+            if (
+                distance == 1
+                or SWITCH_RATIO * len(level) >= left
+                or (links is None and SWITCH_RATIO * left < node_count)
+            ):
+                if marks is None:
+                    # Back from pushing: mark the level and drop the pairs
+                    # the pushes assigned.
+                    marks = bytearray(node_count)
+                    for node in level:
+                        marks[node] = 1
+                    unassigned = [node for node in unassigned if dist[node] is None]
                 reached = bytearray(node_count)
                 for letter, column in enumerate(self.columns):
                     hits = gather(marks, gather(column, unassigned))
@@ -259,8 +281,10 @@ class PairAutomaton:
                     del hits
                 marks = reached
             else:
-                # The first push level builds the predecessor tables.
+                # The first push level builds the predecessor tables, and
+                # every later one reuses them.
                 links = links or [predecessor_links(c, node_count, 1) for c in self.columns]
+                marks = None
                 for letter, (head, link) in enumerate(links):
                     for node in level:
                         pred = head[node]
@@ -270,6 +294,7 @@ class PairAutomaton:
                                 policy[pred] = letter
                                 farther.append(pred)
                             pred = link[pred]
+            left -= len(farther)
             farther.sort()
             order += farther
             level = farther
@@ -314,6 +339,22 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     return PairAutomaton(n, tuple(columns), node_of)
 
 
+def _byte_hit(firsts: bytearray, seconds: bytearray, alive: bytearray) -> Optional[int]:
+    """The index of the first pair whose two states are both marked in the
+    256-byte table ``alive``, or None.  Translated through ``alive`` and read
+    as a little-endian int, each side has bit 8i set iff its i-th state is
+    marked, so the lowest bit set in both is the first hit."""
+    both = int.from_bytes(firsts.translate(alive), "little")
+    both &= int.from_bytes(seconds.translate(alive), "little")
+    return ((both & -both).bit_length() - 1) >> 3 if both else None
+
+
+def _list_hit(firsts: list[int], seconds: list[int], alive: bytearray) -> Optional[int]:
+    """:func:`_byte_hit` for states that do not fit in a byte."""
+    both = map(and_, gather(alive, firsts), gather(alive, seconds))
+    return next(compress(count(), both), None)
+
+
 def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     """Minimum-rank word for a strongly connected partial DFA in polynomial time.
 
@@ -328,9 +369,12 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     S is a sorted list of states.  The merge policy's order lists the
     merging pair nodes in (d, p, q) order, so a round's pair is the first
     entry whose two states both survive.  A round scans the order for it in
-    chunks that double from |S| entries; a chunk gathers the first and the
-    second states of its pairs from the pair automaton's endpoint lists and
-    then their survivor marks.  The scan
+    chunks that double from |S| entries, reading the survivor marks of the
+    first and the second states of each chunk's pairs.  Those states are
+    gathered from the pair automaton's endpoint lists once per answer, up to
+    the furthest entry any round has scanned: while n <= 255 as bytes, whose
+    marks are one ``bytes.translate`` each through a 256-byte mark table,
+    and otherwise as lists, whose marks are one ``gather`` each.  The scan
     stops after |S|(|S| - 1)/2 entries, the number of pairs of S.  If that
     covered the whole order, no pair of S merges; otherwise the round falls
     back to listing: it lists the pair nodes {p, q} of survivors p < q
@@ -357,17 +401,24 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     n = dfa.state_count
     # steps[letter][s] is the successor of state s, or the sentinel n where
     # it is undefined, and n maps to itself.  While every state and the
-    # sentinel fit in a byte, a table is the 256 bytes of ``bytes.translate``.
+    # sentinel fit in a byte, a table is the 256 bytes of ``bytes.translate``,
+    # and so are the endpoints of the order.
     if n < 256:
         pack, move = bytes, bytes.translate
+        ends, hit = bytearray, _byte_hit
         steps = [bytes(step + [n] * (256 - n)) for step in _successors(dfa)]
     else:
         pack, move = tuple, lambda moved, step: gather(step, moved)
+        ends, hit = list, _list_hit
         steps = [step + [n] for step in _successors(dfa)]
+    # firsts[i] and seconds[i] are the states of the pair order[i], gathered
+    # up to the furthest entry a scan has read.
+    firsts, seconds = ends(), ends()
     survivors = list(range(n))
     witness: list[int] = []
     while len(survivors) > 1:
-        alive = bytearray(n)
+        # The survivor marks, at least 256 bytes, so a translate table too.
+        alive = bytearray(max(n, 256))
         for s in survivors:
             alive[s] = 1
         # Scan the order for the first pair of survivors, reading no more
@@ -376,11 +427,15 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
         node = None
         start, size = 0, len(survivors)
         while node is None and start < min(listing, len(order)):
-            chunk = order[start : min(start + size, listing)]
-            firsts = gather(alive, gather(first, chunk))
-            seconds = gather(alive, gather(second, chunk))
-            node = next(compress(chunk, map(and_, firsts, seconds)), None)
-            start, size = start + len(chunk), 2 * size
+            end = min(start + size, listing, len(order))
+            if end > len(firsts):
+                chunk = order[len(firsts) : end]
+                firsts.extend(gather(first, chunk))
+                seconds.extend(gather(second, chunk))
+            index = hit(firsts[start:end], seconds[start:end], alive)
+            if index is not None:
+                node = order[start + index]
+            start, size = end, 2 * size
         if node is None:
             if start == len(order):
                 break

@@ -1,7 +1,7 @@
 import random
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -29,6 +29,7 @@ from support import (
     cyclic_product,
     m2,
     p2,
+    random_partial_dfa,
     random_sc_dfa,
 )
 
@@ -241,9 +242,12 @@ def test_prefix_extension_reaches_minimum_rank():
             _, p, q = min(candidates)
             node = pa.node_of[p][q]
             word = []
-            while dist[node] != 0:
+            # A bounded walk, so that a wrong policy fails the test rather
+            # than walking forever: dist[node] letters must reach a singleton.
+            for _ in range(dist[node]):
                 word.append(policy[node])
                 node = pa.columns[policy[node]][node]
+            assert dist[node] == 0
             mask = dfa.image_mask(mask, tuple(word))
         assert mask.bit_count() == target
 
@@ -351,6 +355,41 @@ def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, d
     assert len(built) == tables
 
 
+def test_merge_policy_pulls_again_once_the_pushed_levels_grow(monkeypatch):
+    # A complete random automaton's levels grow and then shrink.  Its policy
+    # pulls at distance 1, pushes the small levels that follow, and pulls
+    # again once a level holds 1/SWITCH_RATIO of the pairs left; only pull
+    # levels call gather.
+    dfa = random_partial_dfa(random.Random(210), 120, 2, 1.0)
+    calls = []
+    gather, links = padfa.rank.gather, padfa.rank.predecessor_links
+
+    def counting_gather(*args):
+        calls.append("gather")
+        return gather(*args)
+
+    def counting_links(*args):
+        calls.append("links")
+        return links(*args)
+
+    monkeypatch.setattr(padfa.rank, "gather", counting_gather)
+    monkeypatch.setattr(padfa.rank, "predecessor_links", counting_links)
+    _, _, dist, policy = _reference_pair_merge(dfa)
+    expected = _reference_lists(dfa, dist, policy)
+    # Each list is compared on its own and a mismatch names its first
+    # difference: pytest -v would diff lists of 7,261 entries for minutes.
+    found = pair_automaton(dfa).merge_policy()
+    for name, got, want in zip(("dist", "policy", "order"), found, expected):
+        if got != want:
+            entries = zip_longest(got, want, fillvalue="none")
+            at = next(i for i, (mine, theirs) in enumerate(entries) if mine != theirs)
+            pytest.fail(f"{name}[{at}]: {got[at : at + 1]} != {want[at : at + 1]}")
+    assert calls.count("links") == dfa.letter_count
+    first_push = calls.index("links")
+    assert "gather" in calls[:first_push]
+    assert "gather" in calls[first_push + dfa.letter_count :]
+
+
 @pytest.mark.parametrize(
     "dfa, tables",
     # Pull only; pull then push, on one-node levels (C_10) and on levels
@@ -412,11 +451,13 @@ def _listing_pair_merge(dfa: PartialDfa) -> tuple[RankResult, list[str]]:
         if node is None:
             break
         members = set(survivors)
-        while dist[node]:
+        # Bounded, as in test_prefix_extension_reaches_minimum_rank.
+        for _ in range(dist[node]):
             letter = policy[node]
             witness.append(letter)
             node = pa.columns[letter][node]
             members = {dfa.transitions[s][letter] for s in members} - {None}
+        assert dist[node] == 0
         survivors = sorted(members)
     return RankResult(len(survivors), tuple(witness)), branches
 
@@ -456,6 +497,24 @@ def test_order_scan_matches_listing_every_pair():
     # Every way a round's scan can end is taken, on ranks 1 to over 10.
     assert set(branches) == {"hit", "listing", "exhausted"}
     assert 1 in ranks and max(ranks) > 10
+
+
+def test_order_scan_matches_listing_past_a_byte():
+    # From n = 256 on, the scan reads the order's endpoints as lists.  No one
+    # automaton takes both "listing" and "exhausted": a round that lists has
+    # a merging pair past C(s, 2) >= C(rank, 2) entries of the order, and an
+    # exhausted one reads the whole order within C(rank, 2).  So a random
+    # automaton of rank 1 takes "hit" and "listing", and the cyclic product
+    # of a two-state automaton with Z_128, of rank 128, takes "exhausted".
+    two = PartialDfa(2, ("a", "b"), ((1, 0), (0, 0)))
+    cases = [cycle_sc_dfa(random.Random(211), 256, 3, 0.9), cyclic_product(two, 128)]
+    branches: Counter[str] = Counter()
+    for dfa in cases:
+        assert dfa.state_count == 256
+        expected, taken = _listing_pair_merge(dfa)
+        assert min_rank_word_sc(dfa) == expected
+        branches.update(taken)
+    assert set(branches) == {"hit", "listing", "exhausted"}
 
 
 def test_pair_route_on_every_binary_automaton_up_to_three_states():
