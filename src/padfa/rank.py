@@ -18,10 +18,9 @@ the merge rounds of ``min_rank_word_sc``, read many entries at once by
 policy also returns the merging pairs in the order its search found them,
 level by level and sorted within each level, which is (distance, p, q)
 order; each merge round takes its pair from that order, whose endpoints
-are gathered once per answer.  The columns move
-only the chosen pair: the survivors of a round move as states, through one
-successor table per letter in which index n again stands for "undefined"
-and maps to itself.  While n <= 255 the tables are bytes and one
+are gathered once per answer.  The columns move only the chosen pair: the
+survivors of a round move as states, through one successor table per
+letter in which index n again stands for "undefined" and maps to itself.  While n <= 255 the tables are bytes and one
 ``bytes.translate`` per letter moves all the survivors; past that they are
 lists, read by ``gather``.
 
@@ -32,7 +31,7 @@ order or hash seeds, only on the automaton and the declared letter order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress
 from operator import and_, itemgetter, not_
 from typing import Optional, Sequence, TypeVar
 
@@ -54,14 +53,15 @@ T = TypeVar("T")
 # Patterson.  It pulls at distance 1, whenever the level just found holds at
 # least 1/SWITCH_RATIO of the pairs still unassigned, and, while it has built
 # no predecessor table, whenever fewer than 1/SWITCH_RATIO of all nodes are
-# unassigned.  It pushes every other level, so it can switch either way, and
-# more than once.  A pull by the level rule reads at most SWITCH_RATIO times
-# the level before it, so those pulls read at most SWITCH_RATIO node counts
-# in all.  8 is the smallest power of two at which the partial random
-# automata of the benchmark almost never push: 1 of 400 seeded n = 200
-# draws pushes, against 112 at 4, where the n = 200 policy takes 1.4 times
-# as long.  At 16 and 32, complete random automata (n = 200 and 400, k = 2
-# and 3) give back part of the gain: their policy takes 0.60-0.74 and
+# unassigned, as long as those last pulls read at most one node count in
+# all.  It pushes every other level, so it can switch either way, and more
+# than once.  A pull by the level rule reads at most SWITCH_RATIO times the
+# level before it, so all the pulls read at most SWITCH_RATIO + 2 node
+# counts per letter.  8 is the smallest power of two at which the partial
+# random automata of the benchmark almost never push: 1 of 400 seeded
+# n = 200 draws pushes, against 112 at 4, where the n = 200 policy takes 1.4
+# times as long.  At 16 and 32, complete random automata (n = 200 and 400,
+# k = 2 and 3) give back part of the gain: their policy takes 0.60-0.74 and
 # 0.59-0.83 of the time of the former one-way switch, against 0.52-0.65 at
 # 8.  At every ratio tried, C_n pushes from distance 2 until only a few of
 # its one-pair levels are left (CPython 3.11).
@@ -224,14 +224,17 @@ class PairAutomaton:
         not on many small ones (C_n has thousands of one-node levels).  So
         past distance 1 a level is pushed when level d - 1 holds fewer than
         1/``SWITCH_RATIO`` of the unassigned pairs, unless no table is built
-        yet and the unassigned pairs are fewer than 1/``SWITCH_RATIO`` of
-        the nodes.  A push walks, letter by letter, the predecessors of each
-        node of level d - 1 in one ``predecessor_links`` table per letter,
-        built by the first push and kept.  A pull after a push first marks
-        level d - 1 and drops the pairs the pushes assigned from
-        ``unassigned``; the counts that decide need neither.  Each level is
-        sorted before it joins the order; a pull level is one ascending run
-        per letter, so the sort only merges runs.  ``unassigned`` is sliced
+        yet, the unassigned pairs are fewer than 1/``SWITCH_RATIO`` of the
+        nodes, and the levels pulled on that ground have read less than one
+        node count in all; a thin tail of many small levels would otherwise
+        read its unassigned pairs again at each of them.  A push walks,
+        letter by letter, the predecessors of each node of level d - 1 in
+        one ``predecessor_links`` table per letter, built by the first push
+        and kept.  A pull after a push first marks level d - 1 and drops the
+        pairs the pushes assigned from ``unassigned``; the counts that
+        decide need neither.  Each level is sorted before it joins the
+        order; a pull level is one ascending run per letter, so the sort
+        only merges runs.  ``unassigned`` is sliced
         from the rows of ``node_of``, so the pulled levels and the order
         hold its int objects rather than one new int per pair.
         """
@@ -248,16 +251,18 @@ class PairAutomaton:
         for p, row in enumerate(self.node_of[:n]):
             unassigned += row[p + 1 : n]
         left = len(unassigned)
+        # What the pulls of a tail with no table yet may still read.
+        spare = node_count
         links = None
         distance = 0
         while level:
             distance += 1
             farther = []
-            if (
-                distance == 1
-                or SWITCH_RATIO * len(level) >= left
-                or (links is None and SWITCH_RATIO * left < node_count)
-            ):
+            pull = distance == 1 or SWITCH_RATIO * len(level) >= left
+            if not pull and links is None and SWITCH_RATIO * left < node_count:
+                pull = left <= spare
+                spare -= left
+            if pull:
                 if marks is None:
                     # Back from pushing: mark the level and drop the pairs
                     # the pushes assigned.
@@ -339,22 +344,6 @@ def pair_automaton(dfa: PartialDfa) -> PairAutomaton:
     return PairAutomaton(n, tuple(columns), node_of)
 
 
-def _byte_hit(firsts: bytearray, seconds: bytearray, alive: bytearray) -> Optional[int]:
-    """The index of the first pair whose two states are both marked in the
-    256-byte table ``alive``, or None.  Translated through ``alive`` and read
-    as a little-endian int, each side has bit 8i set iff its i-th state is
-    marked, so the lowest bit set in both is the first hit."""
-    both = int.from_bytes(firsts.translate(alive), "little")
-    both &= int.from_bytes(seconds.translate(alive), "little")
-    return ((both & -both).bit_length() - 1) >> 3 if both else None
-
-
-def _list_hit(firsts: list[int], seconds: list[int], alive: bytearray) -> Optional[int]:
-    """:func:`_byte_hit` for states that do not fit in a byte."""
-    both = map(and_, gather(alive, firsts), gather(alive, seconds))
-    return next(compress(count(), both), None)
-
-
 def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     """Minimum-rank word for a strongly connected partial DFA in polynomial time.
 
@@ -372,15 +361,13 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     chunks that double from |S| entries, reading the survivor marks of the
     first and the second states of each chunk's pairs.  Those states are
     gathered from the pair automaton's endpoint lists once per answer, up to
-    the furthest entry any round has scanned: while n <= 255 as bytes, whose
-    marks are one ``bytes.translate`` each through a 256-byte mark table,
-    and otherwise as lists, whose marks are one ``gather`` each.  The scan
-    stops after |S|(|S| - 1)/2 entries, the number of pairs of S.  If that
-    covered the whole order, no pair of S merges; otherwise the round falls
-    back to listing: it lists the pair nodes {p, q} of survivors p < q
-    in (p, q) order, one ``gather`` from row p of the pair automaton's
-    ``node_of`` matrix per p, gathers their distances in one call and takes
-    the first smallest.  The chosen pair then walks as one node through the
+    the furthest entry any round has scanned, and a chunk's marks are one
+    ``gather`` for each side.  The scan stops after |S|(|S| - 1)/2 entries,
+    the number of pairs of S.  If that covered the whole order, no pair of
+    S merges; otherwise the round falls back to listing: it lists the pair
+    nodes {p, q} of survivors p < q in (p, q) order, one ``gather`` from
+    row p of the pair automaton's ``node_of`` matrix per p, gathers their
+    distances in one call and takes the first smallest.  The chosen pair then walks as one node through the
     letter columns, and the survivors follow as states through one
     successor table per letter, where an undefined transition goes to the
     sentinel n and n stays at n.  With n <= 255 every state and the sentinel
@@ -401,24 +388,21 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     n = dfa.state_count
     # steps[letter][s] is the successor of state s, or the sentinel n where
     # it is undefined, and n maps to itself.  While every state and the
-    # sentinel fit in a byte, a table is the 256 bytes of ``bytes.translate``,
-    # and so are the endpoints of the order.
+    # sentinel fit in a byte, a table is the 256 bytes of ``bytes.translate``.
     if n < 256:
         pack, move = bytes, bytes.translate
-        ends, hit = bytearray, _byte_hit
         steps = [bytes(step + [n] * (256 - n)) for step in _successors(dfa)]
     else:
         pack, move = tuple, lambda moved, step: gather(step, moved)
-        ends, hit = list, _list_hit
         steps = [step + [n] for step in _successors(dfa)]
     # firsts[i] and seconds[i] are the states of the pair order[i], gathered
     # up to the furthest entry a scan has read.
-    firsts, seconds = ends(), ends()
+    firsts: list[int] = []
+    seconds: list[int] = []
     survivors = list(range(n))
     witness: list[int] = []
     while len(survivors) > 1:
-        # The survivor marks, at least 256 bytes, so a translate table too.
-        alive = bytearray(max(n, 256))
+        alive = bytearray(n)
         for s in survivors:
             alive[s] = 1
         # Scan the order for the first pair of survivors, reading no more
@@ -432,9 +416,10 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
                 chunk = order[len(firsts) : end]
                 firsts.extend(gather(first, chunk))
                 seconds.extend(gather(second, chunk))
-            index = hit(firsts[start:end], seconds[start:end], alive)
-            if index is not None:
-                node = order[start + index]
+            both = map(
+                and_, gather(alive, firsts[start:end]), gather(alive, seconds[start:end])
+            )
+            node = next(compress(order[start:end], both), None)
             start, size = end, 2 * size
         if node is None:
             if start == len(order):

@@ -56,11 +56,19 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
             "tests/test_rank.py::test_order_scan_matches_listing_every_pair",
         ),
     ),
-    # The byte scan takes the last pair of survivors in its chunk.
-    "scan-highest-hit": (
+    # The tail pulls before any table is built are not charged to their one
+    # node count, so a thin tail of one-pair levels pulls every level.
+    "tail-pulls-unbudgeted": (
         "src/padfa/rank.py",
-        "return ((both & -both).bit_length() - 1) >> 3 if both else None",
-        "return (both.bit_length() - 1) >> 3 if both else None",
+        "                spare -= left\n",
+        "",
+        ("tests/test_rank.py::test_merge_policy_pulls_a_thin_tail_for_at_most_one_node_count",),
+    ),
+    # The scan takes the last pair of survivors in its chunk.
+    "scan-last-hit": (
+        "src/padfa/rank.py",
+        "node = next(compress(order[start:end], both), None)",
+        "node = ([None] + list(compress(order[start:end], both)))[-1]",
         (
             "tests/test_rank.py::test_pair_merging_matches_the_reference",
             "tests/test_rank.py::test_order_scan_matches_listing_every_pair",

@@ -390,6 +390,38 @@ def test_merge_policy_pulls_again_once_the_pushed_levels_grow(monkeypatch):
     assert "gather" in calls[first_push + dfa.letter_count :]
 
 
+def test_merge_policy_pulls_a_thin_tail_for_at_most_one_node_count(monkeypatch):
+    # C_30 on states 0..29 and 60 more states that only c defines, sending
+    # them all to state 30.  Every pair but C_30's 435 merges at distance 1,
+    # so fewer than 1/SWITCH_RATIO of the nodes are left for a tail of
+    # one-pair levels.  Pulling each of them would read the whole tail again:
+    # about 23 node counts per letter.
+    m, extra = 30, 60
+    rows = [((s + 1) % m, 1 if s == 0 else s, None) for s in range(m)]
+    rows += [(None, None, m)] * extra
+    dfa = PartialDfa(m + extra, ("a", "b", "c"), tuple(rows))
+    pa = pair_automaton(dfa)
+    reads, built = [], []
+    gather, links = padfa.rank.gather, padfa.rank.predecessor_links
+
+    def counting_gather(seq, indices):
+        if any(seq is column for column in pa.columns):
+            reads.append(len(indices))
+        return gather(seq, indices)
+
+    def counting_links(*args):
+        built.append(args)
+        return links(*args)
+
+    monkeypatch.setattr(padfa.rank, "gather", counting_gather)
+    monkeypatch.setattr(padfa.rank, "predecessor_links", counting_links)
+    _, _, dist, policy = _reference_pair_merge(dfa)
+    assert pa.merge_policy() == _reference_lists(dfa, dist, policy)
+    assert len(built) == dfa.letter_count
+    bound = (padfa.rank.SWITCH_RATIO + 2) * pa.node_count
+    assert sum(reads) <= dfa.letter_count * bound
+
+
 @pytest.mark.parametrize(
     "dfa, tables",
     # Pull only; pull then push, on one-node levels (C_10) and on levels
@@ -500,7 +532,8 @@ def test_order_scan_matches_listing_every_pair():
 
 
 def test_order_scan_matches_listing_past_a_byte():
-    # From n = 256 on, the scan reads the order's endpoints as lists.  No one
+    # From n = 256 on, the survivors move through lists, not byte tables,
+    # so every way a round's scan can end runs there too.  No one
     # automaton takes both "listing" and "exhausted": a round that lists has
     # a merging pair past C(s, 2) >= C(rank, 2) entries of the order, and an
     # exhausted one reads the whole order within C(rank, 2).  So a random
