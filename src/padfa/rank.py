@@ -20,9 +20,9 @@ level by level and sorted within each level, which is (distance, p, q)
 order; each merge round takes its pair from that order, whose endpoints
 are gathered once per answer.  The columns move only the chosen pair: the
 survivors of a round move as states, through one successor table per
-letter in which index n again stands for "undefined" and maps to itself.  While n <= 255 the tables are bytes and one
-``bytes.translate`` per letter moves all the survivors; past that they are
-lists, read by ``gather``.
+letter in which index n again stands for "undefined" and maps to itself.
+While n <= 255 the tables are bytes and one ``bytes.translate`` per letter
+moves all the survivors; past that they are lists, read by ``gather``.
 
 Both produce deterministic witnesses: results do not depend on execution
 order or hash seeds, only on the automaton and the declared letter order.
@@ -234,9 +234,9 @@ class PairAutomaton:
         pairs the pushes assigned from ``unassigned``; the counts that
         decide need neither.  Each level is sorted before it joins the
         order; a pull level is one ascending run per letter, so the sort
-        only merges runs.  ``unassigned`` is sliced
-        from the rows of ``node_of``, so the pulled levels and the order
-        hold its int objects rather than one new int per pair.
+        only merges runs.  ``unassigned`` is sliced from the rows of
+        ``node_of``, so the pulled levels and the order hold its int objects
+        rather than one new int per pair.
         """
         node_count = self.node_count
         n = self.state_count
@@ -367,13 +367,14 @@ def min_rank_word_sc(dfa: PartialDfa) -> RankResult:
     S merges; otherwise the round falls back to listing: it lists the pair
     nodes {p, q} of survivors p < q in (p, q) order, one ``gather`` from
     row p of the pair automaton's ``node_of`` matrix per p, gathers their
-    distances in one call and takes the first smallest.  The chosen pair then walks as one node through the
-    letter columns, and the survivors follow as states through one
-    successor table per letter, where an undefined transition goes to the
-    sentinel n and n stays at n.  With n <= 255 every state and the sentinel
-    fit in a byte, so a table is 256 bytes and one ``bytes.translate`` per
-    letter advances all the survivors; otherwise a table is a list and one
-    ``gather`` per letter does.  The round's image is the set of the moved
+    distances in one call and takes the first smallest.  The chosen pair
+    then walks as one node through the letter columns, and the survivors
+    follow as states through one successor table per letter, where an
+    undefined transition goes to the sentinel n and n stays at n.  With
+    n <= 255 every state and the sentinel fit in a byte, so a table is 256
+    bytes and one ``bytes.translate`` per letter advances all the
+    survivors; otherwise a table is a list and one ``gather`` per letter
+    does.  The round's image is the set of the moved
     survivors without the sentinel.
     """
     if dfa.state_count == 0:
