@@ -50,21 +50,19 @@ from .graphs import is_strongly_connected, predecessor_links
 T = TypeVar("T")
 
 # The merge policy's direction switch, the β of Beamer, Asanović and
-# Patterson.  It pulls at distance 1, whenever the level just found holds at
-# least 1/SWITCH_RATIO of the pairs still unassigned, and, while it has built
-# no predecessor table, whenever fewer than 1/SWITCH_RATIO of all nodes are
-# unassigned, as long as those last pulls read at most one node count in
-# all.  It pushes every other level, so it can switch either way, and more
-# than once.  A pull by the level rule reads at most SWITCH_RATIO times the
-# level before it, so all the pulls read at most SWITCH_RATIO + 2 node
-# counts per letter.  8 is the smallest power of two at which the partial
-# random automata of the benchmark almost never push: 1 of 400 seeded
-# n = 200 draws pushes, against 112 at 4, where the n = 200 policy takes 1.4
-# times as long.  At 16 and 32, complete random automata (n = 200 and 400,
-# k = 2 and 3) give back part of the gain: their policy takes 0.60-0.74 and
-# 0.59-0.83 of the time of the former one-way switch, against 0.52-0.65 at
-# 8.  At every ratio tried, C_n pushes from distance 2 until only a few of
-# its one-pair levels are left (CPython 3.11).
+# Patterson.  It pulls at distance 1 and whenever the level just found holds
+# at least 1/SWITCH_RATIO of the pairs still unassigned, and it pushes every
+# other level, so it can switch either way, and more than once.  A pull by
+# the level rule reads at most SWITCH_RATIO times the level before it, so
+# all the pulls read at most SWITCH_RATIO + 1 node counts per letter.  8 is
+# the smallest power of two at which the partial random automata of the
+# benchmark almost never push: 1 of 400 seeded n = 200 draws pushes, against
+# 112 at 4, where the n = 200 policy takes 1.4 times as long.  At 16 and 32,
+# complete random automata (n = 200 and 400, k = 2 and 3) give back part of
+# the gain: their policy takes 0.60-0.74 and 0.59-0.83 of the time of the
+# former one-way switch, against 0.52-0.65 at 8.  At every ratio tried, C_n
+# pushes from distance 2 until only a few of its one-pair levels are left
+# (CPython 3.11).
 SWITCH_RATIO = 8
 
 
@@ -222,21 +220,19 @@ class PairAutomaton:
         node is its smallest letter into the level below.  A pull level
         reads every unassigned pair, which pays on a few large levels but
         not on many small ones (C_n has thousands of one-node levels).  So
-        past distance 1 a level is pushed when level d - 1 holds fewer than
-        1/``SWITCH_RATIO`` of the unassigned pairs, unless no table is built
-        yet, the unassigned pairs are fewer than 1/``SWITCH_RATIO`` of the
-        nodes, and the levels pulled on that ground have read less than one
-        node count in all; a thin tail of many small levels would otherwise
-        read its unassigned pairs again at each of them.  A push walks,
-        letter by letter, the predecessors of each node of level d - 1 in
-        one ``predecessor_links`` table per letter, built by the first push
-        and kept.  A pull after a push first marks level d - 1 and drops the
-        pairs the pushes assigned from ``unassigned``; the counts that
-        decide need neither.  Each level is sorted before it joins the
-        order; a pull level is one ascending run per letter, so the sort
-        only merges runs.  ``unassigned`` is sliced from the rows of
-        ``node_of``, so the pulled levels and the order hold its int objects
-        rather than one new int per pair.
+        past distance 1 a level is pulled when level d - 1 holds at least
+        1/``SWITCH_RATIO`` of the unassigned pairs and pushed otherwise;
+        each such pull reads at most ``SWITCH_RATIO`` times the level before
+        it, so all the pulls read at most ``SWITCH_RATIO`` + 1 node counts
+        per letter.  A push walks, letter by letter, the predecessors of
+        each node of level d - 1 in one ``predecessor_links`` table per
+        letter, built by the first push and kept.  A pull after a push first
+        marks level d - 1 and drops the pairs the pushes assigned from
+        ``unassigned``; the counts that decide need neither.  Each level is
+        sorted before it joins the order; a pull level is one ascending run
+        per letter, so the sort only merges runs.  ``unassigned`` is sliced
+        from the rows of ``node_of``, so the pulled levels and the order hold
+        its int objects rather than one new int per pair.
         """
         node_count = self.node_count
         n = self.state_count
@@ -251,18 +247,12 @@ class PairAutomaton:
         for p, row in enumerate(self.node_of[:n]):
             unassigned += row[p + 1 : n]
         left = len(unassigned)
-        # What the pulls of a tail with no table yet may still read.
-        spare = node_count
         links = None
         distance = 0
         while level:
             distance += 1
             farther = []
-            pull = distance == 1 or SWITCH_RATIO * len(level) >= left
-            if not pull and links is None and SWITCH_RATIO * left < node_count:
-                pull = left <= spare
-                spare -= left
-            if pull:
+            if distance == 1 or SWITCH_RATIO * len(level) >= left:
                 if marks is None:
                     # Back from pushing: mark the level and drop the pairs
                     # the pushes assigned.

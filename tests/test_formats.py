@@ -257,6 +257,12 @@ class TestDot:
             "trans: 0 a 1\ntrans: 1 a 1\n",
             "line 5: duplicate accepting state 1",
         ),
+        (parse_automaton, "states: 1\nalphabet: a a\n", "line 2: duplicate letter names"),
+        (
+            parse_instance,
+            "alphabet: a a\nmachine:\nstates: 1\n",
+            "line 1: duplicate letter names",
+        ),
         (
             parse_instance,
             "alphabet: a\nmachine: x\n",
@@ -276,6 +282,8 @@ class TestDot:
         "initial",
         "accepting-twice",
         "machine-accepting-twice",
+        "letter-twice",
+        "instance-letter-twice",
         "machine-value",
         "no-machine",
     ],

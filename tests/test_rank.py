@@ -334,6 +334,33 @@ def _reference_lists(dfa: PartialDfa, dist: dict, policy: dict):
     return dists, [policy.get(node) for node in nodes], order
 
 
+def _counted_policy(monkeypatch, pa):
+    """``pa.merge_policy()`` with its calls recorded in order: "pull" for a
+    gather from a letter column, "links" for a predecessor table.  Asserts
+    that the pulls read at most ``SWITCH_RATIO`` + 1 node counts per letter,
+    and returns the policy and the calls."""
+    calls, reads = [], 0
+    gather, links = padfa.rank.gather, padfa.rank.predecessor_links
+
+    def counting_gather(seq, indices):
+        nonlocal reads
+        if any(seq is column for column in pa.columns):
+            calls.append("pull")
+            reads += len(indices)
+        return gather(seq, indices)
+
+    def counting_links(*args):
+        calls.append("links")
+        return links(*args)
+
+    monkeypatch.setattr(padfa.rank, "gather", counting_gather)
+    monkeypatch.setattr(padfa.rank, "predecessor_links", counting_links)
+    policy = pa.merge_policy()
+    bound = (padfa.rank.SWITCH_RATIO + 1) * pa.node_count * len(pa.columns)
+    assert reads <= bound, f"{reads / bound:.2f} times the bound"
+    return policy, calls
+
+
 @pytest.mark.parametrize(
     "dfa, tables",
     # A few large levels: the pull sweep finishes and builds no table.
@@ -342,43 +369,22 @@ def _reference_lists(dfa: PartialDfa, dist: dict, policy: dict):
     ids=["random60", "cerny10", "cerny30"],
 )
 def test_merge_policy_pulls_shallow_searches_and_pushes_deep_ones(monkeypatch, dfa, tables):
-    built = []
-    links = padfa.rank.predecessor_links
-
-    def counting(*args):
-        built.append(args)
-        return links(*args)
-
-    monkeypatch.setattr(padfa.rank, "predecessor_links", counting)
     _, _, dist, policy = _reference_pair_merge(dfa)
-    assert pair_automaton(dfa).merge_policy() == _reference_lists(dfa, dist, policy)
-    assert len(built) == tables
+    found, calls = _counted_policy(monkeypatch, pair_automaton(dfa))
+    assert found == _reference_lists(dfa, dist, policy)
+    assert calls.count("links") == tables
 
 
 def test_merge_policy_pulls_again_once_the_pushed_levels_grow(monkeypatch):
     # A complete random automaton's levels grow and then shrink.  Its policy
     # pulls at distance 1, pushes the small levels that follow, and pulls
-    # again once a level holds 1/SWITCH_RATIO of the pairs left; only pull
-    # levels call gather.
+    # again once a level holds 1/SWITCH_RATIO of the pairs left.
     dfa = random_partial_dfa(random.Random(210), 120, 2, 1.0)
-    calls = []
-    gather, links = padfa.rank.gather, padfa.rank.predecessor_links
-
-    def counting_gather(*args):
-        calls.append("gather")
-        return gather(*args)
-
-    def counting_links(*args):
-        calls.append("links")
-        return links(*args)
-
-    monkeypatch.setattr(padfa.rank, "gather", counting_gather)
-    monkeypatch.setattr(padfa.rank, "predecessor_links", counting_links)
     _, _, dist, policy = _reference_pair_merge(dfa)
     expected = _reference_lists(dfa, dist, policy)
+    found, calls = _counted_policy(monkeypatch, pair_automaton(dfa))
     # Each list is compared on its own and a mismatch names its first
     # difference: pytest -v would diff lists of 7,261 entries for minutes.
-    found = pair_automaton(dfa).merge_policy()
     for name, got, want in zip(("dist", "policy", "order"), found, expected):
         if got != want:
             entries = zip_longest(got, want, fillvalue="none")
@@ -386,40 +392,26 @@ def test_merge_policy_pulls_again_once_the_pushed_levels_grow(monkeypatch):
             pytest.fail(f"{name}[{at}]: {got[at : at + 1]} != {want[at : at + 1]}")
     assert calls.count("links") == dfa.letter_count
     first_push = calls.index("links")
-    assert "gather" in calls[:first_push]
-    assert "gather" in calls[first_push + dfa.letter_count :]
+    assert "pull" in calls[:first_push]
+    assert "pull" in calls[first_push + dfa.letter_count :]
 
 
-def test_merge_policy_pulls_a_thin_tail_for_at_most_one_node_count(monkeypatch):
+def test_merge_policy_pushes_a_thin_tail(monkeypatch):
     # C_30 on states 0..29 and 60 more states that only c defines, sending
-    # them all to state 30.  Every pair but C_30's 435 merges at distance 1,
-    # so fewer than 1/SWITCH_RATIO of the nodes are left for a tail of
-    # one-pair levels.  Pulling each of them would read the whole tail again:
-    # about 23 node counts per letter.
+    # them all to state 30.  All but 434 of the 4,005 pairs merge at
+    # distance 1, so distance 2 is pulled too; the one-pair levels from
+    # there on are each far smaller than the pairs left, so the policy
+    # pushes from distance 3.  Pulling each of them would read the whole
+    # tail again: about 23 node counts per letter.
     m, extra = 30, 60
     rows = [((s + 1) % m, 1 if s == 0 else s, None) for s in range(m)]
     rows += [(None, None, m)] * extra
     dfa = PartialDfa(m + extra, ("a", "b", "c"), tuple(rows))
-    pa = pair_automaton(dfa)
-    reads, built = [], []
-    gather, links = padfa.rank.gather, padfa.rank.predecessor_links
-
-    def counting_gather(seq, indices):
-        if any(seq is column for column in pa.columns):
-            reads.append(len(indices))
-        return gather(seq, indices)
-
-    def counting_links(*args):
-        built.append(args)
-        return links(*args)
-
-    monkeypatch.setattr(padfa.rank, "gather", counting_gather)
-    monkeypatch.setattr(padfa.rank, "predecessor_links", counting_links)
     _, _, dist, policy = _reference_pair_merge(dfa)
-    assert pa.merge_policy() == _reference_lists(dfa, dist, policy)
-    assert len(built) == dfa.letter_count
-    bound = (padfa.rank.SWITCH_RATIO + 2) * pa.node_count
-    assert sum(reads) <= dfa.letter_count * bound
+    found, calls = _counted_policy(monkeypatch, pair_automaton(dfa))
+    assert found == _reference_lists(dfa, dist, policy)
+    assert calls.count("links") == dfa.letter_count
+    assert calls.index("links") == 2 * dfa.letter_count
 
 
 @pytest.mark.parametrize(
@@ -439,16 +431,8 @@ def test_merge_policy_pulls_a_thin_tail_for_at_most_one_node_count(monkeypatch):
     ids=["random60", "cerny10", "cycle-merge7", "p2", "one-state", "no-letters"],
 )
 def test_merge_policy_order_is_the_merging_nodes_by_distance(monkeypatch, dfa, tables):
-    built = []
-    links = padfa.rank.predecessor_links
-
-    def counting(*args):
-        built.append(args)
-        return links(*args)
-
-    monkeypatch.setattr(padfa.rank, "predecessor_links", counting)
-    dist, _, order = pair_automaton(dfa).merge_policy()
-    assert len(built) == tables
+    (dist, _, order), calls = _counted_policy(monkeypatch, pair_automaton(dfa))
+    assert calls.count("links") == tables
     merging = [node for node, d in enumerate(dist) if d is not None and d > 0]
     assert order == sorted(merging, key=lambda node: (dist[node], node))
 
