@@ -35,18 +35,19 @@ the API.
 All values here are immutable after construction and safe to share between
 concurrent readers.  The value types of the package are records: plain
 frozen classes that the ``record`` decorator below gives an ``__init__``,
-equality, hashing, a ``repr`` and read-only fields.  The standard
-library's ``@dataclass`` would do the same, but its module imports
-``inspect`` and it compiles each class's methods with ``exec``, which cost
-every ``padfa`` process about 7 ms, a third of its time above a bare
-interpreter's start.
+equality, hashing, a ``repr`` and read-only fields, and nothing more: a
+record with other values is built anew by its class, through its checks.
+The standard library's ``@dataclass`` would do the same, but its module
+imports ``inspect`` and it compiles each class's methods with ``exec``,
+which cost every ``padfa`` process about 7 ms, a third of its time above
+a bare interpreter's start.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 Word = tuple[int, ...]
 
@@ -213,27 +214,16 @@ def breadth_first(
     return found, tuple(reversed(letters))
 
 
-class Fresh:
-    """A record field default that ``make()`` builds anew for each instance,
-    so no two instances share a mutable default."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[], Any]):
-        self.make = make
-
-
 def record(cls: type[T]) -> type[T]:
     """Make ``cls`` a frozen record whose fields are its annotated class
     attributes, in order.  An annotated attribute's value is the field's
-    default; a :class:`Fresh` default is built for each instance.
+    default, one object shared by every instance, so it must be immutable.
 
     ``__init__`` takes the fields by position or keyword and then calls
     ``__post_init__`` when the class has one.  ``__eq__`` is true for an
     instance of the same class with equal fields, ``__hash__`` hashes the
     fields, ``__repr__`` lists them (unless the class defines its own), and
     assigning or deleting any attribute raises ``AttributeError``.
-    ``__match_args__`` names the fields.
 
     ``__init__`` sets each field with ``object.__setattr__``, as a frozen
     dataclass does.  Writing to ``self.__dict__`` instead would turn
@@ -260,8 +250,6 @@ def record(cls: type[T]) -> type[T]:
                 value = kwargs.pop(name)
             elif name in defaults:
                 value = defaults[name]
-                if type(value) is Fresh:
-                    value = value.make()
             else:
                 raise TypeError(f"{class_name}() missing argument {name!r}")
             set_field(self, name, value)
@@ -300,16 +288,7 @@ def record(cls: type[T]) -> type[T]:
     for method in methods:
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    cls.__match_args__ = names
     return cls
-
-
-def replace(obj: T, **changes: Any) -> T:
-    """A copy of the record ``obj`` with the fields named in ``changes``
-    changed, built by ``__init__`` so that the class's checks run."""
-    values = {name: getattr(obj, name) for name in obj.__match_args__}
-    values.update(changes)
-    return type(obj)(**values)
 
 
 @record

@@ -28,14 +28,12 @@ from typing import Any, Optional
 from .core import (
     DEFAULT_BUDGET,
     Acceptor,
-    Fresh,
     IntersectionInstance,
     PartialDfa,
     SearchBudget,
     StateSet,
     Word,
     record,
-    replace,
 )
 from .graphs import coreachable_to, reachable_from
 
@@ -49,13 +47,14 @@ class GadgetLayout:
     value is its embedding into the first letter column).  ``special_states``
     and ``letter_map`` locate the construction's added states and letters by
     their role names; ``meta`` carries construction-specific extras such as
-    twin pairings or binarization letter order.
+    twin pairings or binarization letter order.  A construction passes
+    ``{}`` for a part it does not fill.
     """
 
-    state_map: dict[tuple[int, int], int] = Fresh(dict)
-    special_states: dict[str, int] = Fresh(dict)
-    letter_map: dict[str, int] = Fresh(dict)
-    meta: dict[str, Any] = Fresh(dict)
+    state_map: dict[tuple[int, int], int]
+    special_states: dict[str, int]
+    letter_map: dict[str, int]
+    meta: dict[str, Any]
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -145,6 +144,7 @@ def _machine_stack(
             accepting.append(state in machine.accepting)
     layout = GadgetLayout(
         state_map=state_map,
+        special_states={},
         letter_map={reset: len(alphabet), check: len(alphabet) + 1},
         meta={"reset_letter": reset, "check_letter": check},
     )
@@ -173,11 +173,9 @@ def build_sync_gadget(
     for sink in (accept_sink, reject_sink):
         rows.append([sink] * (len(instance.alphabet) + 1) + [None])
 
-    layout = replace(
-        layout,
-        special_states={"accept_sink": accept_sink, "reject_sink": reject_sink},
-        meta={**layout.meta, "universal_machine_index": len(instance.machines)},
-    )
+    sinks = {"accept_sink": accept_sink, "reject_sink": reject_sink}
+    meta = {**layout.meta, "universal_machine_index": len(instance.machines)}
+    layout = GadgetLayout(layout.state_map, sinks, layout.letter_map, meta)
     alphabet = instance.alphabet + tuple(layout.letter_map)
     return PartialDfa(len(rows), alphabet, tuple(map(tuple, rows))), layout
 
@@ -208,7 +206,8 @@ def build_saturation_gadget(
         row.append(sink if accepted else None)
     rows.append([sink] * (len(instance.alphabet) + 2))
 
-    layout = replace(layout, special_states={"accept_sink": sink})
+    sinks = {"accept_sink": sink}
+    layout = GadgetLayout(layout.state_map, sinks, layout.letter_map, layout.meta)
     alphabet = instance.alphabet + tuple(layout.letter_map)
     return PartialDfa(len(rows), alphabet, tuple(map(tuple, rows))), layout
 
@@ -217,8 +216,8 @@ def _greedy_hub_targets(dfa: PartialDfa, hub: int) -> list[int]:
     """Targets for new hub-to-target letters making the automaton strongly
     connected: repeatedly the lowest-indexed state not yet reachable from
     the hub (counting previously added hub edges)."""
-    if not 0 <= hub < dfa.state_count:
-        raise ValueError(f"hub state {hub} out of range")
+    if type(hub) is not int or not 0 <= hub < dfa.state_count:
+        raise ValueError(f"hub state {hub!r} out of range")
     if len(coreachable_to(dfa, [hub])) != dfa.state_count:
         raise ValueError("every state must reach the hub")
     reach = reachable_from(dfa, [hub])
@@ -250,6 +249,7 @@ def strongly_connect_gadget(
         )
         rows.append(row + extension)
     layout = GadgetLayout(
+        state_map={},
         special_states={"hub": hub},
         letter_map={
             name: dfa.letter_count + i for i, name in enumerate(names)
@@ -310,6 +310,7 @@ def binarize(dfa: PartialDfa, last_letter: str) -> tuple[PartialDfa, GadgetLayou
 
     layout = GadgetLayout(
         state_map={(0, state): encode(state, 0) for state in range(n)},
+        special_states={},
         letter_map={"0": 0, "1": 1},
         meta={
             "letter_order": [dfa.alphabet[a] for a in order],
@@ -329,7 +330,8 @@ def binarize_with_selfloop(dfa: PartialDfa) -> tuple[PartialDfa, GadgetLayout]:
     )
     extended = PartialDfa(dfa.state_count, dfa.alphabet + (stay,), rows)
     binary, layout = binarize(extended, stay)
-    return binary, replace(layout, meta={**layout.meta, "selfloop_letter": stay})
+    meta = {**layout.meta, "selfloop_letter": stay}
+    return binary, GadgetLayout(layout.state_map, {}, layout.letter_map, meta)
 
 
 def build_complete_gadget(
@@ -398,15 +400,13 @@ def build_complete_gadget(
         raise RuntimeError("complete gadget has an undefined transition")
 
     twin_of = {state: twin[state] for state in (*range(na), trap)}
-    layout = replace(
-        sc_layout,
-        special_states={
-            "accept_sink": hub,
-            "accept_sink_twin": twin[hub],
-            "trap": trap,
-            "trap_twin": trap_twin,
-        },
-        meta={**sc_layout.meta, "twin_of": twin_of},
-    )
+    special = {
+        "accept_sink": hub,
+        "accept_sink_twin": twin[hub],
+        "trap": trap,
+        "trap_twin": trap_twin,
+    }
+    meta = {**sc_layout.meta, "twin_of": twin_of}
+    layout = GadgetLayout(sc_layout.state_map, special, sc_layout.letter_map, meta)
     distinguished = StateSet.from_iterable(len(rows), [*range(na), trap_twin])
     return gadget, layout, distinguished

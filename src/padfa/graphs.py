@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, compress
 from typing import Iterable, Optional
 
-from .core import PartialDfa
+from .core import PartialDfa, StateSet
 
 
 def predecessor_links(
@@ -59,8 +59,9 @@ def backward_closure(
 
 
 def reachable_from(dfa: PartialDfa, starts: Iterable[int]) -> set[int]:
-    """States reachable from ``starts`` along defined transitions."""
-    seen = set(starts)
+    """States reachable from ``starts`` along defined transitions.  Each
+    start must be a state: an ``int``, never a ``bool``, in range."""
+    seen = set(StateSet.from_iterable(dfa.state_count, starts))
     stack = list(seen)
     while stack:
         for target in dfa.transitions[stack.pop()]:
@@ -71,8 +72,10 @@ def reachable_from(dfa: PartialDfa, starts: Iterable[int]) -> set[int]:
 
 
 def coreachable_to(dfa: PartialDfa, targets: Iterable[int]) -> set[int]:
-    """States from which some state in ``targets`` is reachable."""
+    """States from which some state in ``targets`` is reachable.  Each
+    target must be a state, as for :func:`reachable_from`."""
     rows = chain.from_iterable(dfa.transitions)
+    targets = StateSet.from_iterable(dfa.state_count, targets)
     seen = backward_closure(rows, dfa.state_count, dfa.letter_count, targets)
     return set(compress(range(dfa.state_count), seen))
 

@@ -457,6 +457,8 @@ def rank_word_length_bound(n: int, r: int) -> int:
     For r = n the formula is negative (-(n-1)); the empty word already has
     rank n, so the value is clamped to 0.
     """
+    if type(n) is not int or type(r) is not int:
+        raise ValueError(f"n and r must be ints, not {n!r} and {r!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= r <= n:

@@ -110,6 +110,19 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
             "tests/test_exhaustive.py::test_saturating_word_matches_brute_force",
         ),
     ),
+    # The saturation step also drops every config of more than r states, so
+    # the search cannot pass through the larger configs on the way to a
+    # saturating word.
+    "saturation-prune-past-rank": (
+        "src/padfa/saturate.py",
+        "        if inside & outside:\n",
+        "        if inside & outside or (inside | outside).bit_count() > target_rank:\n",
+        (
+            "tests/test_saturate.py"
+            "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
+            "tests/test_exhaustive.py::test_saturating_word_matches_brute_force",
+        ),
+    ),
     # The packed reversal keeps the bits of the later letters above each
     # letter's n bits, so a subset holds states past n - 1.
     "reversal-no-full-mask": (
@@ -118,6 +131,17 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
         "new = images >> shift\n",
         (
             "tests/test_birecurrent.py::TestPackedReversal::test_every_binary_acceptor_up_to_three_states",
+            "tests/test_birecurrent.py::TestPackedReversal::test_reversal_blowup_family",
+        ),
+    ),
+    # The packed reversal lays the letters' preimages n - 1 bits apart, so
+    # each letter's n bits overlap the next letter's lowest one.
+    "reversal-stride-n-minus-1": (
+        "src/padfa/birecurrent.py",
+        "    shifts = range(0, dfa.letter_count * n, n)\n",
+        "    shifts = range(0, dfa.letter_count * (n - 1), max(n - 1, 1))\n",
+        (
+            "tests/test_birecurrent.py::TestPackedReversal::test_budget_runs_out_at_the_same_subset",
             "tests/test_birecurrent.py::TestPackedReversal::test_reversal_blowup_family",
         ),
     ),

@@ -402,7 +402,7 @@ def test_searches_cache_nothing_on_the_automaton():
     exact_rank(dfa)
     find_saturating_min_rank_word(dfa, StateSet.full(12))
     determinize_reversal(Acceptor(dfa, 0, StateSet.from_iterable(12, [0])))
-    cached = set(vars(dfa)) - set(PartialDfa.__match_args__)
+    cached = set(vars(dfa)) - set(PartialDfa.__annotations__)
     assert cached <= {"letter_images", "letter_domains"}
 
 

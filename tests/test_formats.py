@@ -264,6 +264,21 @@ class TestDot:
             "line 1: duplicate letter names",
         ),
         (
+            parse_automaton,
+            "states: 1\nalphabet: a\nstates: 1\n",
+            "line 3: duplicate 'states' line",
+        ),
+        (
+            parse_automaton,
+            "states: 2\nalphabet: a\ninitial: 0\ntrans: 0 a 1\ninitial: 1\n",
+            "line 5: duplicate 'initial' line",
+        ),
+        (
+            parse_instance,
+            "alphabet: a\nmachine:\nstates: 1\naccepting: 0\naccepting: 0\ntrans: 0 a 0\n",
+            "line 5: duplicate 'accepting' line",
+        ),
+        (
             parse_instance,
             "alphabet: a\nmachine: x\n",
             "line 2: 'machine:' takes no value",
@@ -284,6 +299,9 @@ class TestDot:
         "machine-accepting-twice",
         "letter-twice",
         "instance-letter-twice",
+        "states-line-twice",
+        "initial-line-twice",
+        "machine-accepting-line-twice",
         "machine-value",
         "no-machine",
     ],

@@ -412,6 +412,8 @@ def _unable_to_accept() -> IntersectionInstance:
     "build, message",
     [
         (lambda: strongly_connect_gadget(m2(), 2), "hub state 2 out of range"),
+        (lambda: strongly_connect_gadget(m2(), True), "hub state True out of range"),
+        (lambda: strongly_connect_gadget(m2(), 1.0), "hub state 1.0 out of range"),
         (
             lambda: build_complete_gadget(_unable_to_accept()),
             "machine 0: some state cannot reach an accepting state",

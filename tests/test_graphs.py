@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -262,3 +263,12 @@ def test_merge_policy_walks_to_a_singleton():
             for _ in range(dist[node]):
                 walk = pa.columns[policy[walk]][walk]
             assert 1 <= walk <= dfa.state_count  # a singleton
+
+
+@pytest.mark.parametrize("walk", [reachable_from, coreachable_to])
+@pytest.mark.parametrize("start", [-1, 2, 1.0, True], ids=["negative", "past-end", "float", "bool"])
+def test_graphs_reject_bad_input(walk, start):
+    # m2 is 0 -> 1 -> 1: a start of -1 would index state 1 from the end.
+    message = f"state {start} out of range for universe 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        walk(m2(), [0, start])

@@ -616,6 +616,14 @@ class TestLengthBound:
             "rank is undefined for the empty automaton",
         ),
         (lambda: rank_word_length_bound(0, 1), "n must be positive"),
+        (
+            lambda: rank_word_length_bound(4.0, 1),
+            "n and r must be ints, not 4.0 and 1",
+        ),
+        (
+            lambda: rank_word_length_bound(True, True),
+            "n and r must be ints, not True and True",
+        ),
     ],
 )
 def test_rank_rejects_bad_input(build, message):
