@@ -172,7 +172,7 @@ def determinize_reversal(
     a mask.
 
     The budget is counted in a local and written back on every exit, as in
-    ``core.breadth_first``.  An exhausted construction raises
+    ``rank.exact_rank_on_tables``.  An exhausted construction raises
     ``budget.exhausted()`` at the first subset past the budget and leaves
     ``budget.remaining == -1``.
     """

@@ -8,22 +8,26 @@ over with a sink state, and the image of a state set under a word simply
 drops the states whose path hits an undefined entry.
 
 The searches of the package share two primitives defined here: the image
-of a state set under a per-letter table of masks (``union_image``) and
-breadth-first search for a node of a target size that returns the node and
-its word (``breadth_first``).
+of a state set under a per-letter table of masks (``union_image``) and the
+walk back from a breadth-first search's node to its word through the
+parent each visited node keeps (``witness_word``).
 The oracles the tests check them against (``tests/bruteforce.py`` and
 ``gadgets.has_common_word``) deliberately keep their own code.
 
 The exponential searches (``rank.exact_rank``, the saturation search and
 ``birecurrent.determinize_reversal``) take tens of thousands of images per
 call, so each compiles its tables once with ``byte_tables`` and reads the
-state set a byte at a time with ``byte_image``: one lookup per 8 states
-instead of one per member.  Rank and saturation compile one table per
-letter, and the saturation search hands its tables to the rank search it
-starts with (``rank.exact_rank_on_tables``).  The reversal compiles one
-packed table for all letters, whose entries hold every letter's preimage
-side by side, so one image per subset serves every letter.  The compiled
-form lives only as long as its search and is not cached on the automaton,
+state set a byte at a time: one lookup per 8 states instead of one per
+member.  Rank and saturation compile one table per letter, and the
+saturation search hands its tables to the rank search it starts with
+(``rank.exact_rank_on_tables``).  Their two loops read the chunks inline,
+``image |= chunk[mask & 255]`` for each byte until the mask runs out, since
+a call per edge took about a fifth of their time; ``byte_image`` is the
+same read as a function, which the reversal calls once per subset and the
+witness walk once per letter it tries.  The reversal compiles one packed
+table for all letters, whose entries hold every letter's preimage side by
+side, so one image per subset serves every letter.  The compiled form
+lives only as long as its search and is not cached on the automaton,
 which would keep 256 entries per 8 states and letter alive for every
 automaton a caller holds.  One-off images (``step_mask``, ``image_mask``)
 use ``union_image``, since compiling a table costs more than it saves
@@ -149,69 +153,28 @@ def byte_image(chunks: Sequence[Sequence[int]], mask: int) -> int:
     return image
 
 
-def breadth_first(
-    start: int,
-    letter_count: int,
+def witness_word(
+    parents: Mapping[int, Optional[int]],
+    node: int,
     step: Callable[[int, int], Optional[int]],
-    target: int,
-    budget: SearchBudget,
-) -> tuple[int, Word]:
-    """Breadth-first search from ``start`` over int-encoded nodes for a node
-    with ``target`` set bits.
+    letter_count: int,
+) -> Word:
+    """The word of ``node`` in a breadth-first search that kept only each
+    visited node's parent in ``parents`` (``None`` for the start).
 
-    ``step(node, letter)`` gives the successor, or ``None`` to prune it.
-    Every newly seen node, the start included, spends one unit of
-    ``budget``.  Returns the first node with ``target`` set bits or, when
-    none is reachable, the first node with the fewest set bits, together
-    with its word.  Letters are expanded in declaration order, so the node's
-    word is its length-then-lexicographically first one, and the first node
-    of a size in discovery order is the first of that size in that order of
-    words.
-
-    Each visited node keeps only its parent.  A word letter is recovered as
-    the first letter under which the parent steps to the child, since an
-    earlier one would have found the child first; so ``step`` must give the
-    same successor each time it is asked.
-
-    The budget is counted in a local and written back on every exit, also
-    when ``step`` raises.  An exhausted search raises ``budget.exhausted()``
-    at the first node past the budget and leaves ``budget.remaining == -1``,
-    as a spend per node would.  The queue is a plain list walked while it
-    grows, so it holds every visited node until the search returns.
+    A word letter is recovered as the first letter under which the parent
+    steps to the child, since an earlier one would have found the child
+    first; so ``step(node, letter)`` must give the search's successor, or
+    something other than a node for a pruned one.  The search expanded the
+    letters in declaration order, so the word is the node's length-then-
+    lexicographically first one.
     """
-    budget.spend()
-    parents: dict[int, Optional[int]] = {start: None}
-    found = start if start.bit_count() == target else None
-    queue = [start]
-    append = queue.append
     alphabet = range(letter_count)
-    remaining = budget.remaining
-    try:
-        for node in queue:  # the queue only grows at the end
-            if found is not None:
-                break
-            for letter in alphabet:
-                new = step(node, letter)
-                if new is None or new in parents:
-                    continue
-                remaining -= 1
-                if remaining < 0:
-                    raise budget.exhausted()
-                parents[new] = node
-                if new.bit_count() == target:
-                    found = new
-                    break
-                append(new)
-    finally:
-        budget.remaining = remaining
-    if found is None:
-        found = min(parents, key=int.bit_count)
     letters: list[int] = []
-    node = found
     while (parent := parents[node]) is not None:
         letters.append(next(a for a in alphabet if step(parent, a) == node))
         node = parent
-    return found, tuple(reversed(letters))
+    return tuple(reversed(letters))
 
 
 def record(cls: type[T]) -> type[T]:

@@ -4,9 +4,11 @@ Two routes are provided.  ``exact_rank`` runs a breadth-first search over
 the reachable nonempty subsets of the power automaton, so it is exact for
 any partial DFA but exponential in the worst case; it is intended for small
 state counts (roughly n <= 16) and fails loudly via the search budget
-instead of hanging.  ``min_rank_word_sc`` is the polynomial algorithm for
-strongly connected automata: it repeatedly merges a pair of surviving
-states by solving reachability in the pair automaton.
+instead of hanging.  Its loop reads each image from the compiled byte
+tables inline, and its word comes from ``core.witness_word``.
+``min_rank_word_sc`` is the polynomial algorithm for strongly connected
+automata: it repeatedly merges a pair of surviving states by solving
+reachability in the pair automaton.
 
 The pair automaton is the restriction of the power automaton to subsets of
 size at most two.  It is stored as one column per letter, filled a state at
@@ -40,10 +42,10 @@ from .core import (
     PartialDfa,
     SearchBudget,
     Word,
-    breadth_first,
     byte_image,
     byte_tables,
     record,
+    witness_word,
 )
 from .graphs import is_strongly_connected, predecessor_links
 
@@ -97,19 +99,58 @@ def exact_rank_on_tables(
     """:func:`exact_rank` of an automaton with ``state_count`` states whose
     ``letter_images`` the caller has already compiled into ``tables`` (one
     ``byte_tables`` result per letter), so a search that needs the same
-    tables compiles them once."""
+    tables compiles them once.
+
+    The search walks a plain list queue while it grows and reads each
+    image from the chunks inline.  Every newly seen subset, the full set
+    included, spends one unit of ``budget``; the empty set is never a node,
+    since rank counts nonzero image sizes only and nothing lies beyond it.
+    The first singleton found is the answer, or else the first subset with
+    the fewest states.  The budget is counted in a local and written back on
+    every exit, also when a lookup raises; an exhausted search raises
+    ``budget.exhausted()`` at the first subset past the budget and leaves
+    ``budget.remaining == -1``, as a spend per subset would.
+    """
     if state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
-
-    def step(mask: int, letter: int) -> int | None:
-        # Rank counts nonzero image sizes only; the empty set is also
-        # absorbing, so there is nothing to explore beyond it.
-        return byte_image(tables[letter], mask) or None
-
-    best, witness = breadth_first(
-        (1 << state_count) - 1, len(tables), step, 1, SearchBudget.ensure(budget)
+    budget = SearchBudget.ensure(budget)
+    start = (1 << state_count) - 1
+    budget.spend()
+    parents: dict[int, Optional[int]] = {start: None}
+    found = start if state_count == 1 else None
+    queue = [start]
+    append = queue.append
+    remaining = budget.remaining
+    try:
+        for mask in queue:  # the queue only grows at the end
+            if found is not None:
+                break
+            for chunks in tables:
+                image = 0
+                rest = mask
+                for chunk in chunks:
+                    image |= chunk[rest & 255]
+                    rest >>= 8
+                    if not rest:
+                        break
+                if not image or image in parents:
+                    continue
+                remaining -= 1
+                if remaining < 0:
+                    raise budget.exhausted()
+                parents[image] = mask
+                if image.bit_count() == 1:
+                    found = image
+                    break
+                append(image)
+    finally:
+        budget.remaining = remaining
+    if found is None:
+        found = min(parents, key=int.bit_count)
+    word = witness_word(
+        parents, found, lambda mask, letter: byte_image(tables[letter], mask), len(tables)
     )
-    return RankResult(best.bit_count(), witness)
+    return RankResult(found.bit_count(), word)
 
 
 def is_synchronizing(

@@ -17,6 +17,11 @@ one.  Overlapping nodes lead only to overlapping nodes, so the kept nodes
 keep their discovery order and their parents, and every word and every
 "none" is the one the unpruned search would give, for no more budget.
 
+The search reads both images of a node from the rank search's compiled
+byte tables inline, the inside one and then the outside one through the
+same chunks, and its word comes from ``core.witness_word`` with a step
+that repeats the alive test.
+
 The config search is skipped when the rank search's witness already
 saturates S.  That witness is the length-then-lexicographically first word
 of minimum rank, and every word the config search accepts has minimum rank
@@ -33,18 +38,24 @@ from .core import (
     SearchBudget,
     StateSet,
     Word,
-    breadth_first,
     byte_image,
     byte_tables,
+    witness_word,
 )
 from .rank import exact_rank_on_tables
+
+
+def _check_states(dfa: PartialDfa, states: StateSet) -> None:
+    if not isinstance(states, StateSet):
+        raise ValueError(f"states must be a StateSet, not {states!r}")
+    if states.universe != dfa.state_count:
+        raise ValueError("state set universe does not match automaton")
 
 
 def is_saturated_by(dfa: PartialDfa, states: StateSet, word: Word) -> bool:
     """True iff every state of ``states`` survives ``word`` and the images of
     ``states`` and of its complement are disjoint."""
-    if states.universe != dfa.state_count:
-        raise ValueError("state set universe does not match automaton")
+    _check_states(dfa, states)
     for state in states:
         if dfa.run(state, word) is None:
             return False
@@ -72,9 +83,15 @@ def find_saturating_min_rank_word(
     config search.  It is the length-then-lexicographically first word of
     minimum rank, and every word the config search accepts has minimum
     rank, so it is also the first one that search would accept.
+
+    The config search walks a plain list queue while it grows and reads
+    both images from the chunks inline.  It spends the shared budget as the
+    rank search does: one unit per newly seen config, the start included,
+    counted in a local that is written back on every exit, and an exhausted
+    search raises at the first config past the budget with
+    ``budget.remaining == -1``.
     """
-    if states.universe != dfa.state_count:
-        raise ValueError("state set universe does not match automaton")
+    _check_states(dfa, states)
     if dfa.state_count == 0:
         raise ValueError("saturation search is undefined for the empty automaton")
     shared = SearchBudget.ensure(budget)
@@ -86,24 +103,66 @@ def find_saturating_min_rank_word(
     target_rank = ranked.rank
 
     full = (1 << n) - 1
-    domains = dfa.letter_domains
+    # A letter expands a config only if every state of the inside image has
+    # it, that is, if the inside image misses the letter's blocked states.
+    blocked = [full & ~domain for domain in dfa.letter_domains]
+    letters = tuple(zip(blocked, tables))
+    start = states.mask | (full & ~states.mask) << n
+    shared.spend()
+    parents: dict[int, int | None] = {start: None}
+    found = start if start.bit_count() == target_rank else None
+    queue = [start]
+    append = queue.append
+    remaining = shared.remaining
+    try:
+        for config in queue:  # the queue only grows at the end
+            if found is not None:
+                break
+            inside = config & full
+            outside = config >> n
+            for block, chunks in letters:
+                if inside & block:
+                    continue
+                image = 0
+                rest = inside
+                for chunk in chunks:
+                    image |= chunk[rest & 255]
+                    rest >>= 8
+                    if not rest:
+                        break
+                other = 0
+                rest = outside
+                for chunk in chunks:
+                    other |= chunk[rest & 255]
+                    rest >>= 8
+                    if not rest:
+                        break
+                if image & other:
+                    continue
+                new = image | other << n
+                if new in parents:
+                    continue
+                remaining -= 1
+                if remaining < 0:
+                    raise shared.exhausted()
+                parents[new] = config
+                if new.bit_count() == target_rank:
+                    found = new
+                    break
+                append(new)
+    finally:
+        shared.remaining = remaining
+    if found is None:
+        return None
 
     def step(config: int, letter: int) -> int | None:
         inside = config & full
-        if inside & ~domains[letter]:
+        if inside & blocked[letter]:
             return None
         chunks = tables[letter]
-        inside = byte_image(chunks, inside)
-        outside = byte_image(chunks, config >> n)
-        if inside & outside:
-            return None
-        return inside | outside << n
+        return byte_image(chunks, inside) | byte_image(chunks, config >> n) << n
 
-    start = states.mask | (full & ~states.mask) << n
-    found, word = breadth_first(start, dfa.letter_count, step, target_rank, shared)
-    # Every kept config has disjoint images, so its size is |I ∪ O|.
-    if found.bit_count() != target_rank:
-        return None
+    word = witness_word(parents, found, step, dfa.letter_count)
     if not is_saturated_by(dfa, states, word):
         raise RuntimeError(f"search returned {word}, which does not saturate the set")
     if dfa.image_mask(full, word).bit_count() != target_rank:

@@ -77,12 +77,22 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
             "tests/test_rank.py::test_order_scan_matches_listing_every_pair",
         ),
     ),
-    # breadth_first writes its local budget count back only on a normal
-    # return, not when the search runs out or ``step`` raises.
-    "budget-not-written-back": (
-        "src/padfa/core.py",
-        "    finally:\n        budget.remaining = remaining\n    if found is None:\n",
-        "    finally:\n        pass\n    budget.remaining = remaining\n    if found is None:\n",
+    # The rank search writes its local budget count back only on a normal
+    # return, not when it runs out or a lookup raises.
+    "rank-budget-not-written-back": (
+        "src/padfa/rank.py",
+        "    finally:\n        budget.remaining = remaining\n",
+        "    finally:\n        pass\n    budget.remaining = remaining\n",
+        (
+            "tests/test_core.py::test_breadth_first_writes_the_budget_back_when_step_raises",
+            "tests/test_core.py::test_breadth_first_runs_out_at_the_node_past_the_budget",
+        ),
+    ),
+    # The same defect in the config search.
+    "config-budget-not-written-back": (
+        "src/padfa/saturate.py",
+        "    finally:\n        shared.remaining = remaining\n",
+        "    finally:\n        pass\n    shared.remaining = remaining\n",
         (
             "tests/test_core.py::test_breadth_first_writes_the_budget_back_when_step_raises",
             "tests/test_core.py::test_breadth_first_runs_out_at_the_node_past_the_budget",
@@ -97,6 +107,53 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
         (
             "tests/test_core.py::test_breadth_first",
             "tests/test_exhaustive.py::test_exact_rank_and_its_witness_match_brute_force",
+        ),
+    ),
+    # The rank search shifts its mask by 7 bits a chunk, not 8, so from the
+    # second chunk on it reads the wrong states.
+    "rank-read-shift-7": (
+        "src/padfa/rank.py",
+        "                    image |= chunk[rest & 255]\n                    rest >>= 8\n",
+        "                    image |= chunk[rest & 255]\n                    rest >>= 7\n",
+        (
+            "tests/test_rank.py::TestExactRank::test_cerny_visits_and_witness_length",
+        ),
+    ),
+    # The config search reads 7 bits of each byte of the inside image, so
+    # it drops states 7, 15, ... from it.
+    "config-inside-read-7-bits": (
+        "src/padfa/saturate.py",
+        "image |= chunk[rest & 255]",
+        "image |= chunk[rest & 127]",
+        (
+            "tests/test_saturate.py"
+            "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
+        ),
+    ),
+    # The config search stops reading the outside image one chunk short,
+    # before its last nonzero byte.
+    "config-outside-read-one-chunk-short": (
+        "src/padfa/saturate.py",
+        "                    other |= chunk[rest & 255]\n"
+        "                    rest >>= 8\n"
+        "                    if not rest:\n",
+        "                    other |= chunk[rest & 255]\n"
+        "                    rest >>= 8\n"
+        "                    if rest < 256:\n",
+        (
+            "tests/test_saturate.py"
+            "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
+        ),
+    ),
+    # The witness walk of the config search tries letters that the inside
+    # image does not have everywhere, so a word can take a letter that
+    # kills a state of S.
+    "config-walk-no-alive-test": (
+        "src/padfa/saturate.py",
+        "        if inside & blocked[letter]:\n            return None\n",
+        "",
+        (
+            "tests/test_exhaustive.py::test_saturating_word_matches_brute_force",
         ),
     ),
     # The saturation search returns the rank witness whenever every state of
@@ -115,8 +172,8 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
     # saturating word.
     "saturation-prune-past-rank": (
         "src/padfa/saturate.py",
-        "        if inside & outside:\n",
-        "        if inside & outside or (inside | outside).bit_count() > target_rank:\n",
+        "                if image & other:\n",
+        "                if image & other or (image | other).bit_count() > target_rank:\n",
         (
             "tests/test_saturate.py"
             "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",

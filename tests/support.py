@@ -397,7 +397,7 @@ def unpruned_saturating_word(
     ``budget`` as ``find_saturating_min_rank_word`` does: the rank search,
     then one unit per config.  It runs its own loop, which links each
     config to its parent and letter, so that it shares no witness code with
-    ``core.breadth_first``."""
+    ``core.witness_word`` or the search it checks."""
     n = dfa.state_count
     full = (1 << n) - 1
     target_rank = exact_rank(dfa, budget).rank

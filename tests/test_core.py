@@ -21,9 +21,9 @@ from padfa import (
     StateSet,
 )
 from padfa.birecurrent import determinize_reversal
-from padfa.core import breadth_first, byte_image, byte_tables, union_image
+from padfa.core import byte_image, byte_tables, union_image
 from padfa.formats import ParseError, parse_automaton, parse_instance
-from padfa.rank import exact_rank
+from padfa.rank import RankResult, exact_rank
 from padfa.saturate import find_saturating_min_rank_word
 
 from support import c4, cerny, d2, letters, m2, p2
@@ -252,114 +252,190 @@ def test_byte_tables_share_one_chunk_for_undefined_runs():
             assert byte_image(chunks, mask) == union_image(table, mask)
 
 
-# Hand-built searches: the successor row of each node (``None`` prunes), the
-# start, the target size, the answer and the number of nodes visited.
+# Small searches that each pin one rule of the breadth-first searches and
+# of their shared witness walk: (the automaton's rows, the set, the answer,
+# the budget units it spends).  The rank search answers when the set is
+# None, else the saturation search of the set, whose units include its
+# rank search's.
 SEARCHES = {
-    # 0b011 is reached under letters 1 and 2; its word has letter 1.
+    # Q = {0, 1, 2} goes to {0, 1} under both a and b; the word has a.
     "first-letter-to-a-child": (
-        {0b111: (None, 0b011, 0b011), 0b011: (0b001, None, None)},
-        0b111, 1, (0b001, (1, 0)), 3,
+        ((0, 0), (1, None), (None, 1)), None, RankResult(1, (0, 1)), 3,
     ),
-    # 0b0011 is reached from 0b0111 and then from 0b1110; its parent is 0b0111.
+    # {0, 2} is reached from {0, 1} and then from {0, 1, 2}, both under b;
+    # its parent is {0, 1}.
     "first-parent-of-a-child": (
-        {
-            0b1111: (0b0111, 0b1110),
-            0b0111: (None, 0b0011),
-            0b1110: (0b0011, None),
-            0b0011: (0b0001, None),
-        },
-        0b1111, 1, (0b0001, (0, 1, 0)), 5,
+        ((0, 0), (1, 2), (0, 2), (1, 1)), None, RankResult(1, (0, 1, 0)), 5,
     ),
-    # No node is empty; 0b100 and 0b001 have the fewest bits, 0b100 first.
+    # No singleton is reachable; {1, 2} and {0, 2} have the fewest states,
+    # {1, 2} first.
     "first-fewest-without-target": (
-        {
-            0b111: (0b110, 0b011),
-            0b110: (None, 0b100),
-            0b011: (0b001, None),
-            0b100: (None, None),
-            0b001: (None, None),
-        },
-        0b111, 0, (0b100, (0, 1)), 5,
+        ((1, 0), (1, 0), (2, 2)), None, RankResult(2, (0,)), 3,
     ),
-    "start-has-target": ({0b11: (0b01,)}, 0b11, 2, (0b11, ()), 1),
-    "target-after-a-smaller-node": ({0b111: (0b001, 0b011)}, 0b111, 2, (0b011, (1,)), 3),
+    "start-has-target": (((0,),), None, RankResult(1, ()), 1),
+    # a kills every state: the empty set, smaller than any target, is never
+    # a node, and b reaches {0}.
+    "target-after-a-smaller-node": (((None, 0), (None, 0)), None, RankResult(1, (1,)), 2),
+    # The config ({1}, {0}) goes to ({0}, {1}) under both a and b, and c
+    # then reaches ({1}, {}); the word has a.
+    "config-first-letter-to-a-child": (((1, 1, 1), (0, 0, None)), 0b10, (0, 2), 5),
+    # ({1}, {0, 3}) and then ({0}, {1, 3}) step to ({1}, {0}), under a and
+    # under b; its parent is ({1}, {0, 3}).
+    "config-first-parent-of-a-child": (
+        ((1, 1), (0, None), (None, 3), (None, 0)), 0b0001, (0, 0, 1), 9,
+    ),
+    # Every config of rank 1 overlaps, so no config holds the target.
+    "config-without-target": (((1,), (1,)), 0b01, None, 3),
 }
 
 
-@pytest.mark.parametrize(
-    "rows, start, target, answer, visited", SEARCHES.values(), ids=SEARCHES.keys()
-)
-def test_breadth_first(rows, start, target, answer, visited):
-    def step(node, letter):
-        return rows[node][letter]
+def _search(dfa, states, budget):
+    """The rank search when ``states`` is None, else the saturation search."""
+    if states is None:
+        return exact_rank(dfa, budget)
+    return find_saturating_min_rank_word(dfa, states, budget)
 
-    letter_count = len(rows[start])
-    budget = SearchBudget(visited)
-    assert breadth_first(start, letter_count, step, target, budget) == answer
+
+@pytest.mark.parametrize(
+    "rows, states, answer, units", SEARCHES.values(), ids=SEARCHES.keys()
+)
+def test_breadth_first(rows, states, answer, units):
+    dfa = PartialDfa(len(rows), ("a", "b", "c")[: len(rows[0])], rows)
+    if states is not None:
+        states = StateSet(dfa.state_count, states)
+    budget = SearchBudget(units)
+    assert _search(dfa, states, budget) == answer
     assert budget.remaining == 0
-    short = SearchBudget(visited)
+    short = SearchBudget(units)
     short.spend()
     with pytest.raises(BudgetExceededError):
-        breadth_first(start, letter_count, step, target, short)
+        _search(dfa, states, short)
 
 
-def _recorded_rank_step(dfa):
-    """The rank search's step on ``dfa`` and the list of every successor it
-    has given, in order."""
-    tables = [byte_tables(images) for images in dfa.letter_images]
-    given = []
-
-    def step(node, letter):
-        new = byte_image(tables[letter], node) or None
-        given.append(new)
-        return new
-
-    return step, given
+class Stop(Exception):
+    pass
 
 
-def test_breadth_first_runs_out_at_the_node_past_the_budget():
-    # breadth_first counts the budget in a local.  Spent a unit per node,
-    # the budget runs out at the first node past it: the search raises as
-    # soon as a step gives that node, and leaves remaining at -1.
-    dfa = cerny(6)
-    start = (1 << 6) - 1
-    step, given = _recorded_rank_step(dfa)
-    breadth_first(start, 2, step, 1, SearchBudget(1 << 20))
-    # calls_to[i] is the number of step calls that discover the i-th node.
-    calls_to, seen = [0], {start}
-    for calls, new in enumerate(given, 1):
-        if new is not None and new not in seen:
-            seen.add(new)
-            calls_to.append(calls)
-    assert len(calls_to) == 58
-    for limit in range(1, 58):
-        given.clear()
-        budget = SearchBudget(limit)
-        message = f"search budget of {limit} visited nodes exhausted"
-        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
-            breadth_first(start, 2, step, 1, budget)
-        assert len(given) == calls_to[limit]
-        assert budget.remaining == -1
+class _Lookups:
+    """Compiled tables whose chunks log every entry read in ``log``, and
+    raise ``Stop`` at the read past the first ``stop`` ones."""
+
+    def __init__(self):
+        self.log = []
+        self.stop = None
+
+    def byte_tables(self, table):
+        lookups = self
+
+        class Chunk(list):
+            def __getitem__(self, index):
+                if len(lookups.log) == lookups.stop:
+                    raise Stop
+                value = list.__getitem__(self, index)
+                lookups.log.append(value)
+                return value
+
+        return tuple(Chunk(chunk) for chunk in byte_tables(table))
+
+
+def _cerny_with_reset(n):
+    """C_n with a third letter c defined on state 0 alone.  Its rank witness
+    is c, which kills every other state, so the full set takes the config
+    search, whose configs are the images of the full set under the words
+    over a and b: C_n's rank search, with outside images that stay empty."""
+    rows = tuple(row + ((0 if s == 0 else None),) for s, row in enumerate(cerny(n).transitions))
+    return PartialDfa(n, ("a", "b", "c"), rows)
+
+
+# The two searches of the budget tests, with the units each spends in all.
+# On 6 states a subset is one chunk, so each image the rank search reads
+# is one lookup, and so is each inside or outside image of the config
+# search.
+BUDGET_SEARCHES = {
+    "rank": (cerny(6), None, 58),
+    "config": (_cerny_with_reset(6), StateSet.full(6), 61),
+}
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    logged = _Lookups()
+    monkeypatch.setattr(padfa.rank, "byte_tables", logged.byte_tables)
+    monkeypatch.setattr(padfa.saturate, "byte_tables", logged.byte_tables)
+    return logged
+
+
+def _phases(lookups, dfa, states):
+    """For each search of the answer, the lookup at which it starts and the
+    number of lookups per edge.  The rank search starts at 0 and reads one
+    image per edge.  The config search of a saturation answer starts where
+    the rank search and its witness walk have read their last entry, and
+    reads an inside and then an outside image per edge."""
+    if states is None:
+        return [(0, 1)]
+    lookups.log.clear()
+    exact_rank(dfa, SearchBudget(1 << 20))
+    return [(0, 1), (len(lookups.log), 2)]
+
+
+def _spent(log, phases, full):
+    """The nodes spent after the lookups in ``log``, read off the entries:
+    each search spends its start when it begins and then one unit per
+    nonzero image it reads for the first time, once it has read the rest
+    of the edge.  The config search of the budget tests keeps its outside
+    images empty, so its inside images are its configs."""
+    spent = 0
+    ends = [first for first, _ in phases[1:]] + [len(log)]
+    for (first, per_edge), end in zip(phases, ends):
+        if first <= len(log):
+            edge_read = range(first, min(end, len(log) - per_edge + 1))
+            spent += len({full} | {log[i] for i in edge_read if log[i]})
+    return spent
+
+
+def test_breadth_first_runs_out_at_the_node_past_the_budget(lookups):
+    # Each search counts the budget in a local.  Spent a unit per node, the
+    # budget runs out at the first node past it: the search raises as soon
+    # as a lookup gives that node, and leaves remaining at -1.
+    for dfa, states, total in BUDGET_SEARCHES.values():
+        full = (1 << dfa.state_count) - 1
+        phases = _phases(lookups, dfa, states)
+        lookups.log.clear()
+        budget = SearchBudget(1 << 20)
+        _search(dfa, states, budget)
+        assert budget.limit - budget.remaining == total
+        # lookups_to[i] is the number of lookups after which i + 1 nodes
+        # are spent.
+        log = list(lookups.log)
+        lookups_to = [0]
+        for count in range(1, len(log) + 1):
+            if _spent(log[:count], phases, full) > len(lookups_to):
+                lookups_to.append(count)
+        assert len(lookups_to) == total
+        for limit in range(1, total):
+            lookups.log.clear()
+            budget = SearchBudget(limit)
+            message = f"search budget of {limit} visited nodes exhausted"
+            with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+                _search(dfa, states, budget)
+            assert len(lookups.log) == lookups_to[limit]
+            assert budget.remaining == -1
 
 
 @pytest.mark.parametrize("calls", [1, 2, 3, 10, 57, 100])
-def test_breadth_first_writes_the_budget_back_when_step_raises(calls):
-    class Stop(Exception):
-        pass
-
-    start = (1 << 6) - 1
-    step, given = _recorded_rank_step(cerny(6))
-
-    def failing(node, letter):
-        if len(given) == calls:
-            raise Stop
-        return step(node, letter)
-
-    budget = SearchBudget(1000)
-    with pytest.raises(Stop):
-        breadth_first(start, 2, failing, 1, budget)
-    seen = {start} | {new for new in given if new is not None}
-    assert budget.limit - budget.remaining == len(seen)
+def test_breadth_first_writes_the_budget_back_when_step_raises(lookups, calls):
+    # A lookup of the search's own loop raises after ``calls`` of them;
+    # the budget spent must still be every node that the search had seen.
+    for dfa, states, _ in BUDGET_SEARCHES.values():
+        full = (1 << dfa.state_count) - 1
+        phases = _phases(lookups, dfa, states)
+        lookups.log.clear()
+        lookups.stop = phases[-1][0] + calls
+        budget = SearchBudget(1000)
+        with pytest.raises(Stop):
+            _search(dfa, states, budget)
+        lookups.stop = None
+        assert budget.limit - budget.remaining == _spent(lookups.log, phases, full)
 
 
 # (automaton, set, units of the rank search alone, units of the rank and

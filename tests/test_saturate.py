@@ -241,3 +241,21 @@ def test_saturation_rejects_a_set_of_another_universe(build):
     message = "state set universe does not match automaton"
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: find_saturating_min_rank_word(m2(), [0, 1]),
+            "states must be a StateSet, not [0, 1]",
+        ),
+        (
+            lambda: is_saturated_by(m2(), 0b01, (0,)),
+            "states must be a StateSet, not 1",
+        ),
+    ],
+)
+def test_saturate_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
