@@ -43,7 +43,6 @@ from .core import (
     PartialDfa,
     SearchBudget,
     StateSet,
-    byte_image,
     byte_tables,
     record,
 )
@@ -167,9 +166,9 @@ def determinize_reversal(
 
     The preimages of all letters share one compiled table: bits
     ``letter * n`` to ``letter * n + n - 1`` of ``preimages[target]`` hold
-    the sources that ``letter`` sends to ``target``, so one ``byte_image``
-    per subset gives every letter's preimage, each cut out by a shift and
-    a mask.
+    the sources that ``letter`` sends to ``target``, so one image per
+    subset, read from the chunks inline a byte of the subset at a time,
+    gives every letter's preimage, each cut out by a shift and a mask.
 
     The budget is counted in a local and written back on every exit, as in
     ``rank.exact_rank_on_tables``.  An exhausted construction raises
@@ -198,7 +197,13 @@ def determinize_reversal(
     remaining = budget.remaining
     try:
         for mask in order:  # order doubles as the queue: it only grows at the end
-            images = byte_image(chunks, mask)
+            images = 0
+            rest = mask
+            for chunk in chunks:
+                images |= chunk[rest & 255]
+                rest >>= 8
+                if not rest:
+                    break
             for shift in shifts:
                 new = images >> shift & full
                 if not new:

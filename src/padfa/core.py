@@ -20,21 +20,22 @@ call, so each compiles its tables once with ``byte_tables`` and reads the
 state set a byte at a time: one lookup per 8 states instead of one per
 member.  Rank and saturation compile one table per letter, and the
 saturation search hands its tables to the rank search it starts with
-(``rank.exact_rank_on_tables``).  Their two loops read the chunks inline,
-``image |= chunk[mask & 255]`` for each byte until the mask runs out, since
-a call per edge took about a fifth of their time; ``byte_image`` is the
-same read as a function, which the reversal calls once per subset and the
-witness walk once per letter it tries.  The reversal compiles one packed
-table for all letters, whose entries hold every letter's preimage side by
-side, so one image per subset serves every letter.  The compiled form
-lives only as long as its search and is not cached on the automaton,
-which would keep 256 entries per 8 states and letter alive for every
-automaton a caller holds.  One-off images (``step_mask``, ``image_mask``)
-use ``union_image``, since compiling a table costs more than it saves
-there.  Images are masks in and masks out: a caller that checks one, such
-as the saturation postconditions, combines masks with ``&`` and counts
-them with ``int.bit_count``, and ``StateSet`` only carries a mask across
-the API.
+(``rank.exact_rank_on_tables``).  The reversal compiles one packed table
+for all letters, whose entries hold every letter's preimage side by side,
+so one image per subset serves every letter.  Each of the three loops
+reads its tables in one inline walk, ``image |= chunk[mask & 255]`` for
+each byte until the mask runs out, since a call per edge took about a
+fifth of their time; the config search reads its inside and outside
+images in the same walk.  The witness walk recovers its letters with
+``union_image`` over the automaton's own images, so it shares no read with
+the loop whose nodes it checks.  The compiled form lives only as long as
+its search and is not cached on the automaton, which would keep 256
+entries per 8 states and letter alive for every automaton a caller holds.
+One-off images (``step_mask``, ``image_mask``) use ``union_image`` too,
+since compiling a table costs more than it saves there.  Images are masks
+in and masks out: a caller that checks one, such as the saturation
+postconditions, combines masks with ``&`` and counts them with
+``int.bit_count``, and ``StateSet`` only carries a mask across the API.
 
 All values here are immutable after construction and safe to share between
 concurrent readers.  The value types of the package are records: plain
@@ -120,7 +121,9 @@ def union_image(table: Sequence[int], mask: int) -> int:
 
 
 def byte_tables(table: Sequence[int]) -> tuple[list[int], ...]:
-    """Compile ``table`` for :func:`byte_image`.
+    """Compile ``table`` for a search loop that reads a mask a byte at a
+    time: ``union_image(table, mask)`` is the OR of ``chunks[c][byte c of
+    mask]`` over the chunks.
 
     ``chunks[c][b]`` is the OR of ``table[8c + i]`` over the set bits ``i``
     of ``b``.  Each run of 8 states is built by doubling, so the last run,
@@ -141,18 +144,6 @@ def byte_tables(table: Sequence[int]) -> tuple[list[int], ...]:
     return tuple(chunks)
 
 
-def byte_image(chunks: Sequence[Sequence[int]], mask: int) -> int:
-    """``union_image(table, mask)`` with ``chunks = byte_tables(table)``,
-    reading ``mask`` a byte at a time."""
-    image = 0
-    for chunk in chunks:
-        image |= chunk[mask & 255]
-        mask >>= 8
-        if not mask:
-            break
-    return image
-
-
 def witness_word(
     parents: Mapping[int, Optional[int]],
     node: int,
@@ -167,12 +158,17 @@ def witness_word(
     first; so ``step(node, letter)`` must give the search's successor, or
     something other than a node for a pruned one.  The search expanded the
     letters in declaration order, so the word is the node's length-then-
-    lexicographically first one.
+    lexicographically first one.  When no letter steps a parent to its
+    child, the search and ``step`` disagree, and the walk raises
+    ``RuntimeError`` rather than return a word.
     """
     alphabet = range(letter_count)
     letters: list[int] = []
     while (parent := parents[node]) is not None:
-        letters.append(next(a for a in alphabet if step(parent, a) == node))
+        letter = next((a for a in alphabet if step(parent, a) == node), None)
+        if letter is None:
+            raise RuntimeError(f"no letter steps node {parent} to its child {node}")
+        letters.append(letter)
         node = parent
     return tuple(reversed(letters))
 

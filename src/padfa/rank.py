@@ -5,7 +5,8 @@ the reachable nonempty subsets of the power automaton, so it is exact for
 any partial DFA but exponential in the worst case; it is intended for small
 state counts (roughly n <= 16) and fails loudly via the search budget
 instead of hanging.  Its loop reads each image from the compiled byte
-tables inline, and its word comes from ``core.witness_word``.
+tables inline, and its word comes from ``core.witness_word``, which steps
+by ``union_image`` over the automaton's own images.
 ``min_rank_word_sc`` is the polynomial algorithm for strongly connected
 automata: it repeatedly merges a pair of surviving states by solving
 reachability in the pair automaton.
@@ -42,9 +43,9 @@ from .core import (
     PartialDfa,
     SearchBudget,
     Word,
-    byte_image,
     byte_tables,
     record,
+    union_image,
     witness_word,
 )
 from .graphs import is_strongly_connected, predecessor_links
@@ -88,18 +89,17 @@ def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> 
     reaching a minimum-size image.  The empty word already attains rank n.
     """
     tables = [byte_tables(images) for images in dfa.letter_images]
-    return exact_rank_on_tables(tables, dfa.state_count, budget)
+    return exact_rank_on_tables(dfa, tables, budget)
 
 
 def exact_rank_on_tables(
+    dfa: PartialDfa,
     tables: Sequence[Sequence[Sequence[int]]],
-    state_count: int,
     budget: int | SearchBudget,
 ) -> RankResult:
-    """:func:`exact_rank` of an automaton with ``state_count`` states whose
-    ``letter_images`` the caller has already compiled into ``tables`` (one
-    ``byte_tables`` result per letter), so a search that needs the same
-    tables compiles them once.
+    """:func:`exact_rank` of ``dfa``, whose ``letter_images`` the caller has
+    already compiled into ``tables`` (one ``byte_tables`` result per
+    letter), so a search that needs the same tables compiles them once.
 
     The search walks a plain list queue while it grows and reads each
     image from the chunks inline.  Every newly seen subset, the full set
@@ -109,15 +109,17 @@ def exact_rank_on_tables(
     the fewest states.  The budget is counted in a local and written back on
     every exit, also when a lookup raises; an exhausted search raises
     ``budget.exhausted()`` at the first subset past the budget and leaves
-    ``budget.remaining == -1``, as a spend per subset would.
+    ``budget.remaining == -1``, as a spend per subset would.  The witness
+    walk steps by ``dfa.letter_images``, not by ``tables``, so a subset
+    that its parent does not reach makes it raise ``RuntimeError``.
     """
-    if state_count == 0:
+    if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
     budget = SearchBudget.ensure(budget)
-    start = (1 << state_count) - 1
+    start = (1 << dfa.state_count) - 1
     budget.spend()
     parents: dict[int, Optional[int]] = {start: None}
-    found = start if state_count == 1 else None
+    found = start if dfa.state_count == 1 else None
     queue = [start]
     append = queue.append
     remaining = budget.remaining
@@ -147,9 +149,8 @@ def exact_rank_on_tables(
         budget.remaining = remaining
     if found is None:
         found = min(parents, key=int.bit_count)
-    word = witness_word(
-        parents, found, lambda mask, letter: byte_image(tables[letter], mask), len(tables)
-    )
+    images = dfa.letter_images
+    word = witness_word(parents, found, lambda mask, a: union_image(images[a], mask), len(images))
     return RankResult(found.bit_count(), word)
 
 

@@ -18,9 +18,9 @@ keep their discovery order and their parents, and every word and every
 "none" is the one the unpruned search would give, for no more budget.
 
 The search reads both images of a node from the rank search's compiled
-byte tables inline, the inside one and then the outside one through the
-same chunks, and its word comes from ``core.witness_word`` with a step
-that repeats the alive test.
+byte tables inline, the inside one and the outside one in one walk over
+the chunks, and its word comes from ``core.witness_word`` with a step
+that repeats the alive test on the automaton's own images.
 
 The config search is skipped when the rank search's witness already
 saturates S.  That witness is the length-then-lexicographically first word
@@ -38,8 +38,8 @@ from .core import (
     SearchBudget,
     StateSet,
     Word,
-    byte_image,
     byte_tables,
+    union_image,
     witness_word,
 )
 from .rank import exact_rank_on_tables
@@ -97,7 +97,7 @@ def find_saturating_min_rank_word(
     shared = SearchBudget.ensure(budget)
     n = dfa.state_count
     tables = [byte_tables(images) for images in dfa.letter_images]
-    ranked = exact_rank_on_tables(tables, n, shared)
+    ranked = exact_rank_on_tables(dfa, tables, shared)
     if is_saturated_by(dfa, states, ranked.witness):
         return ranked.witness
     target_rank = ranked.rank
@@ -123,19 +123,14 @@ def find_saturating_min_rank_word(
             for block, chunks in letters:
                 if inside & block:
                     continue
-                image = 0
-                rest = inside
+                image = other = 0
+                rest, more = inside, outside
                 for chunk in chunks:
                     image |= chunk[rest & 255]
+                    other |= chunk[more & 255]
                     rest >>= 8
-                    if not rest:
-                        break
-                other = 0
-                rest = outside
-                for chunk in chunks:
-                    other |= chunk[rest & 255]
-                    rest >>= 8
-                    if not rest:
+                    more >>= 8
+                    if not rest | more:
                         break
                 if image & other:
                     continue
@@ -159,8 +154,8 @@ def find_saturating_min_rank_word(
         inside = config & full
         if inside & blocked[letter]:
             return None
-        chunks = tables[letter]
-        return byte_image(chunks, inside) | byte_image(chunks, config >> n) << n
+        table = dfa.letter_images[letter]
+        return union_image(table, inside) | union_image(table, config >> n) << n
 
     word = witness_word(parents, found, step, dfa.letter_count)
     if not is_saturated_by(dfa, states, word):

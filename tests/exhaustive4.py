@@ -16,7 +16,8 @@ checks that
   included, and spends no more budget.
 
 Stdlib only and opt-in: pytest does not collect this file, since it takes
-minutes where tier-1 takes seconds.  From the repository root::
+about 20 s on a 2-CPU VM (CPython 3.11), longer than the whole tier-1 suite.
+From the repository root::
 
     PYTHONPATH=src python tests/exhaustive4.py
 

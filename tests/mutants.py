@@ -102,8 +102,8 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
     # parent steps to the child, not the first.
     "bfs-last-letter": (
         "src/padfa/core.py",
-        "letters.append(next(a for a in alphabet if step(parent, a) == node))",
-        "letters.append([a for a in alphabet if step(parent, a) == node][-1])",
+        "letter = next((a for a in alphabet if step(parent, a) == node), None)",
+        "letter = ([None] + [a for a in alphabet if step(parent, a) == node])[-1]",
         (
             "tests/test_core.py::test_breadth_first",
             "tests/test_exhaustive.py::test_exact_rank_and_its_witness_match_brute_force",
@@ -130,19 +130,26 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
             "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
         ),
     ),
-    # The config search stops reading the outside image one chunk short,
-    # before its last nonzero byte.
+    # The config search's walk stops reading the outside image one chunk
+    # short, before its last nonzero byte, once the inside image is read.
     "config-outside-read-one-chunk-short": (
         "src/padfa/saturate.py",
-        "                    other |= chunk[rest & 255]\n"
-        "                    rest >>= 8\n"
-        "                    if not rest:\n",
-        "                    other |= chunk[rest & 255]\n"
-        "                    rest >>= 8\n"
-        "                    if rest < 256:\n",
+        "                    if not rest | more:\n",
+        "                    if not rest | more >> 8:\n",
         (
             "tests/test_saturate.py"
             "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
+        ),
+    ),
+    # The witness walk takes no letter for a child that its parent does not
+    # reach, so a node that only the compiled tables reach gives a word.
+    "witness-walk-unchecked": (
+        "src/padfa/core.py",
+        "        if letter is None:\n"
+        '            raise RuntimeError(f"no letter steps node {parent} to its child {node}")\n',
+        "",
+        (
+            "tests/test_core.py::test_witness_walk_raises_on_a_child_its_parent_does_not_reach",
         ),
     ),
     # The witness walk of the config search tries letters that the inside
@@ -199,6 +206,17 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
         "    shifts = range(0, dfa.letter_count * (n - 1), max(n - 1, 1))\n",
         (
             "tests/test_birecurrent.py::TestPackedReversal::test_budget_runs_out_at_the_same_subset",
+            "tests/test_birecurrent.py::TestPackedReversal::test_reversal_blowup_family",
+        ),
+    ),
+    # The reversal shifts its subset by 7 bits a chunk, not 8, so from the
+    # second chunk on it reads the wrong states.
+    "reversal-read-shift-7": (
+        "src/padfa/birecurrent.py",
+        "                rest >>= 8\n",
+        "                rest >>= 7\n",
+        (
+            "tests/test_birecurrent.py::TestPackedReversal::test_random_acceptors",
             "tests/test_birecurrent.py::TestPackedReversal::test_reversal_blowup_family",
         ),
     ),

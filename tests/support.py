@@ -23,7 +23,7 @@ from padfa import (
     is_strongly_connected,
     reachable_from,
 )
-from padfa.core import byte_image, byte_tables, union_image
+from padfa.core import union_image
 from padfa.formats import serialize_automaton
 
 
@@ -440,11 +440,12 @@ def per_letter_reversal(
     acceptor: Acceptor, budget: SearchBudget
 ) -> tuple[list[int], list[int | None]]:
     """The nodes and rows of ``determinize_reversal``, built with one
-    compiled table and one image per letter, as a reference.
+    preimage table and one ``union_image`` per letter, as a reference.
 
     It numbers the subsets in the same order and spends ``budget`` in the
     same way, one unit per subset, but it keeps one preimage table per
-    letter and shares no packing code with the construction it checks."""
+    letter and shares neither the packing nor the compiled read of the
+    construction it checks."""
     if not acceptor.accepting:
         return [], []
     dfa = acceptor.dfa
@@ -453,15 +454,14 @@ def per_letter_reversal(
         for letter, target in enumerate(row):
             if target is not None:
                 preimage[letter][target] |= 1 << source
-    tables = [byte_tables(table) for table in preimage]
     start = acceptor.accepting.mask
     budget.spend()
     index = {start: 0}
     order = [start]
     rows: list[int | None] = []
     for mask in order:
-        for chunks in tables:
-            new = byte_image(chunks, mask)
+        for table in preimage:
+            new = union_image(table, mask)
             if not new:
                 rows.append(None)
                 continue

@@ -218,6 +218,26 @@ def _same_as_per_letter_loop(acceptor: Acceptor) -> int:
     return len(nodes)
 
 
+def _log_expansions(monkeypatch, expanded, stop=None, error=None):
+    """Make the reversal's compiled table log in ``expanded`` each subset
+    it expands, and raise ``error`` at the expansion past the first
+    ``stop`` ones.  Every subset of a reversal of at most 8 states is read
+    in one lookup of the table's one chunk."""
+
+    class Chunk(list):
+        def __getitem__(self, mask):
+            if len(expanded) == stop:
+                raise error
+            expanded.append(mask)
+            return list.__getitem__(self, mask)
+
+    def compile_tables(table):
+        (chunk,) = padfa.core.byte_tables(table)
+        return (Chunk(chunk),)
+
+    monkeypatch.setattr(padfa.birecurrent, "byte_tables", compile_tables)
+
+
 class TestPackedReversal:
     """One packed preimage table for all letters gives the nodes, rows and
     budget units of one table per letter."""
@@ -277,12 +297,7 @@ class TestPackedReversal:
         acceptor, k = reversal_blowup(5), 3
         rows = determinize_reversal(acceptor).rows
         expanded = []
-
-        def counting(chunks, mask):
-            expanded.append(mask)
-            return padfa.core.byte_image(chunks, mask)
-
-        monkeypatch.setattr(padfa.birecurrent, "byte_image", counting)
+        _log_expansions(monkeypatch, expanded)
         for limit in range(1, 32):
             expanded.clear()
             message = f"^search budget of {limit} visited nodes exhausted$"
@@ -303,14 +318,7 @@ class TestPackedReversal:
         acceptor, k = reversal_blowup(5), 3
         rows = determinize_reversal(acceptor).rows
         expanded = []
-
-        def failing(chunks, mask):
-            if len(expanded) == expansions:
-                raise Stop
-            expanded.append(mask)
-            return padfa.core.byte_image(chunks, mask)
-
-        monkeypatch.setattr(padfa.birecurrent, "byte_image", failing)
+        _log_expansions(monkeypatch, expanded, expansions, Stop)
         budget = SearchBudget(1000)
         with pytest.raises(Stop):
             determinize_reversal(acceptor, budget)

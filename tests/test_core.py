@@ -21,7 +21,7 @@ from padfa import (
     StateSet,
 )
 from padfa.birecurrent import determinize_reversal
-from padfa.core import byte_image, byte_tables, union_image
+from padfa.core import byte_tables, union_image
 from padfa.formats import ParseError, parse_automaton, parse_instance
 from padfa.rank import RankResult, exact_rank
 from padfa.saturate import find_saturating_min_rank_word
@@ -217,19 +217,40 @@ def test_permutation_letters_preserve_full_rank(dfa, raw_word):
 
 
 @st.composite
-def tables_and_masks(draw):
+def tables(draw):
     """A per-state mask table of 0..40 entries (across the 8/16/24/32
-    boundaries, with a short last run) and a mask over its states."""
+    boundaries, with a short last run), about half of them 0, so that some
+    runs of 8 states are undefined throughout."""
     size = draw(st.integers(0, 40))
-    table = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
-    return table, draw(st.integers(0, (1 << size) - 1))
+    entry = st.one_of(st.just(0), st.integers(0, (1 << size) - 1))
+    return draw(st.lists(entry, min_size=size, max_size=size))
+
+
+def _check_chunks(table, chunks):
+    """``chunks[c][b]`` is the union of the images of run c of ``table``
+    over the set bits of ``b``.  A run with some image has 2 ** len(run)
+    entries, so a short last run has fewer than 256; the runs without one
+    share one chunk of 256 zeros.  Returns the number of those runs."""
+    assert len(chunks) == (len(table) + 7) // 8
+    zero = None
+    zero_runs = 0
+    for c, chunk in enumerate(chunks):
+        run = table[8 * c : 8 * c + 8]
+        if any(run):
+            assert len(chunk) == 2 ** len(run)
+        else:
+            zero = zero or chunk
+            assert chunk is zero and chunk == [0] * 256
+            zero_runs += 1
+        for b in range(2 ** len(run)):
+            assert chunk[b] == union_image(run, b)
+    return zero_runs
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables_and_masks())
-def test_byte_image_equals_union_image(data):
-    table, mask = data
-    assert byte_image(byte_tables(table), mask) == union_image(table, mask)
+@given(tables())
+def test_byte_tables_hold_the_union_image_of_each_byte(table):
+    _check_chunks(table, byte_tables(table))
 
 
 def test_byte_tables_share_one_chunk_for_undefined_runs():
@@ -243,13 +264,15 @@ def test_byte_tables_share_one_chunk_for_undefined_runs():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert _check_chunks(undefined, chunks) == 1 << 13
     # Two defined states among the undefined runs.
     partial = list(undefined)
     partial[5], partial[-1] = 1 << 7, 1 << 3
-    for table in undefined, partial:
-        chunks = byte_tables(table)
-        for mask in (1 << 64) - 1, 1 << 5, 0xFF << 30000, 1 << 65535 | 0b1011:
-            assert byte_image(chunks, mask) == union_image(table, mask)
+    assert _check_chunks(partial, byte_tables(partial)) == (1 << 13) - 2
+    # A short last run of 3 states, defined on one of them and on none.
+    for last, zero_runs in (1 << 9, 1), (0, 2):
+        short = [0] * 10 + [last]
+        assert _check_chunks(short, byte_tables(short)) == zero_runs
 
 
 # Small searches that each pin one rule of the breadth-first searches and
@@ -312,6 +335,55 @@ def test_breadth_first(rows, states, answer, units):
         _search(dfa, states, short)
 
 
+# A search whose compiled table has one entry on the witness path patched
+# to gain a state: (the automaton's rows, the set as in SEARCHES, the
+# answer of the unpatched search, the letter of the patched table, the
+# patched entry, the state it gains, and the parent and the child between
+# which the witness walk then finds no letter).
+CORRUPTED_SEARCHES = {
+    # a takes Q to {0, 3}.  The patched entry adds state 2, which a kills,
+    # so a still takes the child {0, 2, 3} to {3}, the answer.
+    "rank": (
+        ((3, None), (0, 1), (None, 1), (3, 2)), None, RankResult(1, (0, 0)), 0, 0b1111, 2, 15, 13,
+    ),
+    # a takes the config ({0, 2}, {1}) to ({0, 2}, {}).  The patched entry
+    # adds state 1 to the inside image, and b still takes the child
+    # ({0, 1, 2}, {}) to ({2}, {}), the answer.
+    "config": (((2, 2), (None, 2), (0, 2)), 0b101, (0, 1), 0, 0b101, 1, 21, 7),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, states, answer, letter, entry, state, parent, child",
+    CORRUPTED_SEARCHES.values(),
+    ids=CORRUPTED_SEARCHES.keys(),
+)
+def test_witness_walk_raises_on_a_child_its_parent_does_not_reach(
+    monkeypatch, rows, states, answer, letter, entry, state, parent, child
+):
+    # The walk steps by the automaton's own images, so a node that only
+    # the compiled tables reach stops it rather than give a word.
+    dfa = PartialDfa(len(rows), ("a", "b"), rows)
+    if states is not None:
+        states = StateSet(dfa.state_count, states)
+    assert _search(dfa, states, SearchBudget(1 << 20)) == answer
+    compiled = []
+
+    def compile_tables(table):
+        (chunk,) = byte_tables(table)
+        if len(compiled) == letter:
+            chunk = list(chunk)
+            chunk[entry] |= 1 << state
+        compiled.append(table)
+        return (chunk,)
+
+    monkeypatch.setattr(padfa.rank, "byte_tables", compile_tables)
+    monkeypatch.setattr(padfa.saturate, "byte_tables", compile_tables)
+    message = f"^no letter steps node {parent} to its child {child}$"
+    with pytest.raises(RuntimeError, match=message):
+        _search(dfa, states, SearchBudget(1 << 20))
+
+
 class Stop(Exception):
     pass
 
@@ -369,8 +441,8 @@ def _phases(lookups, dfa, states):
     """For each search of the answer, the lookup at which it starts and the
     number of lookups per edge.  The rank search starts at 0 and reads one
     image per edge.  The config search of a saturation answer starts where
-    the rank search and its witness walk have read their last entry, and
-    reads an inside and then an outside image per edge."""
+    the rank search has read its last entry (its witness walk reads no
+    table), and reads an inside and then an outside entry per edge."""
     if states is None:
         return [(0, 1)]
     lookups.log.clear()
@@ -405,11 +477,12 @@ def test_breadth_first_runs_out_at_the_node_past_the_budget(lookups):
         _search(dfa, states, budget)
         assert budget.limit - budget.remaining == total
         # lookups_to[i] is the number of lookups after which i + 1 nodes
-        # are spent.
+        # are spent.  The config search spends its start before it reads
+        # an entry, so the rank search's last lookup can spend two nodes.
         log = list(lookups.log)
         lookups_to = [0]
         for count in range(1, len(log) + 1):
-            if _spent(log[:count], phases, full) > len(lookups_to):
+            while _spent(log[:count], phases, full) > len(lookups_to):
                 lookups_to.append(count)
         assert len(lookups_to) == total
         for limit in range(1, total):
