@@ -114,9 +114,9 @@ def union_image(table: Sequence[int], mask: int) -> int:
     """
     image = 0
     while mask:
-        low = mask & -mask
-        image |= table[low.bit_length() - 1]
-        mask ^= low
+        i = mask.bit_length() - 1
+        image |= table[i]
+        mask ^= 1 << i
     return image
 
 
@@ -165,8 +165,10 @@ def witness_word(
     alphabet = range(letter_count)
     letters: list[int] = []
     while (parent := parents[node]) is not None:
-        letter = next((a for a in alphabet if step(parent, a) == node), None)
-        if letter is None:
+        for letter in alphabet:
+            if step(parent, letter) == node:
+                break
+        else:
             raise RuntimeError(f"no letter steps node {parent} to its child {node}")
         letters.append(letter)
         node = parent
