@@ -16,21 +16,23 @@ The oracles the tests check them against (``tests/bruteforce.py`` and
 
 The exponential searches (``rank.exact_rank``, the saturation search and
 ``birecurrent.determinize_reversal``) take tens of thousands of images per
-call, so each compiles its tables once with ``byte_tables`` and reads the
-state set a byte at a time: one lookup per 8 states instead of one per
-member.  Rank and saturation compile one table per letter, and the
-saturation search hands its tables to the rank search it starts with
-(``rank.exact_rank_on_tables``).  The reversal compiles one packed table
-for all letters, whose entries hold every letter's preimage side by side,
-so one image per subset serves every letter.  Each of the three loops
-reads its tables in one inline walk, ``image |= chunk[mask & 255]`` for
-each byte until the mask runs out, since a call per edge took about a
-fifth of their time; the config search reads its inside and outside
-images in the same walk.  The witness walk recovers its letters with
-``union_image`` over the automaton's own images, so it shares no read with
-the loop whose nodes it checks.  The compiled form lives only as long as
-its search and is not cached on the automaton, which would keep 256
-entries per 8 states and letter alive for every automaton a caller holds.
+call, so each compiles one packed table for all letters once with
+``byte_tables`` and reads the state set a byte at a time: one lookup per 8
+states instead of one per member.  Entry ``s`` holds every letter's image
+of state ``s`` for rank and saturation (``rank.packed_images``), and every
+letter's preimage of ``s`` for the reversal, letter ``a`` at bits ``a * n``
+to ``a * n + n - 1``, so one image per subset serves every letter, each
+cut out by a shift and a mask.  The saturation search hands its table to
+the rank search it starts with (``rank.exact_rank_on_tables``).  Each of
+the three loops reads its table in one inline walk per node, ``images |=
+chunk[mask & 255]`` for each byte until the mask runs out, since a call
+per edge took about a fifth of their time; the config search reads its
+inside and outside images in the same walk.  The witness walk recovers
+its letters with ``union_image`` over the automaton's own images, so it
+shares no read with the loop whose nodes it checks.  The compiled form
+lives only as long as its search and is not cached on the automaton,
+which would keep 256 entries per 8 states alive for every automaton a
+caller holds.
 One-off images (``step_mask``, ``image_mask``) use ``union_image`` too,
 since compiling a table costs more than it saves there.  Images are masks
 in and masks out: a caller that checks one, such as the saturation
@@ -320,11 +322,11 @@ class PartialDfa:
         n = self.state_count
         if type(n) is not int or n < 0:
             raise ValueError("state_count must be a non-negative int")
+        for name in self.alphabet:
+            if type(name) is not str or not name:
+                raise ValueError(f"alphabet names must be nonempty strings, not {name!r}")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet names must be unique")
-        for name in self.alphabet:
-            if not name:
-                raise ValueError("alphabet names must be nonempty")
         if len(self.transitions) != n:
             raise ValueError("transition table must have one row per state")
         for row in self.transitions:
@@ -465,6 +467,8 @@ class Acceptor:
 
     def __post_init__(self):
         n = self.dfa.state_count
+        if not isinstance(self.accepting, StateSet):
+            raise ValueError(f"accepting must be a StateSet, not {self.accepting!r}")
         if self.accepting.universe != n:
             raise ValueError("accepting set universe does not match automaton")
         if n == 0:

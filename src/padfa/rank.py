@@ -4,9 +4,11 @@ Two routes are provided.  ``exact_rank`` runs a breadth-first search over
 the reachable nonempty subsets of the power automaton, so it is exact for
 any partial DFA but exponential in the worst case; it is intended for small
 state counts (roughly n <= 16) and fails loudly via the search budget
-instead of hanging.  Its loop reads each image from the compiled byte
-tables inline, and its word comes from ``core.witness_word``, which steps
-by ``union_image`` over the automaton's own images.
+instead of hanging.  It compiles one packed table of every letter's
+images (``packed_images``), and its loop reads a subset's images under all
+letters from it in one inline walk, then cuts out each letter's image.
+Its word comes from ``core.witness_word``, which steps by ``union_image``
+over the automaton's own images.
 ``min_rank_word_sc`` is the polynomial algorithm for strongly connected
 automata: it repeatedly merges a pair of surviving states by solving
 reachability in the pair automaton.
@@ -81,6 +83,21 @@ class RankResult:
         return len(self.witness)
 
 
+def packed_images(dfa: PartialDfa) -> list[int]:
+    """Every letter's image of each state in one entry: bits ``a * n`` to
+    ``a * n + n - 1`` of ``images[s]`` hold ``dfa.letter_images[a][s]``, so
+    one image of a subset under this table holds its image under every
+    letter, each cut out by a shift and a mask."""
+    n = dfa.state_count
+    shifts = range(0, dfa.letter_count * n, n)
+    images = [0] * n
+    for source, row in enumerate(dfa.transitions):
+        for shift, target in zip(shifts, row):
+            if target is not None:
+                images[source] |= 1 << target + shift
+    return images
+
+
 def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> RankResult:
     """Exact rank of the automaton and a shortest word attaining it.
 
@@ -88,53 +105,57 @@ def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> 
     order, so the witness is the length-then-lexicographically first word
     reaching a minimum-size image.  The empty word already attains rank n.
     """
-    tables = [byte_tables(images) for images in dfa.letter_images]
-    return exact_rank_on_tables(dfa, tables, budget)
+    return exact_rank_on_tables(dfa, byte_tables(packed_images(dfa)), budget)
 
 
 def exact_rank_on_tables(
     dfa: PartialDfa,
-    tables: Sequence[Sequence[Sequence[int]]],
+    tables: Sequence[Sequence[int]],
     budget: int | SearchBudget,
 ) -> RankResult:
-    """:func:`exact_rank` of ``dfa``, whose ``letter_images`` the caller has
-    already compiled into ``tables`` (one ``byte_tables`` result per
-    letter), so a search that needs the same tables compiles them once.
+    """:func:`exact_rank` of ``dfa``, whose ``packed_images`` the caller has
+    already compiled into ``tables`` (one ``byte_tables`` result), so a
+    search that needs the same tables compiles them once.
 
-    The search walks a plain list queue while it grows and reads each
-    image from the chunks inline.  Every newly seen subset, the full set
-    included, spends one unit of ``budget``; the empty set is never a node,
-    since rank counts nonzero image sizes only and nothing lies beyond it.
-    The first singleton found is the answer, or else the first subset with
-    the fewest states.  The budget is counted in a local and written back on
-    every exit, also when a lookup raises; an exhausted search raises
-    ``budget.exhausted()`` at the first subset past the budget and leaves
-    ``budget.remaining == -1``, as a spend per subset would.  The witness
-    walk steps by ``dfa.letter_images``, not by ``tables``, so a subset
-    that its parent does not reach makes it raise ``RuntimeError``.
+    The search walks a plain list queue while it grows.  It reads each
+    subset's images under all letters from the chunks in one inline walk,
+    then cuts out each letter's image in declaration order.  Every newly
+    seen subset, the full set included, spends one unit of ``budget``; the
+    empty set is never a node, since rank counts nonzero image sizes only
+    and nothing lies beyond it.  The first singleton found is the answer,
+    or else the first subset with the fewest states.  The budget is counted
+    in a local and written back on every exit, also when a lookup raises;
+    an exhausted search raises ``budget.exhausted()`` at the first subset
+    past the budget and leaves ``budget.remaining == -1``, as a spend per
+    subset would.  The witness walk steps by ``dfa.letter_images``, not by
+    ``tables``, so a subset that its parent does not reach makes it raise
+    ``RuntimeError``.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
     budget = SearchBudget.ensure(budget)
-    start = (1 << dfa.state_count) - 1
+    n = dfa.state_count
+    full = (1 << n) - 1
+    shifts = range(0, dfa.letter_count * n, n)
     budget.spend()
-    parents: dict[int, Optional[int]] = {start: None}
-    found = start if dfa.state_count == 1 else None
-    queue = [start]
+    parents: dict[int, Optional[int]] = {full: None}
+    found = full if n == 1 else None
+    queue = [full]
     append = queue.append
     remaining = budget.remaining
     try:
         for mask in queue:  # the queue only grows at the end
             if found is not None:
                 break
-            for chunks in tables:
-                image = 0
-                rest = mask
-                for chunk in chunks:
-                    image |= chunk[rest & 255]
-                    rest >>= 8
-                    if not rest:
-                        break
+            images = 0
+            rest = mask
+            for chunk in tables:
+                images |= chunk[rest & 255]
+                rest >>= 8
+                if not rest:
+                    break
+            for shift in shifts:
+                image = images >> shift & full
                 if not image or image in parents:
                     continue
                 remaining -= 1
@@ -149,8 +170,10 @@ def exact_rank_on_tables(
         budget.remaining = remaining
     if found is None:
         found = min(parents, key=int.bit_count)
-    images = dfa.letter_images
-    word = witness_word(parents, found, lambda mask, a: union_image(images[a], mask), len(images))
+    letter_images = dfa.letter_images
+    word = witness_word(
+        parents, found, lambda mask, a: union_image(letter_images[a], mask), len(letter_images)
+    )
     return RankResult(found.bit_count(), word)
 
 

@@ -17,10 +17,11 @@ one.  Overlapping nodes lead only to overlapping nodes, so the kept nodes
 keep their discovery order and their parents, and every word and every
 "none" is the one the unpruned search would give, for no more budget.
 
-The search reads both images of a node from the rank search's compiled
-byte tables inline, the inside one and the outside one in one walk over
-the chunks, and its word comes from ``core.witness_word`` with a step
-that repeats the alive test on the automaton's own images.
+The search reads a node's inside and outside images under all letters
+from the rank search's packed table (``rank.packed_images``) in one walk
+over the chunks, then cuts out each live letter's two images, and its
+word comes from ``core.witness_word`` with a step that repeats the alive
+test on the automaton's own images.
 
 The config search is skipped when the rank search's witness already
 saturates S.  That witness is the length-then-lexicographically first word
@@ -42,7 +43,7 @@ from .core import (
     union_image,
     witness_word,
 )
-from .rank import exact_rank_on_tables
+from .rank import exact_rank_on_tables, packed_images
 
 
 def _check_states(dfa: PartialDfa, states: StateSet) -> None:
@@ -77,7 +78,7 @@ def find_saturating_min_rank_word(
     configs whose two images meet, since an overlap never goes away; every
     kept config is therefore disjoint, and it accepts when it holds r
     states.  The rank computation and the config search draw on one shared
-    budget and read one compiled copy of the letter tables.
+    budget and read one compiled packed table of every letter's images.
 
     When the rank witness saturates ``states`` it is returned without the
     config search.  It is the length-then-lexicographically first word of
@@ -85,18 +86,18 @@ def find_saturating_min_rank_word(
     rank, so it is also the first one that search would accept.
 
     The config search walks a plain list queue while it grows and reads
-    both images from the chunks inline.  It spends the shared budget as the
-    rank search does: one unit per newly seen config, the start included,
-    counted in a local that is written back on every exit, and an exhausted
-    search raises at the first config past the budget with
-    ``budget.remaining == -1``.
+    both images under all letters from the chunks in one inline walk per
+    config.  It spends the shared budget as the rank search does: one unit
+    per newly seen config, the start included, counted in a local that is
+    written back on every exit, and an exhausted search raises at the
+    first config past the budget with ``budget.remaining == -1``.
     """
     _check_states(dfa, states)
     if dfa.state_count == 0:
         raise ValueError("saturation search is undefined for the empty automaton")
     shared = SearchBudget.ensure(budget)
     n = dfa.state_count
-    tables = [byte_tables(images) for images in dfa.letter_images]
+    tables = byte_tables(packed_images(dfa))
     ranked = exact_rank_on_tables(dfa, tables, shared)
     if is_saturated_by(dfa, states, ranked.witness):
         return ranked.witness
@@ -106,7 +107,7 @@ def find_saturating_min_rank_word(
     # A letter expands a config only if every state of the inside image has
     # it, that is, if the inside image misses the letter's blocked states.
     blocked = [full & ~domain for domain in dfa.letter_domains]
-    letters = tuple(zip(blocked, tables))
+    letters = tuple(zip(range(0, dfa.letter_count * n, n), blocked))
     start = states.mask | (full & ~states.mask) << n
     shared.spend()
     parents: dict[int, int | None] = {start: None}
@@ -119,19 +120,20 @@ def find_saturating_min_rank_word(
             if found is not None:
                 break
             inside = config & full
-            outside = config >> n
-            for block, chunks in letters:
+            images = others = 0
+            rest, more = inside, config >> n
+            for chunk in tables:
+                images |= chunk[rest & 255]
+                others |= chunk[more & 255]
+                rest >>= 8
+                more >>= 8
+                if not rest | more:
+                    break
+            for shift, block in letters:
                 if inside & block:
                     continue
-                image = other = 0
-                rest, more = inside, outside
-                for chunk in chunks:
-                    image |= chunk[rest & 255]
-                    other |= chunk[more & 255]
-                    rest >>= 8
-                    more >>= 8
-                    if not rest | more:
-                        break
+                image = images >> shift & full
+                other = others >> shift & full
                 if image & other:
                     continue
                 new = image | other << n

@@ -9,6 +9,9 @@ checks that
 
 - the image of the full set under ``exact_rank``'s witness has exactly
   ``exact_rank``'s rank of states;
+- ``exact_rank`` gives the same witness and spends the same budget as
+  ``support.per_letter_rank``, which takes each letter's image with
+  ``union_image`` where the search reads one packed table for all letters;
 - ``min_rank_word_sc`` gives the same rank, when the automaton is strongly
   connected;
 - ``find_saturating_min_rank_word`` gives the same word or "none" as
@@ -16,7 +19,7 @@ checks that
   included, and spends no more budget.
 
 Stdlib only and opt-in: pytest does not collect this file, since it takes
-about 20 s on a 2-CPU VM (CPython 3.11), longer than the whole tier-1 suite.
+about 16 s on a 2-CPU VM (CPython 3.11), longer than the whole tier-1 suite.
 From the repository root::
 
     PYTHONPATH=src python tests/exhaustive4.py
@@ -41,7 +44,7 @@ from padfa import (
     min_rank_word_sc,
 )
 
-from support import unpruned_saturating_word
+from support import per_letter_rank, unpruned_saturating_word
 
 N = 4
 PERMS = list(permutations(range(N)))  # identity first
@@ -99,10 +102,17 @@ def main() -> int:
         dfa = PartialDfa(N, ("a", "b"), tuple(tuple(None if t == N else t for t in r) for r in rows))
         counts["automata"][0] += 1
         counts["automata"][1] += size
-        exact = exact_rank(dfa)
+        packed, reference = SearchBudget(), SearchBudget()
+        exact = exact_rank(dfa, packed)
         image = dfa.image_mask((1 << N) - 1, exact.witness)
         if image.bit_count() != exact.rank:
             failures.append(f"{rows}: witness image {image:b} for rank {exact.rank}")
+        _, word = per_letter_rank(dfa, reference)
+        if exact.witness != word or packed.remaining != reference.remaining:
+            failures.append(
+                f"{rows}: exact_rank {exact.witness}, {packed.remaining} units left,"
+                f" against per-letter {word}, {reference.remaining} left"
+            )
         if is_strongly_connected(dfa):
             counts["strongly connected"][0] += 1
             counts["strongly connected"][1] += size

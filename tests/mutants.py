@@ -113,32 +113,58 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
     # second chunk on it reads the wrong states.
     "rank-read-shift-7": (
         "src/padfa/rank.py",
-        "                    image |= chunk[rest & 255]\n                    rest >>= 8\n",
-        "                    image |= chunk[rest & 255]\n                    rest >>= 7\n",
+        "                images |= chunk[rest & 255]\n                rest >>= 8\n",
+        "                images |= chunk[rest & 255]\n                rest >>= 7\n",
         (
             "tests/test_rank.py::TestExactRank::test_cerny_visits_and_witness_length",
+            "tests/test_rank.py::TestPackedRankSearch::test_random_automata",
+        ),
+    ),
+    # The rank search keeps the bits of the later letters above each
+    # letter's n bits, so a subset holds states past n - 1.
+    "rank-no-full-mask": (
+        "src/padfa/rank.py",
+        "image = images >> shift & full\n",
+        "image = images >> shift\n",
+        (
+            "tests/test_rank.py::TestPackedRankSearch::test_every_binary_automaton_up_to_three_states",
+            "tests/test_rank.py::TestPackedRankSearch::test_random_automata",
         ),
     ),
     # The config search reads 7 bits of each byte of the inside image, so
     # it drops states 7, 15, ... from it.
     "config-inside-read-7-bits": (
         "src/padfa/saturate.py",
-        "image |= chunk[rest & 255]",
-        "image |= chunk[rest & 127]",
+        "images |= chunk[rest & 255]",
+        "images |= chunk[rest & 127]",
         (
             "tests/test_saturate.py"
             "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
+            "tests/test_saturate.py::TestPackedConfigSearch::test_random_automata",
         ),
     ),
     # The config search's walk stops reading the outside image one chunk
     # short, before its last nonzero byte, once the inside image is read.
     "config-outside-read-one-chunk-short": (
         "src/padfa/saturate.py",
-        "                    if not rest | more:\n",
-        "                    if not rest | more >> 8:\n",
+        "                if not rest | more:\n",
+        "                if not rest | more >> 8:\n",
         (
             "tests/test_saturate.py"
             "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",
+            "tests/test_saturate.py::TestPackedConfigSearch::test_random_automata",
+        ),
+    ),
+    # The config search cuts the letters' images n - 1 bits apart, so each
+    # letter past the first reads part of the letter before it.
+    "config-stride-n-minus-1": (
+        "src/padfa/saturate.py",
+        "    letters = tuple(zip(range(0, dfa.letter_count * n, n), blocked))\n",
+        "    letters = tuple(zip(range(0, dfa.letter_count * (n - 1), max(n - 1, 1)), blocked))\n",
+        (
+            "tests/test_saturate.py::TestPackedConfigSearch"
+            "::test_every_subset_of_every_binary_automaton_up_to_three_states",
+            "tests/test_saturate.py::TestPackedConfigSearch::test_random_automata",
         ),
     ),
     # The witness walk takes the last letter for a child that its parent

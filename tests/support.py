@@ -1,8 +1,8 @@
 """Shared fixtures-by-hand: tiny named automata, seeded random generators,
 the classes of small binary automata under relabelling, the P × Z_r family
 of known rank with its rank certificate, the unpruned saturation search
-that the pruned one is checked against and the per-letter reversal loop
-that the packed one is checked against."""
+that the pruned one is checked against, and the per-letter rank, config
+and reversal loops that the packed ones are checked against."""
 
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ from padfa import (
     StateSet,
     coreachable_to,
     exact_rank,
+    is_saturated_by,
     is_strongly_connected,
     reachable_from,
 )
-from padfa.core import union_image
+from padfa.core import union_image, witness_word
 from padfa.formats import serialize_automaton
 
 
@@ -426,14 +427,110 @@ def unpruned_saturating_word(
                 found = new
                 break
             queue.append(new)
-    if found is None:
-        return None
+    return None if found is None else _linked_word(links, found)
+
+
+def _linked_word(links: dict, node: int) -> tuple[int, ...]:
+    """The word of ``node`` in a search that linked each node to its parent
+    and letter, ``None`` for the start."""
     word: list[int] = []
-    config = found
-    while (link := links[config]) is not None:
-        config, letter = link
+    while (link := links[node]) is not None:
+        node, letter = link
         word.append(letter)
     return tuple(reversed(word))
+
+
+def _parents(links: dict) -> dict[int, int | None]:
+    return {node: None if link is None else link[0] for node, link in links.items()}
+
+
+def per_letter_rank(
+    dfa: PartialDfa, budget: SearchBudget
+) -> tuple[dict[int, int | None], tuple[int, ...]]:
+    """The parents, in discovery order, and the word of ``exact_rank``'s
+    search, built with one ``union_image`` per letter and subset, as a
+    reference.
+
+    It expands the subsets in the same order, stops at the same subset and
+    spends ``budget`` in the same way, one unit per subset, but it links
+    each subset to its parent and letter, so that it shares neither the
+    packed table nor ``core.witness_word`` with the search it checks."""
+    full = (1 << dfa.state_count) - 1
+    links: dict[int, tuple[int, int] | None] = {full: None}
+    budget.spend()
+    found = full if dfa.state_count == 1 else None
+    queue = deque([full])
+    while queue and found is None:
+        mask = queue.popleft()
+        for letter, images in enumerate(dfa.letter_images):
+            image = union_image(images, mask)
+            if not image or image in links:
+                continue
+            budget.spend()
+            links[image] = (mask, letter)
+            if image.bit_count() == 1:
+                found = image
+                break
+            queue.append(image)
+    if found is None:
+        found = min(links, key=int.bit_count)
+    return _parents(links), _linked_word(links, found)
+
+
+def per_letter_saturation(
+    dfa: PartialDfa, states: StateSet, budget: SearchBudget
+) -> tuple[dict[int, int | None] | None, tuple[int, ...] | None]:
+    """The parents of ``find_saturating_min_rank_word``'s config search, in
+    discovery order, and its word, built with one ``union_image`` per
+    letter and image, as a reference.  The parents are ``None`` when the
+    rank witness saturates ``states``, so that no config search runs.
+
+    It runs ``per_letter_rank`` first and keeps the alive test and the
+    overlap prune, so it spends ``budget`` as the search does, and like it
+    links each config to its parent and letter."""
+    n = dfa.state_count
+    full = (1 << n) - 1
+    _, witness = per_letter_rank(dfa, budget)
+    if is_saturated_by(dfa, states, witness):
+        return None, witness
+    target_rank = dfa.image_mask(full, witness).bit_count()
+    start = states.mask | (full & ~states.mask) << n
+    links: dict[int, tuple[int, int] | None] = {start: None}
+    budget.spend()
+    found = start if start.bit_count() == target_rank else None
+    queue = deque([start])
+    while queue and found is None:
+        config = queue.popleft()
+        inside = config & full
+        for letter, images in enumerate(dfa.letter_images):
+            if inside & ~dfa.letter_domains[letter]:
+                continue
+            image = union_image(images, inside)
+            other = union_image(images, config >> n)
+            if image & other:
+                continue
+            new = image | other << n
+            if new in links:
+                continue
+            budget.spend()
+            links[new] = (config, letter)
+            if new.bit_count() == target_rank:
+                found = new
+                break
+            queue.append(new)
+    return _parents(links), None if found is None else _linked_word(links, found)
+
+
+def recording_walk(walked: list):
+    """A stand-in for ``core.witness_word`` that appends the items of each
+    parents mapping it walks to ``walked``, in discovery order, so that a
+    test can read the parents that a search kept."""
+
+    def walk(parents, node, step, letter_count):
+        walked.append(list(parents.items()))
+        return witness_word(parents, node, step, letter_count)
+
+    return walk
 
 
 def per_letter_reversal(

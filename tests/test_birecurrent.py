@@ -432,7 +432,7 @@ class TestCombinedRoute:
         assert len(outcomes) >= 300
         assert True in outcomes and False in outcomes
 
-    def test_characterization_compiles_each_letter_table_once(self, monkeypatch):
+    def test_each_exact_search_compiles_one_table(self, monkeypatch):
         calls = []
         compile_tables = padfa.core.byte_tables
 
@@ -451,11 +451,12 @@ class TestCombinedRoute:
         for module in users:
             monkeypatch.setattr(module, "byte_tables", counting)
         for acc in (p2_acceptor(), reversal_blowup(6)):
-            k = acc.dfa.letter_count
+            minimal = minimize(acc).dfa
             calls.clear()
             assert is_birecurrent_characterization(acc)
-            assert len(calls) == k
-            assert len(set(calls)) == k
+            # The rank search and the config search share one packed table
+            # of every letter's images.
+            assert calls == [tuple(padfa.rank.packed_images(minimal))]
             # The direct route compiles one packed preimage table for all
             # letters.
             calls.clear()
@@ -463,7 +464,7 @@ class TestCombinedRoute:
             assert len(calls) == 1
             calls.clear()
             assert is_birecurrent(acc)
-            assert len(calls) == k + 1
+            assert len(calls) == 2
 
 
 def test_methods_agree_on_random_acceptors():

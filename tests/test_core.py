@@ -336,20 +336,27 @@ def test_breadth_first(rows, states, answer, units):
 
 
 # A search whose compiled table has one entry on the witness path patched
-# to gain a state: (the automaton's rows, the set as in SEARCHES, the
-# answer of the unpatched search, the letter of the patched table, the
-# patched entry, the state it gains, and the parent and the child between
-# which the witness walk then finds no letter).
+# to gain a state under one letter: (the automaton's rows, the set as in
+# SEARCHES, the answer of the unpatched search, the letter, the patched
+# entry, the state it gains under the letter, and the parent and the child
+# between which the witness walk then finds no letter).
 CORRUPTED_SEARCHES = {
-    # a takes Q to {0, 3}.  The patched entry adds state 2, which a kills,
-    # so a still takes the child {0, 2, 3} to {3}, the answer.
+    # a takes Q to {0, 3}.  The patched entry adds state 2 to a's image,
+    # which a kills, so a still takes the child {0, 2, 3} to {3}, the
+    # answer.
     "rank": (
         ((3, None), (0, 1), (None, 1), (3, 2)), None, RankResult(1, (0, 0)), 0, 0b1111, 2, 15, 13,
     ),
     # a takes the config ({0, 2}, {1}) to ({0, 2}, {}).  The patched entry
-    # adds state 1 to the inside image, and b still takes the child
+    # adds state 1 to a's inside image, and b still takes the child
     # ({0, 1, 2}, {}) to ({2}, {}), the answer.
     "config": (((2, 2), (None, 2), (0, 2)), 0b101, (0, 1), 0, 0b101, 1, 21, 7),
+    # a takes Q to {1, 2}, and b takes {1, 2} to {2}, the answer.  The
+    # patched entry adds state 0 to b's image of {1, 2}, so the search reaches
+    # {0, 2} there instead, and a takes that to {2}.
+    "rank-second-letter": (
+        ((None, 1), (1, None), (2, 2)), None, RankResult(1, (0, 1)), 1, 0b110, 0, 6, 5,
+    ),
 }
 
 
@@ -362,7 +369,7 @@ def test_witness_walk_raises_on_a_child_its_parent_does_not_reach(
     monkeypatch, rows, states, answer, letter, entry, state, parent, child
 ):
     # The walk steps by the automaton's own images, so a node that only
-    # the compiled tables reach stops it rather than give a word.
+    # the compiled table reaches stops it rather than give a word.
     dfa = PartialDfa(len(rows), ("a", "b"), rows)
     if states is not None:
         states = StateSet(dfa.state_count, states)
@@ -371,9 +378,8 @@ def test_witness_walk_raises_on_a_child_its_parent_does_not_reach(
 
     def compile_tables(table):
         (chunk,) = byte_tables(table)
-        if len(compiled) == letter:
-            chunk = list(chunk)
-            chunk[entry] |= 1 << state
+        chunk = list(chunk)
+        chunk[entry] |= 1 << letter * dfa.state_count + state
         compiled.append(table)
         return (chunk,)
 
@@ -382,6 +388,9 @@ def test_witness_walk_raises_on_a_child_its_parent_does_not_reach(
     message = f"^no letter steps node {parent} to its child {child}$"
     with pytest.raises(RuntimeError, match=message):
         _search(dfa, states, SearchBudget(1 << 20))
+    # The search compiles one table, which a saturation search shares with
+    # its rank search.
+    assert len(compiled) == 1
 
 
 class Stop(Exception):
@@ -420,11 +429,10 @@ def _cerny_with_reset(n):
 
 
 # The two searches of the budget tests, with the units each spends in all.
-# On 6 states a subset is one chunk, so each image the rank search reads
-# is one lookup, and so is each inside or outside image of the config
-# search.
+# On 7 states or fewer a subset is one chunk, so the rank search reads one
+# lookup per node, and the config search an inside and an outside one.
 BUDGET_SEARCHES = {
-    "rank": (cerny(6), None, 58),
+    "rank": (cerny(7), None, 121),
     "config": (_cerny_with_reset(6), StateSet.full(6), 61),
 }
 
@@ -438,30 +446,68 @@ def lookups(monkeypatch):
 
 
 def _phases(lookups, dfa, states):
-    """For each search of the answer, the lookup at which it starts and the
-    number of lookups per edge.  The rank search starts at 0 and reads one
-    image per edge.  The config search of a saturation answer starts where
-    the rank search has read its last entry (its witness walk reads no
-    table), and reads an inside and then an outside entry per edge."""
+    """For each search of the answer: the lookup at which it starts, its
+    start node, the lookups it reads per node, the nodes that a node gives
+    from its lookups, one per letter in order and ``None`` where it gives
+    none, and the size of a node that ends the search.
+
+    The rank search starts at 0 and reads one entry per node, its images
+    under every letter, ``n`` bits a letter.  The config search of a
+    saturation answer starts where the rank search has read its last entry
+    (its witness walk reads no table), and reads an inside and then an
+    outside entry per node.  A letter gives no config when it kills a state
+    of the inside image or when the two images meet."""
+    n = dfa.state_count
+    full = (1 << n) - 1
+    shifts = range(0, dfa.letter_count * n, n)
+
+    def subsets(mask, images):
+        return [images >> shift & full or None for shift in shifts]
+
+    rank = (0, full, 1, subsets, 1)
     if states is None:
-        return [(0, 1)]
+        return [rank]
+
+    def configs(config, insides, outsides):
+        given = []
+        for shift, domain in zip(shifts, dfa.letter_domains):
+            inside = insides >> shift & full
+            outside = outsides >> shift & full
+            alive = config & full & ~domain == 0
+            given.append(inside | outside << n if alive and not inside & outside else None)
+        return given
+
     lookups.log.clear()
-    exact_rank(dfa, SearchBudget(1 << 20))
-    return [(0, 1), (len(lookups.log), 2)]
+    target = exact_rank(dfa, SearchBudget(1 << 20)).rank
+    start = states.mask | (full & ~states.mask) << n
+    return [rank, (len(lookups.log), start, 2, configs, target)]
 
 
-def _spent(log, phases, full):
+def _seen(read, start, per_node, given, target):
+    """The nodes that one search has seen after reading ``read``: its start,
+    and the nodes of each node whose lookups are all read, in breadth-first
+    order, until one of ``target`` states."""
+    seen = {start}
+    queue = [start]
+    for node, at in zip(queue, range(0, len(read) - per_node + 1, per_node)):
+        for new in given(node, *read[at : at + per_node]):
+            if new is not None and new not in seen:
+                seen.add(new)
+                if new.bit_count() == target:
+                    return len(seen)
+                queue.append(new)
+    return len(seen)
+
+
+def _spent(log, phases):
     """The nodes spent after the lookups in ``log``, read off the entries:
-    each search spends its start when it begins and then one unit per
-    nonzero image it reads for the first time, once it has read the rest
-    of the edge.  The config search of the budget tests keeps its outside
-    images empty, so its inside images are its configs."""
+    each search spends its start when it begins and then one unit per node
+    it sees for the first time, once it has read the node's lookups."""
     spent = 0
-    ends = [first for first, _ in phases[1:]] + [len(log)]
-    for (first, per_edge), end in zip(phases, ends):
+    ends = [phase[0] for phase in phases[1:]] + [len(log)]
+    for (first, *search), end in zip(phases, ends):
         if first <= len(log):
-            edge_read = range(first, min(end, len(log) - per_edge + 1))
-            spent += len({full} | {log[i] for i in edge_read if log[i]})
+            spent += _seen(log[first:end], *search)
     return spent
 
 
@@ -470,19 +516,19 @@ def test_breadth_first_runs_out_at_the_node_past_the_budget(lookups):
     # budget runs out at the first node past it: the search raises as soon
     # as a lookup gives that node, and leaves remaining at -1.
     for dfa, states, total in BUDGET_SEARCHES.values():
-        full = (1 << dfa.state_count) - 1
         phases = _phases(lookups, dfa, states)
         lookups.log.clear()
         budget = SearchBudget(1 << 20)
         _search(dfa, states, budget)
         assert budget.limit - budget.remaining == total
         # lookups_to[i] is the number of lookups after which i + 1 nodes
-        # are spent.  The config search spends its start before it reads
-        # an entry, so the rank search's last lookup can spend two nodes.
+        # are spent.  A lookup gives a node under each letter, and the
+        # config search spends its start before it reads an entry, so one
+        # lookup can spend several nodes.
         log = list(lookups.log)
         lookups_to = [0]
         for count in range(1, len(log) + 1):
-            while _spent(log[:count], phases, full) > len(lookups_to):
+            while _spent(log[:count], phases) > len(lookups_to):
                 lookups_to.append(count)
         assert len(lookups_to) == total
         for limit in range(1, total):
@@ -500,7 +546,6 @@ def test_breadth_first_writes_the_budget_back_when_step_raises(lookups, calls):
     # A lookup of the search's own loop raises after ``calls`` of them;
     # the budget spent must still be every node that the search had seen.
     for dfa, states, _ in BUDGET_SEARCHES.values():
-        full = (1 << dfa.state_count) - 1
         phases = _phases(lookups, dfa, states)
         lookups.log.clear()
         lookups.stop = phases[-1][0] + calls
@@ -508,7 +553,7 @@ def test_breadth_first_writes_the_budget_back_when_step_raises(lookups, calls):
         with pytest.raises(Stop):
             _search(dfa, states, budget)
         lookups.stop = None
-        assert budget.limit - budget.remaining == _spent(lookups.log, phases, full)
+        assert budget.limit - budget.remaining == _spent(lookups.log, phases)
 
 
 # (automaton, set, units of the rank search alone, units of the rank and

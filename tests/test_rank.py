@@ -29,8 +29,10 @@ from support import (
     cyclic_product,
     m2,
     p2,
+    per_letter_rank,
     random_partial_dfa,
     random_sc_dfa,
+    recording_walk,
 )
 
 
@@ -77,6 +79,54 @@ class TestExactRank:
         assert budget.limit - budget.remaining == 2**n - n
         assert result.rank == 1
         assert result.word_length == (n - 1) ** 2
+
+
+def _same_as_per_letter_rank(walked: list, dfa: PartialDfa) -> int:
+    """Check the packed rank search against the per-letter reference and
+    return the number of subsets.  The search's witness walk must record
+    its parents in ``walked``."""
+    packed, reference = SearchBudget(1 << 20), SearchBudget(1 << 20)
+    walked.clear()
+    result = exact_rank(dfa, packed)
+    parents, word = per_letter_rank(dfa, reference)
+    assert walked == [list(parents.items())]
+    assert result.witness == word
+    assert result.rank == dfa.image_mask((1 << dfa.state_count) - 1, word).bit_count()
+    assert packed.remaining == reference.remaining == packed.limit - len(parents)
+    return len(parents)
+
+
+class TestPackedRankSearch:
+    """One packed table of every letter's images gives the parents, in
+    discovery order, the word and the budget units of one table per
+    letter."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(padfa.rank, "witness_word", recording_walk(walked))
+        return walked
+
+    def test_every_binary_automaton_up_to_three_states(self, walked):
+        automata = subsets = 0
+        for dfa in binary_automata(3):
+            subsets += _same_as_per_letter_rank(walked, dfa)
+            automata += 1
+        assert automata == 4_181
+        assert subsets == 11_720
+
+    # 7 to 9 and 15 to 17 states sit on either side of a byte boundary of
+    # the table and of a 30-bit int digit at two letters; 31 states of 2
+    # to 4 letters make entries past two digits.
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 31])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_automata(self, walked, n, k):
+        rng = random.Random(1000 * n + k)
+        subsets = []
+        for _ in range(6):
+            dfa = random_partial_dfa(rng, n, k, rng.uniform(0.5, 1.0))
+            subsets.append(_same_as_per_letter_rank(walked, dfa))
+        assert max(subsets) > 1 or n == 1
 
 
 class TestIsSynchronizing:

@@ -109,10 +109,16 @@ def test_defaults():
         (lambda: PartialDfa(-1, (), ()), "state_count must be a non-negative int"),
         (lambda: PartialDfa(1, ("a", "a"), ((0, 0),)), "alphabet names must be unique"),
         (lambda: PartialDfa(1, ("",), ((0,),)), "alphabet names must be nonempty"),
+        # A name that is not a str would build and then fail to serialize.
+        (lambda: PartialDfa(1, (5,), ((0,),)), "alphabet names must be nonempty strings, not 5$"),
+        (lambda: PartialDfa(1, (["a"],), ((0,),)), r"names must be nonempty strings, not \['a'\]$"),
         (lambda: PartialDfa(2, ("a",), ((0,),)), "one row per state"),
         (lambda: PartialDfa(1, ("a",), ((0, 0),)), "row width must match"),
         (lambda: PartialDfa(1, ("a",), ((1,),)), "transition target 1 out of range"),
         (lambda: Acceptor(_DFA, 0, StateSet(3)), "accepting set universe does not match"),
+        (lambda: Acceptor(_DFA, 0, {0}), r"accepting must be a StateSet, not \{0\}$"),
+        (lambda: Acceptor(_DFA, 0, [0]), r"accepting must be a StateSet, not \[0\]$"),
+        (lambda: Acceptor(_DFA, 0, None), "accepting must be a StateSet, not None$"),
         (lambda: Acceptor(PartialDfa(0, (), ()), 0, StateSet(0)), "empty acceptor cannot"),
         (lambda: Acceptor(_DFA, 2, StateSet(2)), "initial state 2 out of range"),
         (lambda: IntersectionInstance(()), "an instance needs at least one machine"),

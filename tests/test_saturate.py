@@ -16,13 +16,16 @@ from padfa import (
 
 from bruteforce import brute_saturating_word
 from support import (
+    binary_automata,
     binary_classes,
     cerny,
     d2,
     m2,
     p2,
+    per_letter_saturation,
     random_partial_dfa,
     random_word,
+    recording_walk,
     unpruned_saturating_word,
 )
 
@@ -126,6 +129,76 @@ def test_overlap_prune_matches_the_unpruned_search_on_random_inputs():
         assert pruned.remaining >= unpruned.remaining
         saved += pruned.remaining > unpruned.remaining
     assert saved > 0
+
+
+def _same_as_per_letter_search(
+    walked: list, dfa: PartialDfa, states: StateSet, limit: int = 1 << 20
+) -> int:
+    """Check the packed saturation search against the per-letter reference
+    and return the number of configs, 0 when the rank witness answers and
+    -1 when both run out of budget at the same node.  The config search's
+    witness walk must record its parents in ``walked``."""
+    packed, reference = SearchBudget(limit), SearchBudget(limit)
+    try:
+        word = find_saturating_min_rank_word(dfa, states, packed)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            per_letter_saturation(dfa, states, reference)
+        assert packed.remaining == reference.remaining == -1
+        return -1
+    parents, expected = per_letter_saturation(dfa, states, reference)
+    assert word == expected
+    assert packed.remaining == reference.remaining
+    if parents is None:
+        assert walked == []
+        return 0
+    # The walk runs only when the search finds a config.
+    assert walked == ([] if word is None else [list(parents.items())])
+    walked.clear()
+    return len(parents)
+
+
+class TestPackedConfigSearch:
+    """One packed table of every letter's images, read once for the inside
+    and once for the outside image of a config, gives the parents, in
+    discovery order, the word and the budget units of one table per
+    letter."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(padfa.saturate, "witness_word", recording_walk(walked))
+        return walked
+
+    def test_every_subset_of_every_binary_automaton_up_to_three_states(self, walked):
+        inputs = configs = 0
+        for dfa in binary_automata(3):
+            for mask in range(1 << dfa.state_count):
+                configs += _same_as_per_letter_search(walked, dfa, StateSet(dfa.state_count, mask))
+                inputs += 1
+        assert inputs == 33_100
+        assert configs == 49_620
+
+    # As for the rank search: either side of a byte of the table and of a
+    # 30-bit int digit, and entries past two digits.  Letter 0 is defined
+    # everywhere and the other letters are partial.  On odd draws letter 0
+    # is a random map and the set is Q, whose configs stay alive; on even
+    # draws it is a permutation, which keeps the two images of a random set
+    # apart.
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 31])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_automata(self, walked, n, k):
+        rng = random.Random(2000 * n + k)
+        configs = []
+        for draw in range(6):
+            first = [rng.randrange(n) for _ in range(n)] if draw % 2 else rng.sample(range(n), n)
+            partial = random_partial_dfa(rng, n, k - 1, rng.uniform(0.5, 1.0))
+            rows = tuple((t, *row) for t, row in zip(first, partial.transitions))
+            dfa = PartialDfa(n, tuple("abcd"[:k]), rows)
+            held = [s for s in range(n) if draw % 2 or rng.random() < 0.5]
+            states = StateSet.from_iterable(n, held)
+            configs.append(_same_as_per_letter_search(walked, dfa, states, 1 << 14))
+        assert max(configs) > 1 or n == 1 or k == 1
 
 
 def test_budget_that_only_the_pruned_search_fits():
