@@ -171,7 +171,7 @@ def determinize_reversal(
     gives every letter's preimage, each cut out by a shift and a mask.
 
     The budget is counted in a local and written back on every exit, as in
-    ``rank.exact_rank_on_tables``.  An exhausted construction raises
+    ``rank.smaller_subsets``.  An exhausted construction raises
     ``budget.exhausted()`` at the first subset past the budget and leaves
     ``budget.remaining == -1``.
     """

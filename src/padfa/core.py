@@ -23,7 +23,8 @@ of state ``s`` for rank and saturation (``rank.packed_images``), and every
 letter's preimage of ``s`` for the reversal, letter ``a`` at bits ``a * n``
 to ``a * n + n - 1``, so one image per subset serves every letter, each
 cut out by a shift and a mask.  The saturation search hands its table to
-the rank search it starts with (``rank.exact_rank_on_tables``).  Each of
+the rank search that it resumes as its configs shrink
+(``rank.smaller_subsets``).  Each of
 the three loops reads its table in one inline walk per node, ``images |=
 chunk[mask & 255]`` for each byte until the mask runs out, since a call
 per edge took about a fifth of their time; the config search reads its

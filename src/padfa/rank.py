@@ -7,8 +7,12 @@ state counts (roughly n <= 16) and fails loudly via the search budget
 instead of hanging.  It compiles one packed table of every letter's
 images (``packed_images``), and its loop reads a subset's images under all
 letters from it in one inline walk, then cuts out each letter's image.
-Its word comes from ``core.witness_word``, which steps by ``union_image``
-over the automaton's own images.
+The loop is a generator, ``smaller_subsets``, that stops at each newly
+seen subset smaller than a bound its caller sends and resumes there:
+``exact_rank`` asks it once, for a singleton, and the saturation search
+asks it only whether some image is smaller than its smallest config so
+far.  Its word comes from ``core.witness_word``, which steps by
+``union_image`` over the automaton's own images.
 ``min_rank_word_sc`` is the polynomial algorithm for strongly connected
 automata: it repeatedly merges a pair of surviving states by solving
 reachability in the pair automaton.
@@ -38,7 +42,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 from operator import and_, itemgetter, not_
-from typing import Optional, Sequence, TypeVar
+from typing import Generator, Optional, Sequence, TypeVar
 
 from .core import (
     DEFAULT_BUDGET,
@@ -104,49 +108,74 @@ def exact_rank(dfa: PartialDfa, budget: int | SearchBudget = DEFAULT_BUDGET) -> 
     Breadth-first over reachable subsets, expanding letters in declaration
     order, so the witness is the length-then-lexicographically first word
     reaching a minimum-size image.  The empty word already attains rank n.
-    """
-    return exact_rank_on_tables(dfa, byte_tables(packed_images(dfa)), budget)
 
-
-def exact_rank_on_tables(
-    dfa: PartialDfa,
-    tables: Sequence[Sequence[int]],
-    budget: int | SearchBudget,
-) -> RankResult:
-    """:func:`exact_rank` of ``dfa``, whose ``packed_images`` the caller has
-    already compiled into ``tables`` (one ``byte_tables`` result), so a
-    search that needs the same tables compiles them once.
-
-    The search walks a plain list queue while it grows.  It reads each
-    subset's images under all letters from the chunks in one inline walk,
-    then cuts out each letter's image in declaration order.  Every newly
-    seen subset, the full set included, spends one unit of ``budget``; the
-    empty set is never a node, since rank counts nonzero image sizes only
-    and nothing lies beyond it.  The first singleton found is the answer,
-    or else the first subset with the fewest states.  The budget is counted
-    in a local and written back on every exit, also when a lookup raises;
-    an exhausted search raises ``budget.exhausted()`` at the first subset
-    past the budget and leaves ``budget.remaining == -1``, as a spend per
-    subset would.  The witness walk steps by ``dfa.letter_images``, not by
-    ``tables``, so a subset that its parent does not reach makes it raise
-    ``RuntimeError``.
+    It compiles ``packed_images`` once and asks :func:`smaller_subsets`
+    for the first subset of fewer than two states, a singleton; when there
+    is none it takes the first subset with the fewest states.  The witness
+    walk steps by ``dfa.letter_images``, not by the compiled table, so a
+    subset that its parent does not reach makes it raise ``RuntimeError``.
     """
     if dfa.state_count == 0:
         raise ValueError("rank is undefined for the empty automaton")
     budget = SearchBudget.ensure(budget)
+    parents: dict[int, Optional[int]] = {}
+    search = smaller_subsets(dfa, byte_tables(packed_images(dfa)), budget, parents)
+    next(search)
+    try:
+        found = search.send(2)
+    except StopIteration:
+        found = min(parents, key=int.bit_count)
+    letter_images = dfa.letter_images
+    word = witness_word(
+        parents, found, lambda mask, a: union_image(letter_images[a], mask), len(letter_images)
+    )
+    return RankResult(found.bit_count(), word)
+
+
+def smaller_subsets(
+    dfa: PartialDfa,
+    tables: Sequence[Sequence[int]],
+    budget: SearchBudget,
+    parents: dict[int, Optional[int]],
+) -> Generator[int, int, None]:
+    """The breadth-first search of :func:`exact_rank` over the reachable
+    nonempty subsets of ``dfa``, whose ``packed_images`` the caller has
+    compiled into ``tables`` (one ``byte_tables`` result), as a generator
+    that stops where its caller's question is answered and resumes from
+    there.
+
+    Started with ``next``, it spends one unit of ``budget`` on the full
+    set, enters it in ``parents`` and yields it.  Each ``send(bound)`` then
+    resumes the search at the letter after the one it stopped at, and
+    yields the next newly seen subset of fewer than ``bound`` states, or
+    stops when no subset is left to see.  ``parents`` keeps each subset's
+    parent in discovery order, for ``core.witness_word``.
+
+    The search walks a plain list queue while it grows.  It reads each
+    subset's images under all letters from the chunks in one inline walk,
+    then cuts out each letter's image in declaration order.  Every newly
+    seen subset spends one unit of ``budget``; the empty set is never a
+    subset, since rank counts nonzero image sizes only and nothing lies
+    beyond it.  The budget is counted in a local that is written back
+    before each yield and read again on each resume, so the caller may
+    spend the same budget while the search waits; it is also written back
+    when the search stops or raises.  An exhausted search raises
+    ``budget.exhausted()`` at the first subset past the budget and leaves
+    ``budget.remaining == -1``, as a spend per subset would.  Closed while
+    it waits, it writes nothing back: the caller's count is the current
+    one.
+    """
     n = dfa.state_count
     full = (1 << n) - 1
     shifts = range(0, dfa.letter_count * n, n)
     budget.spend()
-    parents: dict[int, Optional[int]] = {full: None}
-    found = full if n == 1 else None
+    parents[full] = None
+    bound = yield full
     queue = [full]
     append = queue.append
     remaining = budget.remaining
     try:
         for mask in queue:  # the queue only grows at the end
-            if found is not None:
-                break
             images = 0
             rest = mask
             for chunk in tables:
@@ -162,19 +191,18 @@ def exact_rank_on_tables(
                 if remaining < 0:
                     raise budget.exhausted()
                 parents[image] = mask
-                if image.bit_count() == 1:
-                    found = image
-                    break
+                if image.bit_count() < bound:
+                    budget.remaining = remaining
+                    bound = yield image
+                    remaining = budget.remaining
                 append(image)
-    finally:
+    except GeneratorExit:
+        # Closed while it waits: the caller's count is the current one.
+        raise
+    except BaseException:
         budget.remaining = remaining
-    if found is None:
-        found = min(parents, key=int.bit_count)
-    letter_images = dfa.letter_images
-    word = witness_word(
-        parents, found, lambda mask, a: union_image(letter_images[a], mask), len(letter_images)
-    )
-    return RankResult(found.bit_count(), word)
+        raise
+    budget.remaining = remaining
 
 
 def is_synchronizing(

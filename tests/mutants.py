@@ -78,14 +78,45 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
         ),
     ),
     # The rank search writes its local budget count back only on a normal
-    # return, not when it runs out or a lookup raises.
+    # stop or a yield, not when it runs out or a lookup raises.
     "rank-budget-not-written-back": (
         "src/padfa/rank.py",
-        "    finally:\n        budget.remaining = remaining\n",
-        "    finally:\n        pass\n    budget.remaining = remaining\n",
+        "    except BaseException:\n        budget.remaining = remaining\n        raise\n",
+        "    except BaseException:\n        raise\n",
         (
             "tests/test_core.py::test_breadth_first_writes_the_budget_back_when_step_raises",
             "tests/test_core.py::test_breadth_first_runs_out_at_the_node_past_the_budget",
+        ),
+    ),
+    # The rank search writes its local count back in a plain ``finally``,
+    # so closed while it waits it overwrites what its caller has spent
+    # since its last yield with a stale count.
+    "rank-stale-write-back-on-close": (
+        "src/padfa/rank.py",
+        "    except GeneratorExit:\n"
+        "        # Closed while it waits: the caller's count is the current one.\n"
+        "        raise\n"
+        "    except BaseException:\n"
+        "        budget.remaining = remaining\n"
+        "        raise\n"
+        "    budget.remaining = remaining\n",
+        "    finally:\n        budget.remaining = remaining\n",
+        (
+            "tests/test_rank.py::TestSmallerSubsets::test_closing_it_while_it_waits_writes_nothing_back",
+            "tests/test_saturate.py::TestPackedConfigSearch::test_random_automata",
+        ),
+    ),
+    # The rank search yields a subset as small as the bound, not smaller,
+    # so exact_rank stops at a pair and saturation takes a config of m
+    # states for the rank when the rank search has an image of m states.
+    "rank-bound-at-most": (
+        "src/padfa/rank.py",
+        "if image.bit_count() < bound:",
+        "if image.bit_count() <= bound:",
+        (
+            "tests/test_rank.py::TestPackedRankSearch::test_every_binary_automaton_up_to_three_states",
+            "tests/test_saturate.py"
+            "::TestPackedConfigSearch::test_every_subset_of_every_binary_automaton_up_to_three_states",
         ),
     ),
     # The same defect in the config search.
@@ -190,24 +221,59 @@ DEFECTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
             "tests/test_exhaustive.py::test_saturating_word_matches_brute_force",
         ),
     ),
-    # The saturation search returns the rank witness whenever every state of
-    # S survives it, even when the images of S and of its complement meet.
-    "saturation-shortcut-meeting-images": (
+    # The saturation search answers with the rank witness on every complete
+    # automaton, not only for S = Q, where every word saturates S.
+    "saturation-fast-path-without-full-set-test": (
         "src/padfa/saturate.py",
-        "    if is_saturated_by(dfa, states, ranked.witness):\n",
-        "    if all(dfa.run(state, ranked.witness) is not None for state in states):\n",
+        "    if not states or states.mask == full and dfa.is_complete():\n",
+        "    if not states or dfa.is_complete():\n",
         (
             "tests/test_saturate.py::TestFindSaturatingMinRankWord::test_m2_singleton_never_saturates",
             "tests/test_exhaustive.py::test_saturating_word_matches_brute_force",
         ),
     ),
-    # The saturation step also drops every config of more than r states, so
-    # the search cannot pass through the larger configs on the way to a
-    # saturating word.
-    "saturation-prune-past-rank": (
+    # Each question to the rank search starts a new one from Q, so it
+    # spends every subset again up to its answer.
+    "saturation-query-restarts-from-q": (
+        "src/padfa/saturate.py",
+        "            try:\n                return ranks.send(size).bit_count()\n",
+        "            ranks = smaller_subsets(dfa, tables, shared, {})\n"
+        "            next(ranks)\n"
+        "            try:\n                return ranks.send(size).bit_count()\n",
+        (
+            "tests/test_saturate.py::TestPackedConfigSearch::test_random_automata",
+            "tests/test_exhaustive.py::test_overlap_prune_keeps_every_answer_and_spends_less",
+        ),
+    ),
+    # The config search takes each new smallest config for the answer
+    # without asking the rank search whether some image is smaller.
+    "config-stops-at-a-new-minimum-unasked": (
+        "src/padfa/saturate.py",
+        "                        low = smaller(new.bit_count())\n",
+        "                        low = 0\n",
+        (
+            "tests/test_saturate.py::test_search_matches_brute_enumeration_on_small_automata",
+            "tests/test_exhaustive.py::test_saturating_word_matches_brute_force",
+        ),
+    ),
+    # The config search does not read the budget back after a question to
+    # the rank search, so it writes back its own stale count at the end.
+    "config-keeps-its-count-over-a-query": (
+        "src/padfa/saturate.py",
+        "                    finally:\n                        remaining = shared.remaining\n",
+        "                    finally:\n                        pass\n",
+        (
+            "tests/test_core.py::test_breadth_first_runs_out_at_the_node_past_the_budget",
+            "tests/test_saturate.py::TestPackedConfigSearch::test_random_automata",
+        ),
+    ),
+    # The saturation step also drops every config of more states than the
+    # smallest image the rank search has found, so the search cannot pass
+    # through the larger configs on the way to a saturating word.
+    "saturation-prune-past-the-rank-bound": (
         "src/padfa/saturate.py",
         "                if image & other:\n",
-        "                if image & other or (image | other).bit_count() > target_rank:\n",
+        "                if image & other or (image | other).bit_count() > low:\n",
         (
             "tests/test_saturate.py"
             "::test_overlap_prune_matches_the_unpruned_search_on_random_inputs",

@@ -444,6 +444,28 @@ def _parents(links: dict) -> dict[int, int | None]:
     return {node: None if link is None else link[0] for node, link in links.items()}
 
 
+def per_letter_subsets(dfa: PartialDfa, budget: SearchBudget, links: dict):
+    """Every subset that ``exact_rank``'s search sees, in discovery order
+    and the full set first, built with one ``union_image`` per letter and
+    subset.  Each is spent from ``budget`` and linked in ``links`` to its
+    parent and letter before it is yielded."""
+    full = (1 << dfa.state_count) - 1
+    budget.spend()
+    links[full] = None
+    yield full
+    queue = deque([full])
+    while queue:
+        mask = queue.popleft()
+        for letter, images in enumerate(dfa.letter_images):
+            image = union_image(images, mask)
+            if not image or image in links:
+                continue
+            budget.spend()
+            links[image] = (mask, letter)
+            yield image
+            queue.append(image)
+
+
 def per_letter_rank(
     dfa: PartialDfa, budget: SearchBudget
 ) -> tuple[dict[int, int | None], tuple[int, ...]]:
@@ -455,51 +477,67 @@ def per_letter_rank(
     spends ``budget`` in the same way, one unit per subset, but it links
     each subset to its parent and letter, so that it shares neither the
     packed table nor ``core.witness_word`` with the search it checks."""
-    full = (1 << dfa.state_count) - 1
-    links: dict[int, tuple[int, int] | None] = {full: None}
-    budget.spend()
-    found = full if dfa.state_count == 1 else None
-    queue = deque([full])
-    while queue and found is None:
-        mask = queue.popleft()
-        for letter, images in enumerate(dfa.letter_images):
-            image = union_image(images, mask)
-            if not image or image in links:
-                continue
-            budget.spend()
-            links[image] = (mask, letter)
-            if image.bit_count() == 1:
-                found = image
-                break
-            queue.append(image)
-    if found is None:
+    links: dict[int, tuple[int, int] | None] = {}
+    for subset in per_letter_subsets(dfa, budget, links):
+        if subset.bit_count() == 1:
+            found = subset
+            break
+    else:
         found = min(links, key=int.bit_count)
     return _parents(links), _linked_word(links, found)
 
 
-def per_letter_saturation(
-    dfa: PartialDfa, states: StateSet, budget: SearchBudget
-) -> tuple[dict[int, int | None] | None, tuple[int, ...] | None]:
-    """The parents of ``find_saturating_min_rank_word``'s config search, in
-    discovery order, and its word, built with one ``union_image`` per
-    letter and image, as a reference.  The parents are ``None`` when the
-    rank witness saturates ``states``, so that no config search runs.
+def first_config_of_minimum_rank(subsets, configs, start: int):
+    """The order in which ``find_saturating_min_rank_word`` runs its two
+    searches, on the nodes each would see: ``subsets``, the rank search's
+    after the full set, and ``configs``, the config search's from
+    ``start``, the start first.  Returns the first config whose size is
+    the rank, or ``None``.
 
-    It runs ``per_letter_rank`` first and keeps the alive test and the
-    overlap prune, so it spends ``budget`` as the search does, and like it
-    links each config to its parent and letter."""
+    Before it reads a config it asks whether the rank is the n states of
+    ``start``, and if so returns ``start`` unread.  Then it reads
+    ``configs`` in order, and at each new smallest config size m it does
+    the same.  It takes m for the rank unless a one-state config or a
+    subset of fewer than m states says otherwise; to look for such a
+    subset it reads on in ``subsets``, and only while every subset read so
+    far has m states or more.  So it reads exactly the nodes that the
+    searches spend."""
+    least = low = start.bit_count()
+
+    def is_rank(size: int) -> bool:
+        nonlocal low
+        if size == 1:
+            return True
+        while low >= size:
+            subset = next(subsets, None)
+            if subset is None:
+                return True
+            low = min(low, subset.bit_count())
+        return False
+
+    if is_rank(least):
+        return start
+    for config in configs:
+        if config.bit_count() < least:
+            least = config.bit_count()
+            if is_rank(least):
+                return config
+    return None
+
+
+def per_letter_configs(dfa: PartialDfa, start: int, budget: SearchBudget, links: dict):
+    """Every config that the config search sees from ``start``, in
+    discovery order and the start first, built with one ``union_image`` per
+    letter and image, with the alive test and the overlap prune.  Each is
+    spent from ``budget`` and linked in ``links`` to its parent and letter
+    before it is yielded."""
     n = dfa.state_count
     full = (1 << n) - 1
-    _, witness = per_letter_rank(dfa, budget)
-    if is_saturated_by(dfa, states, witness):
-        return None, witness
-    target_rank = dfa.image_mask(full, witness).bit_count()
-    start = states.mask | (full & ~states.mask) << n
-    links: dict[int, tuple[int, int] | None] = {start: None}
     budget.spend()
-    found = start if start.bit_count() == target_rank else None
+    links[start] = None
+    yield start
     queue = deque([start])
-    while queue and found is None:
+    while queue:
         config = queue.popleft()
         inside = config & full
         for letter, images in enumerate(dfa.letter_images):
@@ -514,10 +552,37 @@ def per_letter_saturation(
                 continue
             budget.spend()
             links[new] = (config, letter)
-            if new.bit_count() == target_rank:
-                found = new
-                break
+            yield new
             queue.append(new)
+
+
+def per_letter_saturation(
+    dfa: PartialDfa, states: StateSet, budget: SearchBudget
+) -> tuple[dict[int, int | None] | None, tuple[int, ...] | None]:
+    """The parents of ``find_saturating_min_rank_word``'s config search, in
+    discovery order, and its word, built with one ``union_image`` per
+    letter and image, as a reference.  The parents are ``None`` when no
+    config search runs: when every word saturates ``states`` (S empty, or
+    S = Q on a complete automaton), so that ``per_letter_rank`` answers,
+    and when the rank is n, so that the empty word does.
+
+    Otherwise it starts a per-letter rank search, which spends the full
+    set, and runs the config search, resuming the rank search as
+    ``first_config_of_minimum_rank`` says, so it spends ``budget`` as the
+    search does.  Like the rank reference it links each config to its
+    parent and letter."""
+    n = dfa.state_count
+    full = (1 << n) - 1
+    if not states or states.mask == full and dfa.is_complete():
+        return None, per_letter_rank(dfa, budget)[1]
+    subsets = per_letter_subsets(dfa, budget, {})
+    next(subsets)
+    start = states.mask | (full & ~states.mask) << n
+    links: dict[int, tuple[int, int] | None] = {}
+    configs = per_letter_configs(dfa, start, budget, links)
+    found = first_config_of_minimum_rank(subsets, configs, start)
+    if not links:
+        return None, ()
     return _parents(links), None if found is None else _linked_word(links, found)
 
 

@@ -326,8 +326,8 @@ class TestPackedReversal:
         assert budget.limit - budget.remaining == seen
 
     # (transitions, initial, accepting, subsets of the reversal, units of
-    # the saturation search, verdict).  The config search runs in both: the
-    # rank witness saturates neither accepting set.
+    # the saturation search, verdict).  The config search runs in both:
+    # neither accepting set is the whole state set, and neither rank is n.
     @pytest.mark.parametrize(
         "transitions, initial, accepting, subsets, saturation_units, verdict",
         [

@@ -26,7 +26,7 @@ from padfa.formats import ParseError, parse_automaton, parse_instance
 from padfa.rank import RankResult, exact_rank
 from padfa.saturate import find_saturating_min_rank_word
 
-from support import c4, cerny, d2, letters, m2, p2
+from support import c4, cerny, d2, first_config_of_minimum_rank, letters, m2, p2
 
 
 @st.composite
@@ -398,8 +398,9 @@ class Stop(Exception):
 
 
 class _Lookups:
-    """Compiled tables whose chunks log every entry read in ``log``, and
-    raise ``Stop`` at the read past the first ``stop`` ones."""
+    """Compiled tables whose chunks log every entry read in ``log``, with the
+    module of the search that read it, and raise ``Stop`` at the read past
+    the first ``stop`` ones."""
 
     def __init__(self):
         self.log = []
@@ -413,7 +414,7 @@ class _Lookups:
                 if len(lookups.log) == lookups.stop:
                     raise Stop
                 value = list.__getitem__(self, index)
-                lookups.log.append(value)
+                lookups.log.append((sys._getframe(1).f_globals["__name__"], value))
                 return value
 
         return tuple(Chunk(chunk) for chunk in byte_tables(table))
@@ -428,12 +429,15 @@ def _cerny_with_reset(n):
     return PartialDfa(n, ("a", "b", "c"), rows)
 
 
-# The two searches of the budget tests, with the units each spends in all.
-# On 7 states or fewer a subset is one chunk, so the rank search reads one
-# lookup per node, and the config search an inside and an outside one.
+# The searches of the budget tests, with the units each spends in all.  On
+# 7 states or fewer a subset is one chunk, so the rank search reads one
+# lookup per node, and the config search an inside and an outside one.  On
+# C_6 with half its states, the rank search reads on each time the
+# smallest config shrinks, so the two searches' reads interleave.
 BUDGET_SEARCHES = {
     "rank": (cerny(7), None, 121),
     "config": (_cerny_with_reset(6), StateSet.full(6), 61),
+    "config-and-rank": (cerny(6), StateSet(6, 0b111), 454),
 }
 
 
@@ -445,18 +449,17 @@ def lookups(monkeypatch):
     return logged
 
 
-def _phases(lookups, dfa, states):
-    """For each search of the answer: the lookup at which it starts, its
-    start node, the lookups it reads per node, the nodes that a node gives
-    from its lookups, one per letter in order and ``None`` where it gives
-    none, and the size of a node that ends the search.
+def _searches(dfa, states):
+    """For each search of the answer, by the module whose loop reads its
+    lookups: its start node, the lookups it reads per node, and the nodes
+    that a node gives from its lookups, one per letter in order and
+    ``None`` where it gives none.
 
-    The rank search starts at 0 and reads one entry per node, its images
-    under every letter, ``n`` bits a letter.  The config search of a
-    saturation answer starts where the rank search has read its last entry
-    (its witness walk reads no table), and reads an inside and then an
-    outside entry per node.  A letter gives no config when it kills a state
-    of the inside image or when the two images meet."""
+    The rank search reads one entry per node, its images under every
+    letter, ``n`` bits a letter.  The config search of a saturation answer
+    reads an inside and then an outside entry per node; a letter gives no
+    config when it kills a state of the inside image or when the two
+    images meet.  The witness walks read no table."""
     n = dfa.state_count
     full = (1 << n) - 1
     shifts = range(0, dfa.letter_count * n, n)
@@ -464,9 +467,9 @@ def _phases(lookups, dfa, states):
     def subsets(mask, images):
         return [images >> shift & full or None for shift in shifts]
 
-    rank = (0, full, 1, subsets, 1)
+    searches = {"padfa.rank": (full, 1, subsets)}
     if states is None:
-        return [rank]
+        return searches
 
     def configs(config, insides, outsides):
         given = []
@@ -477,38 +480,50 @@ def _phases(lookups, dfa, states):
             given.append(inside | outside << n if alive and not inside & outside else None)
         return given
 
-    lookups.log.clear()
-    target = exact_rank(dfa, SearchBudget(1 << 20)).rank
     start = states.mask | (full & ~states.mask) << n
-    return [rank, (len(lookups.log), start, 2, configs, target)]
+    searches["padfa.saturate"] = (start, 2, configs)
+    return searches
 
 
-def _seen(read, start, per_node, given, target):
-    """The nodes that one search has seen after reading ``read``: its start,
-    and the nodes of each node whose lookups are all read, in breadth-first
-    order, until one of ``target`` states."""
+def _seen(read, start, per_node, given):
+    """The nodes that one search can see from its lookups ``read``: its
+    start, and the new nodes of each node whose lookups are all read, in
+    breadth-first order."""
     seen = {start}
     queue = [start]
     for node, at in zip(queue, range(0, len(read) - per_node + 1, per_node)):
         for new in given(node, *read[at : at + per_node]):
             if new is not None and new not in seen:
                 seen.add(new)
-                if new.bit_count() == target:
-                    return len(seen)
                 queue.append(new)
-    return len(seen)
+    return queue
 
 
-def _spent(log, phases):
-    """The nodes spent after the lookups in ``log``, read off the entries:
-    each search spends its start when it begins and then one unit per node
-    it sees for the first time, once it has read the node's lookups."""
-    spent = 0
-    ends = [phase[0] for phase in phases[1:]] + [len(log)]
-    for (first, *search), end in zip(phases, ends):
-        if first <= len(log):
-            spent += _seen(log[first:end], *search)
-    return spent
+def _spent(log, searches):
+    """The nodes spent after the lookups in ``log``, read off the entries.
+    Each search spends a node once it has read the lookups that give it.
+    The rank search alone spends up to its first singleton; a saturation
+    answer spends the nodes that ``first_config_of_minimum_rank`` reads,
+    the rank search's full set first."""
+    spent = []
+
+    def spend(nodes):
+        for node in nodes:
+            spent.append(node)
+            yield node
+
+    nodes = {
+        module: spend(_seen([value for by, value in log if by == module], *search))
+        for module, search in searches.items()
+    }
+    subsets = nodes["padfa.rank"]
+    next(subsets)
+    if "padfa.saturate" in nodes:
+        start = searches["padfa.saturate"][0]
+        first_config_of_minimum_rank(subsets, nodes["padfa.saturate"], start)
+    else:
+        next((subset for subset in subsets if subset.bit_count() == 1), None)
+    return len(spent)
 
 
 def test_breadth_first_runs_out_at_the_node_past_the_budget(lookups):
@@ -516,19 +531,19 @@ def test_breadth_first_runs_out_at_the_node_past_the_budget(lookups):
     # budget runs out at the first node past it: the search raises as soon
     # as a lookup gives that node, and leaves remaining at -1.
     for dfa, states, total in BUDGET_SEARCHES.values():
-        phases = _phases(lookups, dfa, states)
+        searches = _searches(dfa, states)
         lookups.log.clear()
         budget = SearchBudget(1 << 20)
         _search(dfa, states, budget)
         assert budget.limit - budget.remaining == total
         # lookups_to[i] is the number of lookups after which i + 1 nodes
-        # are spent.  A lookup gives a node under each letter, and the
-        # config search spends its start before it reads an entry, so one
-        # lookup can spend several nodes.
+        # are spent.  A lookup gives a node under each letter, and both
+        # searches spend their start before they read an entry, so one
+        # lookup, or none, can spend several nodes.
         log = list(lookups.log)
-        lookups_to = [0]
-        for count in range(1, len(log) + 1):
-            while _spent(log[:count], phases) > len(lookups_to):
+        lookups_to = []
+        for count in range(len(log) + 1):
+            while _spent(log[:count], searches) > len(lookups_to):
                 lookups_to.append(count)
         assert len(lookups_to) == total
         for limit in range(1, total):
@@ -543,22 +558,23 @@ def test_breadth_first_runs_out_at_the_node_past_the_budget(lookups):
 
 @pytest.mark.parametrize("calls", [1, 2, 3, 10, 57, 100])
 def test_breadth_first_writes_the_budget_back_when_step_raises(lookups, calls):
-    # A lookup of the search's own loop raises after ``calls`` of them;
-    # the budget spent must still be every node that the search had seen.
+    # A lookup of either search's loop raises after ``calls`` of them; the
+    # budget spent must still be every node that the searches had seen.
     for dfa, states, _ in BUDGET_SEARCHES.values():
-        phases = _phases(lookups, dfa, states)
+        searches = _searches(dfa, states)
         lookups.log.clear()
-        lookups.stop = phases[-1][0] + calls
+        lookups.stop = calls
         budget = SearchBudget(1000)
         with pytest.raises(Stop):
             _search(dfa, states, budget)
         lookups.stop = None
-        assert budget.limit - budget.remaining == _spent(lookups.log, phases)
+        assert budget.limit - budget.remaining == _spent(lookups.log, searches)
 
 
 # (automaton, set, units of the rank search alone, units of the rank and
-# the config search on one budget, the answer).  The rank witness saturates
-# C_8's full set, so no config search runs there.
+# the config search on one budget, the answer).  C_8 is complete, so every
+# word saturates its full set, the rank witness answers, and no config
+# search runs there.
 SHARED_SEARCHES = {
     "cerny-8-full-set": (cerny(8), 0xFF, 248, 248, exact_rank(cerny(8)).witness),
     "cerny-6-none": (cerny(6), 0b111, 58, 454, None),

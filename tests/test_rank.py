@@ -19,6 +19,8 @@ from padfa import (
     pair_automaton,
     rank_word_length_bound,
 )
+from padfa.core import byte_tables
+from padfa.rank import packed_images, smaller_subsets
 
 from support import (
     binary_automata,
@@ -30,6 +32,7 @@ from support import (
     m2,
     p2,
     per_letter_rank,
+    per_letter_subsets,
     random_partial_dfa,
     random_sc_dfa,
     recording_walk,
@@ -127,6 +130,56 @@ class TestPackedRankSearch:
             dfa = random_partial_dfa(rng, n, k, rng.uniform(0.5, 1.0))
             subsets.append(_same_as_per_letter_rank(walked, dfa))
         assert max(subsets) > 1 or n == 1
+
+
+def _smaller_subsets(dfa, budget, parents):
+    return smaller_subsets(dfa, byte_tables(packed_images(dfa)), budget, parents)
+
+
+class TestSmallerSubsets:
+    """The rank search as a generator: it stops at each newly seen subset
+    of fewer states than the caller's bound, and resumes there."""
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_each_bound_stops_it_at_the_next_smaller_subset(self, n):
+        # Under falling bounds it yields, in discovery order, the first
+        # subset past the last one it yielded that is smaller than the
+        # bound, and it has spent one unit per subset seen up to there.
+        dfa = cerny(n)
+        links = {}
+        order = list(per_letter_subsets(dfa, SearchBudget(), links))
+        budget, parents = SearchBudget(), {}
+        search = _smaller_subsets(dfa, budget, parents)
+        assert next(search) == order[0] == (1 << n) - 1
+        at = 0
+        for bound in range(n, 1, -1):
+            at = next(i for i in range(at + 1, len(order)) if order[i].bit_count() < bound)
+            assert search.send(bound) == order[at]
+            assert budget.limit - budget.remaining == at + 1
+            assert list(parents) == order[: at + 1]
+        assert order[at].bit_count() == 1
+        # No subset is empty, so a bound of 1 runs it out: it sees every
+        # subset, with the parents of the reference, and spends each once.
+        with pytest.raises(StopIteration):
+            search.send(1)
+        assert parents == {node: link and link[0] for node, link in links.items()}
+        assert list(parents) == order
+        assert budget.limit - budget.remaining == len(order)
+
+    def test_closing_it_while_it_waits_writes_nothing_back(self):
+        # Closed while suspended, it must leave the caller's count alone: it
+        # has counted nothing since it wrote its own back at the yield.
+        dfa = cerny(6)
+        for sends in range(4):
+            budget = SearchBudget(1000)
+            search = _smaller_subsets(dfa, budget, {})
+            next(search)
+            for bound in range(6, 6 - sends, -1):
+                search.send(bound)
+            budget.remaining -= 7
+            remaining = budget.remaining
+            search.close()
+            assert budget.remaining == remaining
 
 
 class TestIsSynchronizing:
